@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,25 +49,6 @@ from .ultrametricity import (
 
 class CliError(Exception):
     """Validation failure; maps to exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    coords_path: str | None = None
-    distances_path: str | None = None
-    out_dir: str = "."
-    epsilon: float = DEFAULT_EPSILON
-    criteria: list[str] = field(default_factory=list)
-    criterion: str = "ward"
-    seed: int = 0
-    sample: int | None = None
-    top_k: int = 2000
-    rows: int = 0
-    cols: int = 0
-    method: str = "both"
-    per_triplet: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,36 +126,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.out_dir = getattr(args, "out", ".")
-    cfg.input_path = getattr(args, "input", None)
-    cfg.coords_path = getattr(args, "coords", None)
-    cfg.distances_path = getattr(args, "distances", None)
-    cfg.epsilon = getattr(args, "epsilon", DEFAULT_EPSILON)
-    cfg.criterion = getattr(args, "criterion", "ward")
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.sample = getattr(args, "sample", None)
-    cfg.top_k = getattr(args, "top_k", 2000)
-    cfg.rows = getattr(args, "rows", 0)
-    cfg.cols = getattr(args, "cols", 0)
-    cfg.method = getattr(args, "method", "both")
-    cfg.per_triplet = getattr(args, "per_triplet", False)
-    raw_criteria = getattr(args, "criteria", None)
-    if raw_criteria is not None:
-        cfg.criteria = [c.strip() for c in raw_criteria.split(",") if c.strip()]
-    return cfg
-
-
-def _headers(cfg: RunConfig, params: dict) -> list[str]:
-    lines = [f"umtk {__version__}", f"subcommand: {cfg.subcommand}"]
+def _headers(args: argparse.Namespace, params: dict) -> list[str]:
+    lines = [f"umtk {__version__}", f"subcommand: {args.subcommand}"]
     for key in sorted(params):
         lines.append(f"{key}: {matrixio.format_value(params[key])}")
     return lines
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
-    out = Path(cfg.out_dir)
+def _out_path(args: argparse.Namespace, name: str) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
@@ -185,65 +144,65 @@ def _basename(path: str | None) -> str | None:
 
 
 def _write_dendrogram(
-    cfg: RunConfig, h: Dendrogram, stem: str, headers: list[str]
+    args: argparse.Namespace, h: Dendrogram, stem: str, headers: list[str]
 ) -> None:
     label_line = "labels: " + ",".join(h.labels)
     rows: list[list] = [["left", "right", "height", "size"]]
     rows.extend([m.left, m.right, m.height, m.size] for m in h.merges)
-    matrixio.write_rows(_out_path(cfg, f"{stem}_merges.csv"), rows,
+    matrixio.write_rows(_out_path(args, f"{stem}_merges.csv"), rows,
                         headers + [label_line])
     newick = export_newick(h)
-    with open(_out_path(cfg, f"{stem}.nwk"), "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(args, f"{stem}.nwk"), "w", encoding="utf-8", newline="") as fh:
         for line in headers:
             fh.write(f"# {line}\n")
         fh.write(newick + "\n")
 
 
-def _cmd_ingest(cfg: RunConfig) -> int:
-    path = Path(cfg.input_path)
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    path = Path(args.input)
     corpus = read_corpus_dir(path) if path.is_dir() else read_corpus_file(path)
-    td = build_term_doc(corpus, cfg.top_k)
-    headers = _headers(cfg, {
-        "input": _basename(cfg.input_path),
-        "top_k": cfg.top_k,
+    td = build_term_doc(corpus, args.top_k)
+    headers = _headers(args, {
+        "input": _basename(args.input),
+        "top_k": args.top_k,
         "tokenizer": "lowercase; alphabetic runs; word-internal apostrophes",
         "dropped_docs": ",".join(td.dropped_docs),
     })
-    matrixio.write_frequency(_out_path(cfg, "termdoc.csv"), td.matrix, headers)
+    matrixio.write_frequency(_out_path(args, "termdoc.csv"), td.matrix, headers)
     return 0
 
 
-def _cmd_ca(cfg: RunConfig) -> int:
-    table = matrixio.read_frequency(cfg.input_path)
+def _cmd_ca(args: argparse.Namespace) -> int:
+    table = matrixio.read_frequency(args.input)
     result = correspondence_analysis(table)
-    headers = _headers(cfg, {"input": _basename(cfg.input_path)})
-    matrixio.write_coordinates(_out_path(cfg, "ca_row_coords.csv"),
+    headers = _headers(args, {"input": _basename(args.input)})
+    matrixio.write_coordinates(_out_path(args, "ca_row_coords.csv"),
                                result.row_coords, headers)
-    matrixio.write_coordinates(_out_path(cfg, "ca_col_coords.csv"),
+    matrixio.write_coordinates(_out_path(args, "ca_col_coords.csv"),
                                result.col_coords, headers)
-    matrixio.write_labeled_matrix(_out_path(cfg, "ca_row_masses.csv"),
+    matrixio.write_labeled_matrix(_out_path(args, "ca_row_masses.csv"),
                                   result.row_masses[:, None],
                                   result.row_coords.point_labels, ["mass"], headers)
-    matrixio.write_labeled_matrix(_out_path(cfg, "ca_col_masses.csv"),
+    matrixio.write_labeled_matrix(_out_path(args, "ca_col_masses.csv"),
                                   result.col_masses[:, None],
                                   result.col_coords.point_labels, ["mass"], headers)
     sv_labels = [f"s{i + 1}" for i in range(result.singular_values.size)]
-    matrixio.write_labeled_matrix(_out_path(cfg, "ca_singular_values.csv"),
+    matrixio.write_labeled_matrix(_out_path(args, "ca_singular_values.csv"),
                                   result.singular_values[:, None],
                                   sv_labels, ["value"], headers)
     return 0
 
 
-def _cmd_pcoa(cfg: RunConfig) -> int:
-    d = matrixio.read_dissimilarity(cfg.input_path)
+def _cmd_pcoa(args: argparse.Namespace) -> int:
+    d = matrixio.read_dissimilarity(args.input)
     coords, spectral, metricity = pcoa(d)
-    headers = _headers(cfg, {"input": _basename(cfg.input_path)})
-    matrixio.write_coordinates(_out_path(cfg, "pcoa_coords.csv"), coords, headers)
+    headers = _headers(args, {"input": _basename(args.input)})
+    matrixio.write_coordinates(_out_path(args, "pcoa_coords.csv"), coords, headers)
     ev_labels = [f"l{i + 1}" for i in range(spectral.eigenvalues.size)]
-    matrixio.write_labeled_matrix(_out_path(cfg, "pcoa_eigenvalues.csv"),
+    matrixio.write_labeled_matrix(_out_path(args, "pcoa_eigenvalues.csv"),
                                   spectral.eigenvalues[:, None],
                                   ev_labels, ["value"], headers)
-    matrixio.write_key_values(_out_path(cfg, "pcoa_metricity.txt"), {
+    matrixio.write_key_values(_out_path(args, "pcoa_metricity.txt"), {
         "positive_mass": metricity.positive_mass,
         "total_abs_mass": metricity.total_abs_mass,
         "coefficient": metricity.coefficient,
@@ -252,54 +211,54 @@ def _cmd_pcoa(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_hclust(cfg: RunConfig) -> int:
-    d = matrixio.read_dissimilarity(cfg.input_path)
-    h = linkage(d, cfg.criterion)
-    headers = _headers(cfg, {
-        "input": _basename(cfg.input_path),
-        "criterion": cfg.criterion,
+def _cmd_hclust(args: argparse.Namespace) -> int:
+    d = matrixio.read_dissimilarity(args.input)
+    h = linkage(d, args.criterion)
+    headers = _headers(args, {
+        "input": _basename(args.input),
+        "criterion": args.criterion,
     })
-    stem = f"hclust_{cfg.criterion}"
-    _write_dendrogram(cfg, h, stem, headers)
-    matrixio.write_dissimilarity(_out_path(cfg, f"{stem}_cophenetic.csv"),
+    stem = f"hclust_{args.criterion}"
+    _write_dendrogram(args, h, stem, headers)
+    matrixio.write_dissimilarity(_out_path(args, f"{stem}_cophenetic.csv"),
                                  cophenetic(h), headers)
     return 0
 
 
-def _cmd_coeffs(cfg: RunConfig) -> int:
-    if (cfg.coords_path is None) == (cfg.distances_path is None):
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    if (args.coords is None) == (args.distances is None):
         raise CliError("coeffs needs exactly one of --coords or --distances")
-    if cfg.per_triplet and cfg.coords_path is None:
+    if args.per_triplet and args.coords is None:
         raise CliError("--per-triplet requires --coords")
     params = {
-        "epsilon": cfg.epsilon,
-        "sample": cfg.sample,
-        "seed": cfg.seed if cfg.sample is not None else None,
+        "epsilon": args.epsilon,
+        "sample": args.sample,
+        "seed": args.seed if args.sample is not None else None,
     }
     report: dict[str, object] = {}
-    if cfg.coords_path is not None:
-        params["coords"] = _basename(cfg.coords_path)
-        coords = matrixio.read_coordinates(cfg.coords_path)
+    if args.coords is not None:
+        params["coords"] = _basename(args.coords)
+        coords = matrixio.read_coordinates(args.coords)
         d = euclidean_distances(coords)
-        alpha = alpha_epsilon(coords, cfg.epsilon, sample=cfg.sample,
-                              seed=cfg.seed if cfg.sample is not None else None)
+        alpha = alpha_epsilon(coords, args.epsilon, sample=args.sample,
+                              seed=args.seed if args.sample is not None else None)
         report.update({
             "alpha": alpha.alpha,
             "alpha_counted": alpha.counted,
             "alpha_excluded_degenerate": alpha.excluded_degenerate,
         })
     else:
-        params["distances"] = _basename(cfg.distances_path)
-        d = matrixio.read_dissimilarity(cfg.distances_path)
+        params["distances"] = _basename(args.distances)
+        d = matrixio.read_dissimilarity(args.distances)
         report["alpha"] = "unavailable (requires coordinates)"
-    headers = _headers(cfg, params)
-    sample_kw = dict(sample=cfg.sample,
-                     seed=cfg.seed if cfg.sample is not None else None)
+    headers = _headers(args, params)
+    sample_kw = dict(sample=args.sample,
+                     seed=args.seed if args.sample is not None else None)
     report.update({
-        "epsilon": cfg.epsilon,
-        "sampled": cfg.sample is not None,
-        "sample": cfg.sample,
-        "seed": cfg.seed if cfg.sample is not None else None,
+        "epsilon": args.epsilon,
+        "sampled": args.sample is not None,
+        "sample": args.sample,
+        "seed": args.seed if args.sample is not None else None,
         "rammal": rammal_index(d),
         "lerman_h": lerman_h(d, **sample_kw),
         "lerman_h_definition": "mean((rank(max)-rank(med))/(pairs-1)) over triplets",
@@ -307,105 +266,105 @@ def _cmd_coeffs(cfg: RunConfig) -> int:
     th = treves_hartmann_points(d, **sample_kw)
     report["treves_hartmann_points"] = th.points.shape[0]
     report["treves_hartmann_skipped_zero_max"] = th.skipped_zero_max
-    matrixio.write_key_values(_out_path(cfg, "coeffs_report.txt"), report, headers)
+    matrixio.write_key_values(_out_path(args, "coeffs_report.txt"), report, headers)
     rows: list[list] = [["min_over_max", "med_over_max", "max_minus_med"]]
     rows.extend([float(a), float(b), float(c)] for a, b, c in th.points)
-    matrixio.write_rows(_out_path(cfg, "treves_hartmann.csv"), rows, headers)
-    if cfg.per_triplet:
-        verdicts = scan_triplet_verdicts(coords, cfg.epsilon, **sample_kw)
+    matrixio.write_rows(_out_path(args, "treves_hartmann.csv"), rows, headers)
+    if args.per_triplet:
+        verdicts = scan_triplet_verdicts(coords, args.epsilon, **sample_kw)
         vrows: list[list] = [["i", "j", "k", "apex", "base_angle_diff", "ultrametric"]]
         vrows.extend([i, j, k, apex, diff, ultra]
                      for i, j, k, apex, diff, ultra in verdicts)
-        matrixio.write_rows(_out_path(cfg, "coeffs_triplets.csv"), vrows, headers)
+        matrixio.write_rows(_out_path(args, "coeffs_triplets.csv"), vrows, headers)
     return 0
 
 
-def _cmd_consensus(cfg: RunConfig) -> int:
-    if len(cfg.criteria) < 2:
+def _cmd_consensus(args: argparse.Namespace) -> int:
+    if len(args.criteria) < 2:
         raise CliError("consensus needs at least two criteria")
-    d = matrixio.read_dissimilarity(cfg.input_path)
-    table = consensus_table(d, cfg.criteria)
-    headers = _headers(cfg, {
-        "input": _basename(cfg.input_path),
-        "criteria": ",".join(cfg.criteria),
+    d = matrixio.read_dissimilarity(args.input)
+    table = consensus_table(d, args.criteria)
+    headers = _headers(args, {
+        "input": _basename(args.input),
+        "criteria": ",".join(args.criteria),
         "tie_tolerance": DEFAULT_TIE_TOLERANCE,
         "consensus_rule": "per-pair minimum then min-max path closure",
     })
-    matrixio.write_labeled_matrix(_out_path(cfg, "consensus_table.csv"),
+    matrixio.write_labeled_matrix(_out_path(args, "consensus_table.csv"),
                                   table.counts, table.criteria, table.criteria,
                                   headers)
-    crit_a, crit_b = cfg.criteria[0], cfg.criteria[1]
+    crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
     u_a = cophenetic(linkage(d, crit_a))
     u_b = cophenetic(linkage(d, crit_b))
     report = consensus_count(u_a, u_b)
     rows: list[list] = [["i", "j", "k", "base_i", "base_j", "apex"]]
     rows.extend(list(r) for r in report.matched_set)
-    matrixio.write_rows(_out_path(cfg, "consensus_matched.csv"), rows, pair_headers)
+    matrixio.write_rows(_out_path(args, "consensus_matched.csv"), rows, pair_headers)
     merged = consensus_ultrametric(u_a, u_b)
-    matrixio.write_dissimilarity(_out_path(cfg, "consensus_ultrametric.csv"),
+    matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  merged, pair_headers)
     tree = consensus_dendrogram(merged)
-    _write_dendrogram(cfg, tree, "consensus", pair_headers)
+    _write_dendrogram(args, tree, "consensus", pair_headers)
     return 0
 
 
-def _cmd_uca(cfg: RunConfig) -> int:
-    if len(cfg.criteria) != 2:
+def _cmd_uca(args: argparse.Namespace) -> int:
+    if len(args.criteria) != 2:
         raise CliError("uca needs exactly two criteria")
-    coords = matrixio.read_coordinates(cfg.coords_path)
+    coords = matrixio.read_coordinates(args.coords)
     retained, profile = ultrametric_component(
-        coords, cfg.criteria[0], cfg.criteria[1], cfg.epsilon
+        coords, args.criteria[0], args.criteria[1], args.epsilon
     )
-    headers = _headers(cfg, {
-        "coords": _basename(cfg.coords_path),
-        "criteria": ",".join(cfg.criteria),
-        "epsilon": cfg.epsilon,
+    headers = _headers(args, {
+        "coords": _basename(args.coords),
+        "criteria": ",".join(args.criteria),
+        "epsilon": args.epsilon,
     })
     rows: list[list] = [["base1", "base2", "apex", "angle_diff_radians"]]
     rows.extend(
         [r.base_labels[0], r.base_labels[1], r.apex_label, r.base_angle_diff]
         for r in retained
     )
-    matrixio.write_rows(_out_path(cfg, "uca_listing.csv"), rows, headers)
+    matrixio.write_rows(_out_path(args, "uca_listing.csv"), rows, headers)
     prows: list[list] = [["rank", "angle_diff_radians"]]
     prows.extend([idx + 1, float(v)] for idx, v in enumerate(profile.sorted_diffs))
     matrixio.write_rows(
-        _out_path(cfg, "uca_profile.csv"), prows,
+        _out_path(args, "uca_profile.csv"), prows,
         headers + [f"count_at_threshold: {profile.count_at_threshold}"],
     )
     return 0
 
 
-def _cmd_transform(cfg: RunConfig) -> int:
-    d = matrixio.read_dissimilarity(cfg.input_path)
-    base = {"input": _basename(cfg.input_path), "method": cfg.method}
-    if cfg.method in ("cailliez", "both"):
+def _cmd_transform(args: argparse.Namespace) -> int:
+    d = matrixio.read_dissimilarity(args.input)
+    base = {"input": _basename(args.input), "method": args.method}
+    if args.method in ("cailliez", "both"):
         repaired, constant = cailliez_additive(d)
-        headers = _headers(cfg, base | {"additive_constant": constant})
-        matrixio.write_dissimilarity(_out_path(cfg, "transform_cailliez.csv"),
+        headers = _headers(args, base | {"additive_constant": constant})
+        matrixio.write_dissimilarity(_out_path(args, "transform_cailliez.csv"),
                                      repaired, headers)
-    if cfg.method in ("power", "both"):
+    if args.method in ("power", "both"):
         try:
             shrunk, exponent = power_shrink(d)
         except ValueError as exc:
-            if cfg.method == "power":
+            if args.method == "power":
                 raise
             print(f"umtk: skipping power repair: {exc}", file=sys.stderr)
             return 0
-        headers = _headers(cfg, base | {"exponent": exponent,
+        headers = _headers(args, base | {"exponent": exponent,
                                         "r_tolerance": 1e-6})
-        matrixio.write_dissimilarity(_out_path(cfg, "transform_power.csv"),
+        matrixio.write_dissimilarity(_out_path(args, "transform_power.csv"),
                                      shrunk, headers)
     return 0
 
 
-def _cmd_mirror(cfg: RunConfig) -> int:
-    if cfg.rows < 2 or cfg.cols < 2:
+def _cmd_mirror(args: argparse.Namespace) -> int:
+    if args.rows < 2 or args.cols < 2:
         raise CliError("mirror needs rows >= 2 and cols >= 2")
-    table = random_mirror(cfg.rows, cfg.cols, cfg.seed)
-    headers = _headers(cfg, {"rows": cfg.rows, "cols": cfg.cols, "seed": cfg.seed})
-    matrixio.write_frequency(_out_path(cfg, "mirror.csv"), table, headers)
+    table = random_mirror(args.rows, args.cols, args.seed)
+    headers = _headers(args, {"rows": args.rows, "cols": args.cols, "seed": args.seed})
+    matrixio.write_frequency(_out_path(args, "mirror.csv"), table, headers)
     return 0
 
 
@@ -422,19 +381,21 @@ _DISPATCH = {
 }
 
 
-def cli_dispatch(cfg: RunConfig) -> int:
-    """Run one subcommand from a parsed configuration."""
-    handler = _DISPATCH.get(cfg.subcommand)
+def cli_dispatch(args: argparse.Namespace) -> int:
+    """Run one subcommand from its parsed arguments."""
+    handler = _DISPATCH.get(args.subcommand)
     if handler is None:
-        raise CliError(f"unknown subcommand: {cfg.subcommand!r}")
-    return handler(cfg)
+        raise CliError(f"unknown subcommand: {args.subcommand!r}")
+    return handler(args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return cli_dispatch(_config_from_args(args))
+        if getattr(args, "criteria", None) is not None:
+            args.criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
+        return cli_dispatch(args)
     except CliError as exc:
         print(f"umtk: {exc}", file=sys.stderr)
         return 1

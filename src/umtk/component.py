@@ -12,7 +12,6 @@ component grows as epsilon is relaxed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 import math
 
@@ -50,7 +49,7 @@ class EpsilonProfile:
 
 def epsilon_threshold_count(profile: EpsilonProfile, epsilon: float) -> int:
     """How many profile entries lie at or below epsilon (binary search)."""
-    return bisect_right(profile.sorted_diffs.tolist(), epsilon)
+    return int(np.searchsorted(profile.sorted_diffs, epsilon, side="right"))
 
 
 def ultrametric_component(
@@ -78,7 +77,7 @@ def ultrametric_component(
     u_b = cophenetic(linkage(d, criterion_b))
     report = consensus_count(u_a, u_b, tie_tolerance)
     labels = coords.point_labels
-    diffs: list[float] = []
+    sorted_diffs = np.zeros(0)
     retained: list[ComponentTriplet] = []
     if report.matched_set:
         rows = np.asarray(report.matched_set, dtype=np.int64)
@@ -108,7 +107,7 @@ def ultrametric_component(
             & (a_apex <= math.pi / 3.0 + ANGLE_SLACK)
             & (diff <= epsilon)
         )
-        diffs = [float(x) for x in diff[ok]]
+        sorted_diffs = np.sort(diff[ok])
         for t in np.nonzero(keep)[0]:
             pair = sorted([labels[int(b_lo[t])], labels[int(b_hi[t])]])
             retained.append(
@@ -120,10 +119,9 @@ def ultrametric_component(
                 )
             )
     retained.sort(key=lambda r: (r.base_angle_diff, r.base_labels, r.apex_label))
-    sorted_diffs = np.sort(np.asarray(diffs, dtype=np.float64))
     profile = EpsilonProfile(
         sorted_diffs=sorted_diffs,
         threshold=epsilon,
-        count_at_threshold=bisect_right(sorted_diffs.tolist(), epsilon),
+        count_at_threshold=int(np.searchsorted(sorted_diffs, epsilon, side="right")),
     )
     return retained, profile

@@ -14,7 +14,6 @@ strong triangle inequality, which would make the signatures meaningless.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .hierarchy import (
 )
 from .matrices import DissimilarityMatrix, UltrametricMatrix
 from .transforms import check_ultrametric
-from .triplets import iter_triplet_chunks, triplet_count
+from .triplets import scan, triplet_count
 
 #: Default relative tolerance for treating two levels as tied.
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -161,33 +160,22 @@ def consensus_count(
     if n < 3:
         return ConsensusReport(0, 0, [], 0)
 
-    def work(
-        chunk: tuple[np.ndarray, np.ndarray, np.ndarray]
+    def kernel(
+        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
     ) -> tuple[int, int, list[tuple[int, int, int, int, int, int]]]:
-        ii, jj, kk = chunk
         iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
         iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
         both_iso = iso1 & iso2
         matched = both_iso & (apex1 == apex2)
-        skipped = int((~both_iso).sum())
-        rows: list[tuple[int, int, int, int, int, int]] = []
-        if np.any(matched):
-            mi, mj, mk = ii[matched], jj[matched], kk[matched]
-            ma = apex1[matched]
-            base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
-            base_hi = np.where(ma == mk, mj, mk)
-            rows = [
-                (int(a), int(b), int(c), int(lo), int(hi), int(ap))
-                for a, b, c, lo, hi, ap in zip(mi, mj, mk, base_lo, base_hi, ma)
-            ]
-        return int(matched.sum()), skipped, rows
+        mi, mj, mk = ii[matched], jj[matched], kk[matched]
+        ma = apex1[matched]
+        base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
+        base_hi = np.where(ma == mk, mj, mk)
+        columns = (mi, mj, mk, base_lo, base_hi, ma)
+        rows = list(zip(*(c.tolist() for c in columns)))
+        return len(rows), int((~both_iso).sum()), rows
 
-    chunks = iter_triplet_chunks(n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
+    results = scan(n, kernel, workers=workers)
     matched_total = sum(r[0] for r in results)
     skipped_total = sum(r[1] for r in results)
     matched_set = [row for r in results for row in r[2]]
@@ -223,12 +211,17 @@ def consensus_table(
     _require_inversion_free(criteria)
     ultrams = [cophenetic(linkage(d, crit)) for crit in criteria]
     m = len(criteria)
-    counts = np.zeros((m, m), dtype=np.int64)
-    for p in range(m):
-        for q in range(p, m):
-            matched = consensus_count(ultrams[p], ultrams[q], tie_tolerance).matched
-            counts[p, q] = matched
-            counts[q, p] = matched
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+        sigs = [_signature_arrays(u.values, ii, jj, kk, tie_tolerance) for u in ultrams]
+        chunk = np.zeros((m, m), dtype=np.int64)
+        for p, (iso_p, _, apex_p) in enumerate(sigs):
+            for q in range(p, m):
+                iso_q, _, apex_q = sigs[q]
+                chunk[p, q] = chunk[q, p] = (iso_p & iso_q & (apex_p == apex_q)).sum()
+        return chunk
+
+    counts = sum(scan(d.n, kernel), np.zeros((m, m), dtype=np.int64))
     return ConsensusTable(list(criteria), counts)
 
 
@@ -257,7 +250,8 @@ def consensus_ultrametric(
         return UltrametricMatrix(np.minimum(u1.values, u2.values), list(u1.labels))
     cand = np.full((n, n), np.inf)
     np.fill_diagonal(cand, 0.0)
-    for ii, jj, kk in iter_triplet_chunks(n):
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> None:
         iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
         iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
         consistent = iso1 & iso2 & (apex1 == apex2)
@@ -276,6 +270,8 @@ def consensus_ultrametric(
                 six = np.minimum(six, u2.values[a[t], b[t]])
             for a, b in pairs:
                 np.minimum.at(cand, (a[t], b[t]), six)
+
+    scan(n, kernel)
     cand = np.minimum(cand, cand.T)
     merged = DissimilarityMatrix(cand, list(u1.labels))
     return minmax_path_closure(merged)

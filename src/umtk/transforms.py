@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import DissimilarityMatrix
-from .triplets import iter_triplet_chunks
+from .triplets import scan, sorted_pair_values
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
@@ -38,32 +38,18 @@ class ViolationReport:
         return bool(self.violations)
 
 
-def _sorted_triple_values(
-    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
-) -> np.ndarray:
-    """(3, m) array of each triple's pair values sorted ascending."""
-    stacked = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
-    stacked.sort(axis=0)
-    return stacked
-
-
 def _scan_violations(
     d: DissimilarityMatrix, tolerance: float, strong: bool
 ) -> list[tuple[int, int, int, float]]:
-    out: list[tuple[int, int, int, float]] = []
-    for ii, jj, kk in iter_triplet_chunks(d.n):
-        s = _sorted_triple_values(d.values, ii, jj, kk)
-        if strong:
-            slack = s[2] - s[1]
-        else:
-            slack = s[2] - s[1] - s[0]
+    def kernel(
+        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
+    ) -> list[tuple[int, int, int, float]]:
+        s = sorted_pair_values(d.values, ii, jj, kk)
+        slack = s[2] - s[1] if strong else s[2] - s[1] - s[0]
         bad = slack > tolerance
-        if np.any(bad):
-            out.extend(
-                (int(a), int(b), int(c), float(x))
-                for a, b, c, x in zip(ii[bad], jj[bad], kk[bad], slack[bad])
-            )
-    return out
+        return list(zip(*(c[bad].tolist() for c in (ii, jj, kk, slack))))
+
+    return [row for rows in scan(d.n, kernel) for row in rows]
 
 
 def check_metric(d: DissimilarityMatrix, tolerance: float = 0.0) -> ViolationReport:
@@ -95,14 +81,11 @@ def check_ultrametric(
 
 
 def _worst_metric_slack(values: np.ndarray, n: int) -> float:
-    worst = -np.inf
-    for ii, jj, kk in iter_triplet_chunks(n):
-        s = _sorted_triple_values(values, ii, jj, kk)
-        slack = s[2] - s[1] - s[0]
-        m = float(slack.max())
-        if m > worst:
-            worst = m
-    return worst
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
+        s = sorted_pair_values(values, ii, jj, kk)
+        return float((s[2] - s[1] - s[0]).max())
+
+    return max([-np.inf, *scan(n, kernel)])
 
 
 def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:

@@ -5,11 +5,18 @@ Exhaustive scans over all n-choose-3 triples are produced in ascending
 can stay vectorized without ever materializing the full enumeration for
 large n. Sampling is counter-based: draw t depends only on (seed, t), so
 a sampled scan is reproducible no matter how it is split across workers.
+
+scan is the one driver for triplet scans: it picks the chunk source
+(exhaustive or sampled), applies a per-chunk kernel, and optionally
+spreads the chunks over threads. Kernels return integer or
+elementwise-independent results, so serial and threaded scans agree
+exactly.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -18,6 +25,8 @@ from . import rng
 DEFAULT_CHUNK = 200_000
 
 _MAX_REJECTION_ROUNDS = 10_000
+
+T = TypeVar("T")
 
 
 def triplet_count(n: int) -> int:
@@ -110,3 +119,43 @@ def sample_triplets(
         raise RuntimeError("triplet sampling failed to converge")
     out.sort(axis=0)
     return out[0], out[1], out[2]
+
+
+def scan(
+    n: int,
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], T],
+    sample: int | None = None,
+    seed: int | None = None,
+    workers: int = 1,
+) -> list[T]:
+    """Apply kernel(ii, jj, kk) to every chunk of a triplet scan.
+
+    With sample None the chunks are the exhaustive iter_triplet_chunks
+    enumeration; otherwise they are consecutive DEFAULT_CHUNK windows of
+    the seeded draws sample_triplets(n, sample, seed). workers > 1 maps
+    the kernel over a thread pool. Results come back in chunk order.
+    """
+    if sample is None:
+        chunks = iter_triplet_chunks(n)
+    else:
+        if sample < 1:
+            raise ValueError("sample count must be positive")
+        if seed is None:
+            raise ValueError("sampled scans require a seed")
+        chunks = (
+            sample_triplets(n, min(DEFAULT_CHUNK, sample - start), seed, start=start)
+            for start in range(0, sample, DEFAULT_CHUNK)
+        )
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda chunk: kernel(*chunk), chunks))
+    return [kernel(ii, jj, kk) for ii, jj, kk in chunks]
+
+
+def sorted_pair_values(
+    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
+) -> np.ndarray:
+    """(3, m) array of each triple's pair values (ij, ik, jk) sorted ascending."""
+    stacked = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
+    stacked.sort(axis=0)
+    return stacked

@@ -9,24 +9,22 @@ and lerman_h quantify ultrametricity from the values alone, without
 coordinates, and treves_hartmann_points emits per-triplet shape records
 for external plotting.
 
-Triplet scans are vectorized in chunks, and chunks carry only integer or
-elementwise-independent results, so serial and threaded scans agree
-exactly.
+Every triplet scan is a per-chunk kernel run by triplets.scan, which
+owns the chunking, the seeded sampling and the optional thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .hierarchy import minmax_path_closure
 from .matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
-from .triplets import iter_triplet_chunks, sample_triplets, triplet_count
+from .triplets import scan, sorted_pair_values
 
 #: Default tolerance on the difference between base angles, in radians
 #: (two degrees).
@@ -167,21 +165,6 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
     )
 
 
-def _scan_chunks(
-    n: int, sample: int | None, seed: int | None, chunk_size: int = 200_000
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    if sample is None:
-        yield from iter_triplet_chunks(n, chunk_size)
-        return
-    if sample < 1:
-        raise ValueError("sample count must be positive")
-    if seed is None:
-        raise ValueError("sampled scans require a seed")
-    for start in range(0, sample, chunk_size):
-        count = min(chunk_size, sample - start)
-        yield sample_triplets(n, count, seed, start=start)
-
-
 def _classify_chunk(
     values: np.ndarray,
     ii: np.ndarray,
@@ -189,7 +172,11 @@ def _classify_chunk(
     kk: np.ndarray,
     epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate)."""
+    """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate).
+
+    The apex-angle bound of classify_triplet is not tested: the smallest
+    angle of a non-degenerate triangle is at most 60 degrees.
+    """
     x = values[jj, kk]
     y = values[ii, kk]
     z = values[ii, jj]
@@ -198,7 +185,7 @@ def _classify_chunk(
     order = np.argsort(stacked, axis=0, kind="stable")
     srt = np.take_along_axis(stacked, order, axis=0)
     diff = srt[2] - srt[1]
-    ultra = (srt[0] <= math.pi / 3.0 + ANGLE_SLACK) & (diff < epsilon) & ~degen
+    ultra = (diff < epsilon) & ~degen
     verts = np.stack([ii, jj, kk])
     apex = np.take_along_axis(verts, order[:1], axis=0)[0]
     return apex, diff, ultra, degen
@@ -224,20 +211,12 @@ def alpha_epsilon(
         raise ValueError("epsilon must be positive")
     values = euclidean_distances(coords).values
 
-    def work(chunk: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, int, int]:
-        ii, jj, kk = chunk
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[int, int, int]:
         _, _, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
         return int(ultra.sum()), int(degen.sum()), ii.shape[0]
 
-    chunks = _scan_chunks(coords.n, sample, seed)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-    ultra_total = sum(r[0] for r in results)
-    degen_total = sum(r[1] for r in results)
-    examined = sum(r[2] for r in results)
+    results = scan(coords.n, kernel, sample, seed, workers)
+    ultra_total, degen_total, examined = (sum(col) for col in zip(*results))
     counted = examined - degen_total
     if counted == 0:
         raise ValueError("every examined triplet was degenerate")
@@ -265,24 +244,18 @@ def scan_triplet_verdicts(
     if coords.n < 3:
         raise ValueError("need at least three points")
     values = euclidean_distances(coords).values
-    rows: list[tuple[int, int, int, int | None, float | None, bool]] = []
-    for ii, jj, kk in _scan_chunks(coords.n, sample, seed):
+
+    def kernel(
+        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
+    ) -> list[tuple[int, int, int, int | None, float | None, bool]]:
         apex, diff, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
-        for t in range(ii.shape[0]):
-            if degen[t]:
-                rows.append((int(ii[t]), int(jj[t]), int(kk[t]), None, None, False))
-            else:
-                rows.append(
-                    (
-                        int(ii[t]),
-                        int(jj[t]),
-                        int(kk[t]),
-                        int(apex[t]),
-                        float(diff[t]),
-                        bool(ultra[t]),
-                    )
-                )
-    return rows
+        columns = (ii, jj, kk, apex, diff, ultra, degen)
+        return [
+            (i, j, k, None, None, False) if dg else (i, j, k, a, df, u)
+            for i, j, k, a, df, u, dg in zip(*(c.tolist() for c in columns))
+        ]
+
+    return [row for rows in scan(coords.n, kernel, sample, seed) for row in rows]
 
 
 def rammal_index(d: DissimilarityMatrix) -> float:
@@ -320,15 +293,12 @@ def lerman_h(
     iu = np.triu_indices(n, k=1)
     rank_matrix[iu] = ranks_condensed
     rank_matrix = rank_matrix + rank_matrix.T
-    total = 0.0
-    count = 0
-    for ii, jj, kk in _scan_chunks(n, sample, seed):
-        stacked = np.stack(
-            [rank_matrix[ii, jj], rank_matrix[ii, kk], rank_matrix[jj, kk]]
-        )
-        stacked.sort(axis=0)
-        total += float((stacked[2] - stacked[1]).sum())
-        count += ii.shape[0]
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[float, int]:
+        s = sorted_pair_values(rank_matrix, ii, jj, kk)
+        return float((s[2] - s[1]).sum()), ii.shape[0]
+
+    total, count = (sum(col) for col in zip(*scan(n, kernel, sample, seed)))
     return total / (count * (pair_count - 1))
 
 
@@ -344,14 +314,12 @@ def treves_hartmann_points(
     """
     if d.n < 3:
         raise ValueError("need at least three items")
-    blocks: list[np.ndarray] = []
-    skipped = 0
-    for ii, jj, kk in _scan_chunks(d.n, sample, seed):
-        stacked = np.stack([d.values[ii, jj], d.values[ii, kk], d.values[jj, kk]])
-        stacked.sort(axis=0)
-        ok = stacked[2] > 0.0
-        skipped += int((~ok).sum())
-        s0, s1, s2 = stacked[0, ok], stacked[1, ok], stacked[2, ok]
-        blocks.append(np.column_stack([s0 / s2, s1 / s2, s2 - s1]))
-    points = np.concatenate(blocks) if blocks else np.zeros((0, 3))
-    return TrevesHartmannResult(points, skipped)
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
+        s = sorted_pair_values(d.values, ii, jj, kk)
+        ok = s[2] > 0.0
+        s0, s1, s2 = s[0, ok], s[1, ok], s[2, ok]
+        return np.column_stack([s0 / s2, s1 / s2, s2 - s1]), int((~ok).sum())
+
+    blocks, skipped = zip(*scan(d.n, kernel, sample, seed))
+    return TrevesHartmannResult(np.concatenate(blocks), sum(skipped))

@@ -11,7 +11,12 @@ from umtk.consensus import (
     consensus_ultrametric,
     triplet_signature,
 )
-from umtk.hierarchy import cophenetic, linkage, minmax_path_closure
+from umtk.hierarchy import (
+    INVERSION_FREE_CRITERIA,
+    cophenetic,
+    linkage,
+    minmax_path_closure,
+)
 from umtk.matrices import (
     CoordinateMatrix,
     DissimilarityMatrix,
@@ -190,16 +195,23 @@ def test_consensus_tiny_n():
 def test_consensus_table_shape_and_diagonal(rng):
     pts = CoordinateMatrix(rng.normal(size=(12, 3)))
     d = euclidean_distances(pts)
-    criteria = ["ward", "single", "average"]
-    table = consensus_table(d, criteria)
-    assert table.criteria == criteria
-    assert table.counts.shape == (3, 3)
-    np.testing.assert_array_equal(table.counts, table.counts.T)
-    for p, crit in enumerate(criteria):
-        u = cophenetic(linkage(d, crit))
-        self_report = consensus_count(u, u)
-        assert table.counts[p, p] == self_report.matched
-    assert np.all(table.counts <= triplet_count(12))
+    # integer-rounded distances: many tied levels in every hierarchy
+    tied = DissimilarityMatrix(np.round(3.0 * d.values), list(d.labels))
+    for d, criteria in (
+        (d, ["ward", "single", "average"]),
+        (tied, list(INVERSION_FREE_CRITERIA)),
+    ):
+        m = len(criteria)
+        table = consensus_table(d, criteria)
+        assert table.criteria == criteria
+        assert table.counts.shape == (m, m)
+        np.testing.assert_array_equal(table.counts, table.counts.T)
+        ultrams = [cophenetic(linkage(d, crit)) for crit in criteria]
+        for p in range(m):
+            for q in range(m):
+                expected = consensus_count(ultrams[p], ultrams[q]).matched
+                assert table.counts[p, q] == expected
+        assert np.all(table.counts <= triplet_count(12))
 
 
 def test_consensus_table_rejects_bad_criteria(rng):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from umtk import rng
-from umtk.triplets import iter_triplet_chunks, sample_triplets, triplet_count
+from umtk.triplets import (
+    DEFAULT_CHUNK,
+    iter_triplet_chunks,
+    sample_triplets,
+    scan,
+    triplet_count,
+)
 
 MASK = (1 << 64) - 1
 
@@ -121,3 +127,42 @@ def test_sample_triplets_roughly_uniform():
     assert len(counts) == 10
     assert min(counts.values()) > 350
     assert max(counts.values()) < 650
+
+
+def _stacked(chunks):
+    return np.concatenate([np.stack(c) for c in chunks], axis=1)
+
+
+def test_scan_exhaustive_is_chunk_enumeration_in_order():
+    # n = 110 gives two chunks of DEFAULT_CHUNK or fewer
+    n = 110
+    got = scan(n, lambda ii, jj, kk: (ii, jj, kk))
+    assert len(got) == 2 and got[0][0].size == DEFAULT_CHUNK
+    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks(n)))
+
+
+def test_scan_sampled_is_seeded_draws_in_order():
+    sample = DEFAULT_CHUNK + 1234
+    got = scan(30, lambda ii, jj, kk: (ii, jj, kk), sample=sample, seed=9)
+    assert [c[0].size for c in got] == [DEFAULT_CHUNK, 1234]
+    np.testing.assert_array_equal(
+        _stacked(got), np.stack(sample_triplets(30, sample, seed=9))
+    )
+
+
+@pytest.mark.parametrize("sample, seed", [(None, None), (DEFAULT_CHUNK * 2 + 5, 4)])
+def test_scan_threaded_equals_serial(sample, seed):
+    def kernel(ii, jj, kk):
+        return int(ii.sum()), int((jj * kk).sum()), ii.size
+
+    serial = scan(110, kernel, sample, seed, workers=1)
+    assert len(serial) >= 2
+    assert scan(110, kernel, sample, seed, workers=4) == serial
+
+
+@pytest.mark.parametrize("sample, seed, match", [(0, 1, "positive"), (5, None, "seed")])
+def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
+    assert calls == []

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix
 from umtk.triplets import triplet_count
 from umtk.ultrametricity import (
+    ANGLE_SLACK,
     DEFAULT_EPSILON,
     TripletGeometry,
     alpha_epsilon,
@@ -15,6 +17,7 @@ from umtk.ultrametricity import (
     scan_triplet_verdicts,
     treves_hartmann_points,
     triplet_geometry,
+    _angles_from_sides,
 )
 
 from .conftest import random_dissimilarity, random_ultrametric
@@ -76,6 +79,32 @@ def test_geometry_angle_sum_random(rng):
     pts = CoordinateMatrix(rng.normal(size=(6, 3)))
     g = triplet_geometry(pts, 1, 3, 5)
     np.testing.assert_allclose(sum(g.angles), math.pi, atol=1e-9)
+
+
+@st.composite
+def triangle_sides(draw):
+    """Side triples at scales 1e-9..1e9: generic, near-equilateral, near-flat."""
+    scale = 10.0 ** draw(st.floats(-9.0, 9.0))
+    kind = draw(st.sampled_from(("generic", "near-equilateral", "near-flat")))
+    if kind == "near-equilateral":
+        sides = [1.0 + draw(st.floats(-1e-6, 1e-6)) for _ in range(3)]
+    elif kind == "near-flat":
+        y = draw(st.floats(1e-3, 1.0))
+        sides = [1.0, y, (1.0 + y) * (1.0 - draw(st.floats(0.0, 1e-6)))]
+    else:
+        x, y = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0))
+        lo, hi = abs(x - y), x + y
+        sides = [x, y, lo + (hi - lo) * draw(st.floats(0.0, 1.0))]
+    return [s * scale for s in draw(st.permutations(sides))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(triangle_sides())
+def test_smallest_angle_of_nondegenerate_triangle_at_most_60_degrees(sides):
+    # the vectorized classifier relies on this instead of testing the apex angle
+    *angles, degenerate = _angles_from_sides(*(np.array([s]) for s in sides))
+    if not degenerate[0]:
+        assert min(float(a[0]) for a in angles) <= math.pi / 3 + ANGLE_SLACK
 
 
 def test_classify_equilateral():
