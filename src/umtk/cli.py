@@ -21,7 +21,7 @@ from . import __version__, matrixio
 from .component import ultrametric_component
 from .consensus import (
     DEFAULT_TIE_TOLERANCE,
-    consensus_count,
+    _matched_triplets,
     consensus_dendrogram,
     consensus_table,
     consensus_ultrametric,
@@ -39,10 +39,10 @@ from .spectral import correspondence_analysis, pcoa
 from .transforms import cailliez_additive, power_shrink
 from .ultrametricity import (
     DEFAULT_EPSILON,
+    _verdict_columns,
     alpha_epsilon,
     lerman_h,
     rammal_index,
-    scan_triplet_verdicts,
     treves_hartmann_points,
 )
 
@@ -143,14 +143,17 @@ def _basename(path: str | None) -> str | None:
     return Path(path).name if path else None
 
 
+_MERGE_DTYPE = np.dtype([("left", np.int64), ("right", np.int64),
+                         ("height", np.float64), ("size", np.int64)])
+
+
 def _write_dendrogram(
     args: argparse.Namespace, h: Dendrogram, stem: str, headers: list[str]
 ) -> None:
     label_line = "labels: " + ",".join(h.labels)
-    rows: list[list] = [["left", "right", "height", "size"]]
-    rows.extend([m.left, m.right, m.height, m.size] for m in h.merges)
-    matrixio.write_rows(_out_path(args, f"{stem}_merges.csv"), rows,
-                        headers + [label_line])
+    merges = np.array(h.merges, dtype=_MERGE_DTYPE)
+    matrixio.write_table(_out_path(args, f"{stem}_merges.csv"), _MERGE_DTYPE.names,
+                         [merges[f] for f in _MERGE_DTYPE.names], headers + [label_line])
     newick = export_newick(h)
     with open(_out_path(args, f"{stem}.nwk"), "w", encoding="utf-8", newline="") as fh:
         for line in headers:
@@ -267,15 +270,13 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     report["treves_hartmann_points"] = th.points.shape[0]
     report["treves_hartmann_skipped_zero_max"] = th.skipped_zero_max
     matrixio.write_key_values(_out_path(args, "coeffs_report.txt"), report, headers)
-    rows: list[list] = [["min_over_max", "med_over_max", "max_minus_med"]]
-    rows.extend([float(a), float(b), float(c)] for a, b, c in th.points)
-    matrixio.write_rows(_out_path(args, "treves_hartmann.csv"), rows, headers)
+    matrixio.write_table(_out_path(args, "treves_hartmann.csv"),
+                         ["min_over_max", "med_over_max", "max_minus_med"],
+                         list(th.points.T), headers)
     if args.per_triplet:
-        verdicts = scan_triplet_verdicts(coords, args.epsilon, **sample_kw)
-        vrows: list[list] = [["i", "j", "k", "apex", "base_angle_diff", "ultrametric"]]
-        vrows.extend([i, j, k, apex, diff, ultra]
-                     for i, j, k, apex, diff, ultra in verdicts)
-        matrixio.write_rows(_out_path(args, "coeffs_triplets.csv"), vrows, headers)
+        matrixio.write_table(_out_path(args, "coeffs_triplets.csv"),
+                             ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"],
+                             _verdict_columns(coords, args.epsilon, **sample_kw), headers)
     return 0
 
 
@@ -295,12 +296,11 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
                                   headers)
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
-    u_a = cophenetic(linkage(d, crit_a))
-    u_b = cophenetic(linkage(d, crit_b))
-    report = consensus_count(u_a, u_b)
-    rows: list[list] = [["i", "j", "k", "base_i", "base_j", "apex"]]
-    rows.extend(list(r) for r in report.matched_set)
-    matrixio.write_rows(_out_path(args, "consensus_matched.csv"), rows, pair_headers)
+    u_a, u_b = table.ultrametrics[0], table.ultrametrics[1]
+    matched, _ = _matched_triplets(u_a, u_b)
+    matrixio.write_table(_out_path(args, "consensus_matched.csv"),
+                         ["i", "j", "k", "base_i", "base_j", "apex"],
+                         list(matched.T), pair_headers)
     merged = consensus_ultrametric(u_a, u_b)
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  merged, pair_headers)
@@ -321,18 +321,18 @@ def _cmd_uca(args: argparse.Namespace) -> int:
         "criteria": ",".join(args.criteria),
         "epsilon": args.epsilon,
     })
-    rows: list[list] = [["base1", "base2", "apex", "angle_diff_radians"]]
-    rows.extend(
-        [r.base_labels[0], r.base_labels[1], r.apex_label, r.base_angle_diff]
-        for r in retained
-    )
-    matrixio.write_rows(_out_path(args, "uca_listing.csv"), rows, headers)
-    prows: list[list] = [["rank", "angle_diff_radians"]]
-    prows.extend([idx + 1, float(v)] for idx, v in enumerate(profile.sorted_diffs))
-    matrixio.write_rows(
-        _out_path(args, "uca_profile.csv"), prows,
-        headers + [f"count_at_threshold: {profile.count_at_threshold}"],
-    )
+    matrixio.write_table(_out_path(args, "uca_listing.csv"),
+                         ["base1", "base2", "apex", "angle_diff_radians"], [
+                             np.array([r.base_labels[0] for r in retained], dtype=object),
+                             np.array([r.base_labels[1] for r in retained], dtype=object),
+                             np.array([r.apex_label for r in retained], dtype=object),
+                             np.array([r.base_angle_diff for r in retained], dtype=np.float64),
+                         ], headers)
+    diffs = profile.sorted_diffs
+    matrixio.write_table(_out_path(args, "uca_profile.csv"),
+                         ["rank", "angle_diff_radians"],
+                         [np.arange(1, diffs.size + 1, dtype=np.int64), diffs],
+                         headers + [f"count_at_threshold: {profile.count_at_threshold}"])
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .consensus import DEFAULT_TIE_TOLERANCE, _require_inversion_free, consensus_count
+from .consensus import DEFAULT_TIE_TOLERANCE, _matched_triplets, _require_inversion_free
 from .hierarchy import cophenetic, linkage
 from .matrices import CoordinateMatrix, euclidean_distances
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
@@ -75,12 +75,11 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    report = consensus_count(u_a, u_b, tie_tolerance)
+    rows, _ = _matched_triplets(u_a, u_b, tie_tolerance)
     labels = coords.point_labels
     sorted_diffs = np.zeros(0)
     retained: list[ComponentTriplet] = []
-    if report.matched_set:
-        rows = np.asarray(report.matched_set, dtype=np.int64)
+    if rows.shape[0]:
         ii, jj, kk = rows[:, 0], rows[:, 1], rows[:, 2]
         b_lo, b_hi, apex = rows[:, 3], rows[:, 4], rows[:, 5]
         values = d.values

@@ -69,10 +69,15 @@ class ConsensusReport:
 
 @dataclass
 class ConsensusTable:
-    """Pairwise matched-triplet counts for a list of linkage criteria."""
+    """Pairwise matched-triplet counts for a list of linkage criteria.
+
+    ultrametrics holds the cophenetic matrix of each criterion, in the
+    order of criteria.
+    """
 
     criteria: list[str]
     counts: np.ndarray
+    ultrametrics: list[UltrametricMatrix] = field(default_factory=list)
 
 
 def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -138,6 +143,41 @@ def triplet_signature(
     return TripletSignature((a, b, c), SHAPE_TIE_OTHER, None, None, base_value)
 
 
+def _matched_triplets(
+    u1: UltrametricMatrix,
+    u2: UltrametricMatrix,
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+    workers: int = 1,
+) -> tuple[np.ndarray, int]:
+    """(m, 6) int64 rows (i, j, k, base_i, base_j, apex) and the tie skips.
+
+    The array core of consensus_count: rows come in ascending triplet
+    order.
+    """
+    if u1.values.shape != u2.values.shape:
+        raise ValueError("ultrametrics must have matching dimensions")
+    if u1.labels != u2.labels:
+        raise ValueError("ultrametrics must have matching labels")
+    n = u1.n
+    if n < 3:
+        return np.zeros((0, 6), dtype=np.int64), 0
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
+        iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
+        iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
+        both_iso = iso1 & iso2
+        matched = both_iso & (apex1 == apex2)
+        mi, mj, mk = ii[matched], jj[matched], kk[matched]
+        ma = apex1[matched]
+        base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
+        base_hi = np.where(ma == mk, mj, mk)
+        rows = np.column_stack([mi, mj, mk, base_lo, base_hi, ma])
+        return rows, int((~both_iso).sum())
+
+    blocks, skipped = zip(*scan(n, kernel, workers=workers))
+    return np.concatenate(blocks), sum(skipped)
+
+
 def consensus_count(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
@@ -152,34 +192,9 @@ def consensus_count(
     tallied under skipped_ties. The matched set lists
     (i, j, k, base_i, base_j, apex) rows in ascending triplet order.
     """
-    if u1.values.shape != u2.values.shape:
-        raise ValueError("ultrametrics must have matching dimensions")
-    if u1.labels != u2.labels:
-        raise ValueError("ultrametrics must have matching labels")
-    n = u1.n
-    if n < 3:
-        return ConsensusReport(0, 0, [], 0)
-
-    def kernel(
-        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
-    ) -> tuple[int, int, list[tuple[int, int, int, int, int, int]]]:
-        iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
-        iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
-        both_iso = iso1 & iso2
-        matched = both_iso & (apex1 == apex2)
-        mi, mj, mk = ii[matched], jj[matched], kk[matched]
-        ma = apex1[matched]
-        base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
-        base_hi = np.where(ma == mk, mj, mk)
-        columns = (mi, mj, mk, base_lo, base_hi, ma)
-        rows = list(zip(*(c.tolist() for c in columns)))
-        return len(rows), int((~both_iso).sum()), rows
-
-    results = scan(n, kernel, workers=workers)
-    matched_total = sum(r[0] for r in results)
-    skipped_total = sum(r[1] for r in results)
-    matched_set = [row for r in results for row in r[2]]
-    return ConsensusReport(triplet_count(n), matched_total, matched_set, skipped_total)
+    rows, skipped = _matched_triplets(u1, u2, tie_tolerance, workers)
+    matched_set = list(zip(*rows.T.tolist()))
+    return ConsensusReport(triplet_count(u1.n), len(matched_set), matched_set, skipped)
 
 
 def _require_inversion_free(criteria: list[str]) -> None:
@@ -222,7 +237,7 @@ def consensus_table(
         return chunk
 
     counts = sum(scan(d.n, kernel), np.zeros((m, m), dtype=np.int64))
-    return ConsensusTable(list(criteria), counts)
+    return ConsensusTable(list(criteria), counts, ultrams)
 
 
 def consensus_ultrametric(

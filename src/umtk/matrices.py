@@ -35,7 +35,14 @@ def _check_square_symmetric(arr: np.ndarray, labels: list[str], name: str) -> No
             f"{name} has {n_rows} rows but {len(labels)} labels"
         )
     if not np.array_equal(arr, arr.T):
-        raise ValueError(f"{name} must be symmetric")
+        gap = np.abs(arr - arr.T)
+        # the first maximum in row-major order lies above the diagonal
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        raise ValueError(
+            f"{name} must be symmetric: entries ({i}, {j}) and ({j}, {i}) "
+            f"({labels[i]!r}, {labels[j]!r}) differ by {float(gap[i, j])!r}, "
+            "the largest asymmetry"
+        )
     if np.any(np.diag(arr) != 0.0):
         raise ValueError(f"{name} must have a zero diagonal")
 

@@ -230,6 +230,31 @@ def alpha_epsilon(
     )
 
 
+def _verdict_columns(
+    coords: CoordinateMatrix,
+    epsilon: float,
+    sample: int | None,
+    seed: int | None,
+) -> tuple[np.ndarray, ...]:
+    """Columns (i, j, k, apex, base_angle_diff, ultrametric) of a verdict scan.
+
+    apex and base_angle_diff are masked arrays, masked where the triangle
+    is degenerate; ultrametric is False there.
+    """
+    if coords.n < 3:
+        raise ValueError("need at least three points")
+    values = euclidean_distances(coords).values
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, ...]:
+        apex, diff, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
+        return ii, jj, kk, apex, diff, ultra, degen
+
+    ii, jj, kk, apex, diff, ultra, degen = (
+        np.concatenate(col) for col in zip(*scan(coords.n, kernel, sample, seed))
+    )
+    return ii, jj, kk, np.ma.array(apex, mask=degen), np.ma.array(diff, mask=degen), ultra
+
+
 def scan_triplet_verdicts(
     coords: CoordinateMatrix,
     epsilon: float = DEFAULT_EPSILON,
@@ -241,21 +266,8 @@ def scan_triplet_verdicts(
     Degenerate triplets carry None for apex and diff. Intended for
     report export; use alpha_epsilon for the aggregate.
     """
-    if coords.n < 3:
-        raise ValueError("need at least three points")
-    values = euclidean_distances(coords).values
-
-    def kernel(
-        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
-    ) -> list[tuple[int, int, int, int | None, float | None, bool]]:
-        apex, diff, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
-        columns = (ii, jj, kk, apex, diff, ultra, degen)
-        return [
-            (i, j, k, None, None, False) if dg else (i, j, k, a, df, u)
-            for i, j, k, a, df, u, dg in zip(*(c.tolist() for c in columns))
-        ]
-
-    return [row for rows in scan(coords.n, kernel, sample, seed) for row in rows]
+    columns = _verdict_columns(coords, epsilon, sample, seed)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def rammal_index(d: DissimilarityMatrix) -> float:

@@ -7,6 +7,7 @@ different computation.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -271,3 +272,19 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     xm = x - x.mean()
     ym = y - y.mean()
     return float((xm * ym).sum() / math.sqrt((xm ** 2).sum() * (ym ** 2).sum()))
+
+
+def write_rows(path, rows, header_lines=()) -> None:
+    """The row-at-a-time CSV writer the library used before write_table.
+
+    Every cell goes through matrixio.format_value and csv.writer; the
+    differential tests compare write_table with it byte for byte.
+    """
+    from umtk.matrixio import format_value
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])

@@ -9,10 +9,14 @@ import pytest
 
 from umtk import __version__, matrixio
 from umtk.cli import main
+from umtk.consensus import consensus_count
 from umtk.corpus import random_mirror
 from umtk.hierarchy import cophenetic, export_newick, linkage
-from umtk.matrices import CoordinateMatrix, DissimilarityMatrix
+from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.triplets import triplet_count
+from umtk.ultrametricity import DEFAULT_EPSILON, scan_triplet_verdicts
+
+from .oracles import write_rows
 
 
 def write_example_distances(path):
@@ -40,6 +44,22 @@ def write_example_coords(path, n=7, seed=5):
 
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def header_lines_of(path):
+    return [line[2:] for line in read_lines(path) if line.startswith("# ")]
+
+
+def awkward_coords(n=14, seed=3):
+    """Points with duplicates and collinear triples, labels with , and \"."""
+    pts = np.round(np.random.default_rng(seed).normal(size=(n, 3)) * 4, 1)
+    pts[3] = pts[2]
+    pts[4] = pts[2]
+    pts[6] = (pts[0] + pts[1]) / 2
+    pts[7] = 2 * pts[1] - pts[0]
+    labels = [f"p{i}" for i in range(n)]
+    labels[0], labels[1], labels[2] = "a,b", 'say "hi"', 'x",y'
+    return CoordinateMatrix(pts, labels)
 
 
 def test_mirror_runs_and_rerun_is_byte_identical(tmp_path):
@@ -149,6 +169,24 @@ def test_coeffs_with_coordinates(tmp_path):
     assert len(triplet_rows) == 1 + triplet_count(7)
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "500", "--seed", "3"]])
+def test_coeffs_triplets_file_matches_row_writer(tmp_path, sample):
+    coords = awkward_coords()
+    coords_path = tmp_path / "pts.csv"
+    matrixio.write_coordinates(coords_path, coords)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--coords", str(coords_path), "--per-triplet",
+                 *sample, "--out", str(out)]) == 0
+    kw = {"sample": 500, "seed": 3} if sample else {}
+    rows = scan_triplet_verdicts(coords, DEFAULT_EPSILON, **kw)
+    assert any(row[3] is None for row in rows)  # degenerate triangles present
+    got = out / "coeffs_triplets.csv"
+    expected = tmp_path / "oracle.csv"
+    header = ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"]
+    write_rows(expected, [header] + rows, header_lines_of(got))
+    assert got.read_bytes() == expected.read_bytes()
+
+
 def test_coeffs_with_distances_only(tmp_path):
     dist_path = tmp_path / "d.csv"
     write_example_distances(dist_path)
@@ -204,6 +242,24 @@ def test_consensus_rerun_is_byte_identical(tmp_path):
             for name in sorted(p.name for p in out.iterdir())
         ])
     assert blobs[0] == blobs[1]
+
+
+def test_consensus_matched_file_matches_row_writer(tmp_path):
+    values = np.rint(euclidean_distances(awkward_coords(n=16)).values)
+    d = DissimilarityMatrix(values, [f"q{i}" for i in range(16)])
+    src = tmp_path / "d.csv"
+    matrixio.write_dissimilarity(src, d)
+    out = tmp_path / "out"
+    assert main(["consensus", "--input", str(src), "--criteria",
+                 "average,complete,ward", "--out", str(out)]) == 0
+    report = consensus_count(cophenetic(linkage(d, "average")),
+                             cophenetic(linkage(d, "complete")))
+    assert 0 < report.matched and report.skipped_ties > 0
+    got = out / "consensus_matched.csv"
+    expected = tmp_path / "oracle.csv"
+    header = ["i", "j", "k", "base_i", "base_j", "apex"]
+    write_rows(expected, [header] + report.matched_set, header_lines_of(got))
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_consensus_criteria_validation(tmp_path, capsys):
@@ -356,6 +412,26 @@ def test_console_script_installed(tmp_path):
     assert (out / "mirror.csv").exists()
 
     # main's validation exit code reaches the shell
+    result = run("mirror", "1", "9", "--out", str(tmp_path / "tiny"))
+    assert result.returncode == 1
+    assert "rows >= 2" in result.stderr
+
+
+def test_python_dash_m_umtk(tmp_path):
+    """`python -m umtk` runs the command line from this checkout's source."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "umtk", *args],
+                              capture_output=True, text=True, env=env)
+
+    out = tmp_path / "out"
+    result = run("mirror", "3", "4", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert (out / "mirror.csv").exists()
     result = run("mirror", "1", "9", "--out", str(tmp_path / "tiny"))
     assert result.returncode == 1
     assert "rows >= 2" in result.stderr

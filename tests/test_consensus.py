@@ -207,6 +207,10 @@ def test_consensus_table_shape_and_diagonal(rng):
         assert table.counts.shape == (m, m)
         np.testing.assert_array_equal(table.counts, table.counts.T)
         ultrams = [cophenetic(linkage(d, crit)) for crit in criteria]
+        assert len(table.ultrametrics) == m
+        for got, want in zip(table.ultrametrics, ultrams):
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.labels == want.labels
         for p in range(m):
             for q in range(m):
                 expected = consensus_count(ultrams[p], ultrams[q]).matched

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umtk.matrices import (
     CoordinateMatrix,
@@ -10,7 +13,7 @@ from umtk.matrices import (
 )
 from umtk import matrixio
 
-from .oracles import brute_pairwise
+from .oracles import brute_pairwise, write_rows
 
 
 def test_dissimilarity_accepts_valid():
@@ -22,6 +25,18 @@ def test_dissimilarity_accepts_valid():
 def test_dissimilarity_rejects_asymmetry():
     with pytest.raises(ValueError, match="symmetric"):
         DissimilarityMatrix(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+
+
+def test_asymmetry_error_names_the_worst_pair():
+    vals = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    vals[2, 1] = np.nextafter(3.0, 4.0)
+    ulp = np.nextafter(3.0, 4.0) - 3.0
+    with pytest.raises(ValueError, match="must be symmetric") as info:
+        DissimilarityMatrix(vals, labels=["a", "b", "c"])
+    message = str(info.value)
+    assert "(1, 2)" in message
+    assert "('b', 'c')" in message
+    assert repr(float(ulp)) in message
 
 
 def test_dissimilarity_rejects_nonzero_diagonal():
@@ -170,3 +185,75 @@ def test_key_value_formatting(tmp_path):
     assert "flag: true\n" in text
     assert "n: 7\n" in text
     assert "note: \n" in text
+
+
+_INTS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0, -1])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([
+    -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+    0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0 * 1e-300,
+])
+_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=8,
+) | st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " lead", "trail ", 'a,"b"\nc'])
+_POOLS = {"int": _INTS, "float": _FLOATS, "bool": st.booleans(), "str": _TEXT}
+_DTYPES = {"int": np.int64, "float": np.float64, "bool": bool}
+_ROWS = st.integers(0, 12) | st.sampled_from(
+    [matrixio.CHUNK_ROWS - 1, matrixio.CHUNK_ROWS, matrixio.CHUNK_ROWS + 1]
+)
+
+
+@st.composite
+def _tables(draw):
+    """(header, numpy columns, oracle rows) of a random table.
+
+    Each column draws a small pool of values and fills its rows from the
+    pool with a seeded generator, so tables of CHUNK_ROWS +- 1 rows stay
+    cheap to draw; masked columns blank a random share of their cells.
+    """
+    n_rows = draw(_ROWS)
+    n_cols = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    header = [draw(_TEXT) for _ in range(n_cols)]
+    columns, cells = [], []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(sorted(_POOLS)))
+        pool = draw(st.lists(_POOLS[kind], min_size=1, max_size=6))
+        values = [pool[t] for t in gen.integers(len(pool), size=n_rows).tolist()]
+        if kind == "str":
+            column = np.array(values, dtype=draw(st.sampled_from([object, str])))
+            values = column.tolist()
+        else:
+            column = np.array(values, dtype=_DTYPES[kind])
+        if draw(st.booleans()):
+            mask = gen.random(n_rows) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+            column = np.ma.array(column, mask=mask)
+            values = [None if m else v for v, m in zip(values, mask.tolist())]
+        columns.append(column)
+        cells.append(values)
+    return header, columns, [list(row) for row in zip(*cells)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables(), st.lists(_TEXT.filter(lambda t: "\n" not in t and "\r" not in t),
+                           max_size=2))
+def test_write_table_matches_row_writer(tmp_path_factory, table, header_lines):
+    header, columns, rows = table
+    out = tmp_path_factory.mktemp("table")
+    matrixio.write_table(out / "new.csv", header, columns, header_lines)
+    write_rows(out / "old.csv", [header] + rows, header_lines)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_write_table_rejects_malformed_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="equal length"):
+        matrixio.write_table(path, ["a", "b"], [np.arange(3), np.arange(4)])
+    with pytest.raises(ValueError, match="1-D"):
+        matrixio.write_table(path, ["a"], [np.float64(1.0)])
+    with pytest.raises(ValueError, match="header"):
+        matrixio.write_table(path, ["a"], [np.arange(3), np.arange(3)])
+    with pytest.raises(ValueError, match="at least one column"):
+        matrixio.write_table(path, [], [])
+    with pytest.raises(TypeError, match="complex"):
+        matrixio.write_table(path, ["z"], [np.zeros(2, dtype=complex)])
