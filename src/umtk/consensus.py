@@ -143,6 +143,13 @@ def triplet_signature(
     return TripletSignature((a, b, c), SHAPE_TIE_OTHER, None, None, base_value)
 
 
+def _check_same_items(u1: UltrametricMatrix, u2: UltrametricMatrix) -> None:
+    if u1.values.shape != u2.values.shape:
+        raise ValueError("ultrametrics must have matching dimensions")
+    if u1.labels != u2.labels:
+        raise ValueError("ultrametrics must have matching labels")
+
+
 def _matched_triplets(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
@@ -154,10 +161,7 @@ def _matched_triplets(
     The array core of consensus_count: rows come in ascending triplet
     order.
     """
-    if u1.values.shape != u2.values.shape:
-        raise ValueError("ultrametrics must have matching dimensions")
-    if u1.labels != u2.labels:
-        raise ValueError("ultrametrics must have matching labels")
+    _check_same_items(u1, u2)
     n = u1.n
     if n < 3:
         return np.zeros((0, 6), dtype=np.int64), 0
@@ -256,10 +260,7 @@ def consensus_ultrametric(
     arguments. With fewer than three items there are no triplets and the
     elementwise minimum is returned.
     """
-    if u1.values.shape != u2.values.shape:
-        raise ValueError("ultrametrics must have matching dimensions")
-    if u1.labels != u2.labels:
-        raise ValueError("ultrametrics must have matching labels")
+    _check_same_items(u1, u2)
     n = u1.n
     if n < 3:
         return UltrametricMatrix(np.minimum(u1.values, u2.values), list(u1.labels))

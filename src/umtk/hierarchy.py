@@ -7,11 +7,11 @@ pairs tie at the minimal dissimilarity the pair whose (smaller node id,
 larger node id) tuple is lexicographically least is merged, which makes
 the whole construction deterministic.
 
-Three routes to the subdominant (maximal lower) ultrametric are exposed
-so they can be cross-checked: single linkage cophenetic levels, the
-min-max path closure, and maximal edge weights along minimum spanning
-tree paths. They agree exactly because none of them performs arithmetic
-on the input values.
+The subdominant (maximal lower) ultrametric has one route: the maximal
+edge weight on each minimum spanning tree path (Gower & Ross 1969), read
+off the Kruskal tree with the block fill that cophenetic uses. The
+Floyd-Warshall and path-enumeration closures in tests/oracles.py check
+it exactly, as none of the routes does arithmetic on the input values.
 
 Criteria
 --------
@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .matrices import DissimilarityMatrix, UltrametricMatrix
+from .matrices import DissimilarityMatrix, UltrametricMatrix, _SymmetricMatrix
 
 LINKAGE_CRITERIA = ("single", "complete", "average", "mcquitty", "ward",
                     "centroid", "median")
@@ -173,18 +173,33 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     return Dendrogram(n, merges, list(d.labels))
 
 
+def _join_levels(n: int, joins: Iterable[tuple[int, int, float]]) -> np.ndarray:
+    """Level at which each leaf pair is first joined, zero diagonal.
+
+    joins yields (i, j, level) in merge order; each unites the clusters
+    holding leaves i and j, which must still be apart.
+    """
+    out = np.zeros((n, n))
+    owner = np.arange(n)
+    members = {i: np.array([i]) for i in range(n)}
+    for i, j, level in joins:
+        a, b = int(owner[i]), int(owner[j])
+        left, right = members[a], members.pop(b)
+        out[np.ix_(left, right)] = level
+        out[np.ix_(right, left)] = level
+        owner[right] = a
+        members[a] = np.concatenate((left, right))
+    return out
+
+
 def cophenetic(h: Dendrogram) -> UltrametricMatrix:
     """Matrix of merge heights at which each leaf pair first joins."""
     n = h.n_leaves
-    out = np.zeros((n, n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step, m in enumerate(h.merges):
-        left = members.pop(m.left)
-        right = members.pop(m.right)
-        out[np.ix_(left, right)] = m.height
-        out[np.ix_(right, left)] = m.height
-        members[n + step] = left + right
-    return UltrametricMatrix(out, list(h.labels))
+    leaf = list(range(n))  # one leaf under each node id
+    for m in h.merges:
+        leaf.append(leaf[m.left])
+    joins = ((leaf[m.left], leaf[m.right], m.height) for m in h.merges)
+    return UltrametricMatrix(_join_levels(n, joins), list(h.labels))
 
 
 def detect_inversions(h: Dendrogram) -> list[tuple[int, float]]:
@@ -251,21 +266,16 @@ def mst_kruskal(d: DissimilarityMatrix) -> EdgeList:
 def minmax_path_closure(d: DissimilarityMatrix) -> UltrametricMatrix:
     """Subdominant ultrametric: minimize over paths the maximal step.
 
-    Floyd-Warshall in the (min, max) semiring. The result is the largest
-    ultrametric lying at or below d entrywise; d is unchanged exactly
-    when it already is an ultrametric.
+    The minimax path between two items runs along the minimum spanning
+    tree, so each entry is the largest edge weight on the tree path.
+    The result is the largest ultrametric lying at or below d
+    entrywise; d is unchanged exactly when it already is an ultrametric.
     """
-    u = d.values.copy()
-    n = d.n
-    for k in range(n):
-        col = u[:, k]
-        np.minimum(u, np.maximum(col[:, None], col[None, :]), out=u)
-    return UltrametricMatrix(u, list(d.labels))
+    edges = mst_kruskal(d).edges if d.n > 1 else []
+    return UltrametricMatrix(_join_levels(d.n, edges), list(d.labels))
 
 
-def cophenetic_correlation(
-    d: DissimilarityMatrix, u: UltrametricMatrix | DissimilarityMatrix
-) -> float:
+def cophenetic_correlation(d: DissimilarityMatrix, u: _SymmetricMatrix) -> float:
     """Pearson correlation between two matrices' upper-triangle values."""
     if d.values.shape != u.values.shape:
         raise ValueError("matrices must have matching dimensions")

@@ -26,42 +26,39 @@ def _default_labels(count: int, prefix: str = "x") -> list[str]:
     return [f"{prefix}{i + 1}" for i in range(count)]
 
 
-def _check_square_symmetric(arr: np.ndarray, labels: list[str], name: str) -> None:
-    n_rows, n_cols = arr.shape
-    if n_rows != n_cols:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if len(labels) != n_rows:
-        raise ValueError(
-            f"{name} has {n_rows} rows but {len(labels)} labels"
-        )
-    if not np.array_equal(arr, arr.T):
-        gap = np.abs(arr - arr.T)
-        # the first maximum in row-major order lies above the diagonal
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise ValueError(
-            f"{name} must be symmetric: entries ({i}, {j}) and ({j}, {i}) "
-            f"({labels[i]!r}, {labels[j]!r}) differ by {float(gap[i, j])!r}, "
-            "the largest asymmetry"
-        )
-    if np.any(np.diag(arr) != 0.0):
-        raise ValueError(f"{name} must have a zero diagonal")
-
-
 @dataclass
-class DissimilarityMatrix:
-    """Square symmetric nonnegative dissimilarities with a zero diagonal."""
+class _SymmetricMatrix:
+    """Square symmetric labeled matrix, zero diagonal; _kind names it in errors."""
 
     values: np.ndarray
     labels: list[str] = field(default_factory=list)
 
+    _kind = "symmetric matrix"
+
     def __post_init__(self) -> None:
-        self.values = _as_float_matrix(self.values, "dissimilarity matrix")
+        self.values = _as_float_matrix(self.values, self._kind)
         self.labels = [str(x) for x in self.labels] or _default_labels(
             self.values.shape[0]
         )
-        _check_square_symmetric(self.values, self.labels, "dissimilarity matrix")
-        if np.any(self.values < 0.0):
-            raise ValueError("dissimilarity matrix must be nonnegative")
+        arr, labels, name = self.values, self.labels, self._kind
+        n_rows, n_cols = arr.shape
+        if n_rows != n_cols:
+            raise ValueError(f"{name} must be square, got shape {arr.shape}")
+        if len(labels) != n_rows:
+            raise ValueError(
+                f"{name} has {n_rows} rows but {len(labels)} labels"
+            )
+        if not np.array_equal(arr, arr.T):
+            gap = np.abs(arr - arr.T)
+            # the first maximum in row-major order lies above the diagonal
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            raise ValueError(
+                f"{name} must be symmetric: entries ({i}, {j}) and ({j}, {i}) "
+                f"({labels[i]!r}, {labels[j]!r}) differ by {float(gap[i, j])!r}, "
+                "the largest asymmetry"
+            )
+        if np.any(np.diag(arr) != 0.0):
+            raise ValueError(f"{name} must have a zero diagonal")
 
     @property
     def n(self) -> int:
@@ -73,8 +70,18 @@ class DissimilarityMatrix:
         return self.values[iu]
 
 
-@dataclass
-class UltrametricMatrix:
+class DissimilarityMatrix(_SymmetricMatrix):
+    """Square symmetric nonnegative dissimilarities with a zero diagonal."""
+
+    _kind = "dissimilarity matrix"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if np.any(self.values < 0.0):
+            raise ValueError("dissimilarity matrix must be nonnegative")
+
+
+class UltrametricMatrix(_SymmetricMatrix):
     """Square symmetric matrix of cophenetic-style levels, zero diagonal.
 
     The strong triangle inequality is a property of how the matrix was
@@ -82,23 +89,7 @@ class UltrametricMatrix:
     re-verified at construction. Use check_ultrametric for that.
     """
 
-    values: np.ndarray
-    labels: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.values = _as_float_matrix(self.values, "ultrametric matrix")
-        self.labels = [str(x) for x in self.labels] or _default_labels(
-            self.values.shape[0]
-        )
-        _check_square_symmetric(self.values, self.labels, "ultrametric matrix")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def condensed(self) -> np.ndarray:
-        iu = np.triu_indices(self.n, k=1)
-        return self.values[iu]
+    _kind = "ultrametric matrix"
 
 
 @dataclass
@@ -158,8 +149,5 @@ def euclidean_distances(coords: CoordinateMatrix) -> DissimilarityMatrix:
     """Pairwise Euclidean distances between the rows of a coordinate set."""
     if coords.n < 1:
         raise ValueError("need at least one point")
-    if coords.n == 1:
-        values = np.zeros((1, 1))
-    else:
-        values = squareform(pdist(coords.coords, metric="euclidean"))
+    values = squareform(pdist(coords.coords, metric="euclidean"))
     return DissimilarityMatrix(values, list(coords.point_labels))

@@ -32,7 +32,7 @@ from .matrices import (
     CoordinateMatrix,
     DissimilarityMatrix,
     FrequencyMatrix,
-    UltrametricMatrix,
+    _SymmetricMatrix,
 )
 
 
@@ -204,7 +204,7 @@ def read_frequency(path: str | Path) -> FrequencyMatrix:
 
 def write_dissimilarity(
     path: str | Path,
-    d: DissimilarityMatrix | UltrametricMatrix,
+    d: _SymmetricMatrix,
     header_lines: Sequence[str] = (),
 ) -> None:
     write_labeled_matrix(path, d.values, d.labels, d.labels, header_lines)

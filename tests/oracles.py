@@ -202,6 +202,16 @@ def mst_total_bruteforce(d: np.ndarray) -> float:
     return best
 
 
+def closure_floyd_warshall(d: np.ndarray) -> np.ndarray:
+    """Min-max path closure by Floyd-Warshall in the (min, max) semiring."""
+    u = d.copy()
+    n = d.shape[0]
+    for k in range(n):
+        col = u[:, k]
+        np.minimum(u, np.maximum(col[:, None], col[None, :]), out=u)
+    return u
+
+
 def closure_bruteforce(d: np.ndarray) -> np.ndarray:
     """Min over all simple paths of the max step, by path enumeration."""
     n = d.shape[0]

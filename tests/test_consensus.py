@@ -177,11 +177,12 @@ def test_consensus_parallel_equals_serial(rng):
 def test_consensus_argument_validation(rng):
     u1 = untied_cophenetic(rng, 5)
     u2 = untied_cophenetic(rng, 6)
-    with pytest.raises(ValueError, match="dimensions"):
-        consensus_count(u1, u2)
     renamed = UltrametricMatrix(u1.values, ["a", "b", "c", "d", "e"])
-    with pytest.raises(ValueError, match="labels"):
-        consensus_count(u1, renamed)
+    for combine in (consensus_count, consensus_ultrametric):
+        with pytest.raises(ValueError, match="^ultrametrics must have matching dimensions"):
+            combine(u1, u2)
+        with pytest.raises(ValueError, match="^ultrametrics must have matching labels"):
+            combine(u1, renamed)
 
 
 def test_consensus_tiny_n():

@@ -20,7 +20,13 @@ from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_dista
 from umtk.transforms import check_ultrametric
 
 from .conftest import random_dissimilarity, random_ultrametric
-from .oracles import closure_bruteforce, mst_total_bruteforce, parse_newick, pearson
+from .oracles import (
+    closure_bruteforce,
+    closure_floyd_warshall,
+    mst_total_bruteforce,
+    parse_newick,
+    pearson,
+)
 
 THREE = DissimilarityMatrix(
     np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
@@ -363,3 +369,40 @@ def test_extremal_bounds(d):
     complete = cophenetic(linkage(d, "complete")).values
     assert np.all(single <= d.values)
     assert np.all(complete >= d.values)
+
+
+@st.composite
+def tied_dissimilarities(draw):
+    """Integer-valued matrices, n in 0..40, with zeros off the diagonal."""
+    n = draw(st.integers(0, 4) | st.integers(5, 40))  # small sizes get their share
+    top = draw(st.integers(min_value=0, max_value=6))
+    m = n * (n - 1) // 2
+    vals = draw(
+        st.lists(st.integers(min_value=0, max_value=top), min_size=m, max_size=m)
+    )
+    out = np.zeros((n, n))
+    out[np.triu_indices(n, k=1)] = vals
+    return DissimilarityMatrix(out + out.T)
+
+
+def assert_closure_matches_floyd_warshall(d):
+    got = minmax_path_closure(d).values
+    want = closure_floyd_warshall(d.values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_dissimilarities())
+def test_closure_matches_floyd_warshall_on_tied_inputs(d):
+    assert_closure_matches_floyd_warshall(d)
+
+
+def test_closure_matches_floyd_warshall_on_clustered_n300():
+    rng = np.random.default_rng(300)
+    centers = rng.normal(scale=20.0, size=(8, 5))
+    points = centers[rng.integers(0, 8, size=300)] + rng.normal(size=(300, 5))
+    points[250:] = points[:50]  # duplicate points: zero distances off the diagonal
+    d = np.rint(euclidean_distances(CoordinateMatrix(points)).values)
+    assert np.count_nonzero(d) < d.size - d.shape[0]
+    assert_closure_matches_floyd_warshall(DissimilarityMatrix(d))

@@ -62,6 +62,30 @@ def test_ultrametric_container_allows_negative_entries():
     assert u.n == 2
 
 
+@pytest.mark.parametrize(
+    "cls, kind",
+    [
+        (DissimilarityMatrix, "dissimilarity matrix"),
+        (UltrametricMatrix, "ultrametric matrix"),
+    ],
+)
+def test_square_containers_name_themselves_in_errors(cls, kind):
+    bad = [
+        (np.zeros(3), "must be a 2-d array"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), "contains non-finite entries"),
+        (np.zeros((2, 3)), "must be square"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "must be symmetric"),
+        (np.eye(2), "must have a zero diagonal"),
+    ]
+    for values, message in bad:
+        with pytest.raises(ValueError, match=f"^{kind} {message}"):
+            cls(values)
+    with pytest.raises(ValueError, match=f"^{kind} has 2 rows but 1 labels"):
+        cls(np.zeros((2, 2)), ["a"])
+    other = UltrametricMatrix if cls is DissimilarityMatrix else DissimilarityMatrix
+    assert not isinstance(cls(np.zeros((2, 2))), other)
+
+
 def test_labels_default_and_explicit():
     d = DissimilarityMatrix(np.zeros((3, 3)), labels=["a", "b", "c"])
     assert d.labels == ["a", "b", "c"]
