@@ -7,11 +7,18 @@ pairs tie at the minimal dissimilarity the pair whose (smaller node id,
 larger node id) tuple is lexicographically least is merged, which makes
 the whole construction deterministic.
 
+The next pair comes from a nearest-neighbour cache (Muellner 2011,
+arXiv:1109.2378): each active row keeps its minimum and the smallest
+node id tied there, and a merge rescans only the rows that pointed at
+the merged pair, O(n^2) per run unless many do. Values and tie rule are
+those of the full-scan loop kept in tests/oracles.py.
+
 The subdominant (maximal lower) ultrametric has one route: the maximal
 edge weight on each minimum spanning tree path (Gower & Ross 1969), read
-off the Kruskal tree with the block fill that cophenetic uses. The
+off a dense Prim tree with the block fill that cophenetic uses. The
 Floyd-Warshall and path-enumeration closures in tests/oracles.py check
 it exactly, as none of the routes does arithmetic on the input values.
+mst_kruskal stays public for its deterministic edge list.
 
 Criteria
 --------
@@ -127,16 +134,19 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     active = np.ones(n, dtype=bool)
     node_id = np.arange(n, dtype=np.int64)
     size = np.ones(n, dtype=np.int64)
+    by_id = np.arange(n)  # the active slots in increasing node id order
+    # each active row's minimum and the smallest node id tied at it
+    best_val, best_col = _row_minima(work, by_id, by_id)
     merges: list[Merge] = []
     for step in range(n - 1):
-        level = float(work.min())
-        ta, tb = np.nonzero(work == level)
-        upper = ta < tb
-        ta, tb = ta[upper], tb[upper]
+        vals = best_val[by_id]
+        level = float(vals.min())
+        ta = by_id[vals == level]
+        tb = best_col[ta]
         lo_ids = np.minimum(node_id[ta], node_id[tb])
         hi_ids = np.maximum(node_id[ta], node_id[tb])
         pick = np.lexsort((hi_ids, lo_ids))[0]
-        a, b = int(ta[pick]), int(tb[pick])
+        a, b = sorted((int(ta[pick]), int(tb[pick])))
         best_key = (int(lo_ids[pick]), int(hi_ids[pick]))
         na, nb = int(size[a]), int(size[b])
         d_ab = work[a, b]
@@ -170,7 +180,26 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
         active[b] = False
         node_id[a] = n + step
         size[a] = na + nb
+        # Node n + step is the largest id yet and loses every tie, so a row
+        # moves to column a only when its new entry there is strictly
+        # smaller. Every other row that pointed at a or b is rescanned,
+        # row a included: it pointed at b.
+        closer = new_row < best_val
+        stale = np.flatnonzero(active & ~closer & ((best_col == a) | (best_col == b)))
+        best_val[closer] = new_row[closer]
+        best_col[closer] = a
+        by_id = np.append(by_id[(by_id != a) & (by_id != b)], a)
+        best_val[stale], best_col[stale] = _row_minima(work, stale, by_id)
     return Dendrogram(n, merges, list(d.labels))
+
+
+def _row_minima(
+    work: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's minimum over cols and the first of cols tied at it."""
+    block = work[np.ix_(rows, cols)]
+    low = block.min(axis=1)
+    return low, cols[(block == low[:, None]).argmax(axis=1)]
 
 
 def _join_levels(n: int, joins: Iterable[tuple[int, int, float]]) -> np.ndarray:
@@ -271,8 +300,37 @@ def minmax_path_closure(d: DissimilarityMatrix) -> UltrametricMatrix:
     The result is the largest ultrametric lying at or below d
     entrywise; d is unchanged exactly when it already is an ultrametric.
     """
-    edges = mst_kruskal(d).edges if d.n > 1 else []
-    return UltrametricMatrix(_join_levels(d.n, edges), list(d.labels))
+    return UltrametricMatrix(_join_levels(d.n, _prim_edges(d.values)), list(d.labels))
+
+
+def _prim_edges(values: np.ndarray) -> list[tuple[int, int, float]]:
+    """Minimum spanning tree edges of a dense matrix by Prim, sorted by weight.
+
+    The tree grows from item 0 in n - 1 steps of O(n) each. Under ties
+    it may differ from mst_kruskal's, but its path maxima do not.
+    """
+    n = values.shape[0]
+    if n < 2:
+        return []
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    dist = values[0].copy()
+    dist[0] = np.inf
+    parent = np.zeros(n, dtype=np.int64)
+    tails = np.empty(n - 1, dtype=np.int64)
+    for k in range(n - 1):
+        j = int(dist.argmin())
+        tails[k] = j
+        outside[j] = False
+        dist[j] = np.inf
+        row = values[j]
+        closer = outside & (row < dist)
+        dist[closer] = row[closer]
+        parent[closer] = j
+    heads = parent[tails]
+    weights = values[heads, tails]
+    order = np.argsort(weights, kind="stable")
+    return list(zip(heads[order].tolist(), tails[order].tolist(), weights[order].tolist()))
 
 
 def cophenetic_correlation(d: DissimilarityMatrix, u: _SymmetricMatrix) -> float:

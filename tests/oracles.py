@@ -230,6 +230,65 @@ def closure_bruteforce(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, float, int]]:
+    """Stored-matrix agglomeration that rescans the whole work matrix per merge.
+
+    Merges (left, right, height, size) under umtk's tie rule: at the
+    minimal value, the pair with the least (lower node id, higher node id).
+    """
+    n = values.shape[0]
+    squared = criterion in ("ward", "centroid", "median")
+    work = values ** 2 if squared else values.copy()
+    np.fill_diagonal(work, np.inf)
+    active = np.ones(n, dtype=bool)
+    node_id = np.arange(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
+    merges = []
+    for step in range(n - 1):
+        level = float(work.min())
+        ta, tb = np.nonzero(work == level)
+        upper = ta < tb
+        ta, tb = ta[upper], tb[upper]
+        lo_ids = np.minimum(node_id[ta], node_id[tb])
+        hi_ids = np.maximum(node_id[ta], node_id[tb])
+        pick = np.lexsort((hi_ids, lo_ids))[0]
+        a, b = int(ta[pick]), int(tb[pick])
+        best_key = (int(lo_ids[pick]), int(hi_ids[pick]))
+        na, nb = int(size[a]), int(size[b])
+        d_ab = work[a, b]
+        row_a = work[a, :]
+        row_b = work[b, :]
+        if criterion == "single":
+            new_row = np.minimum(row_a, row_b)
+        elif criterion == "complete":
+            new_row = np.maximum(row_a, row_b)
+        elif criterion == "average":
+            new_row = (na * row_a + nb * row_b) / (na + nb)
+        elif criterion == "mcquitty":
+            new_row = 0.5 * (row_a + row_b)
+        elif criterion == "ward":
+            nc = size
+            tot = na + nb + nc
+            new_row = ((na + nc) * row_a + (nb + nc) * row_b - nc * d_ab) / tot
+        elif criterion == "centroid":
+            nab = na + nb
+            new_row = (na * row_a + nb * row_b) / nab - (na * nb * d_ab) / nab ** 2
+        else:  # median
+            new_row = 0.5 * row_a + 0.5 * row_b - 0.25 * d_ab
+        height = float(np.sqrt(max(level, 0.0))) if squared else level
+        merges.append((best_key[0], best_key[1], height, na + nb))
+        new_row = np.where(active, new_row, np.inf)
+        new_row[a] = np.inf
+        work[a, :] = new_row
+        work[:, a] = new_row
+        work[b, :] = np.inf
+        work[:, b] = np.inf
+        active[b] = False
+        node_id[a] = n + step
+        size[a] = na + nb
+    return merges
+
+
 def parse_newick(text: str):
     """Parse a binary newick with branch lengths.
 

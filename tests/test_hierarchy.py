@@ -23,6 +23,7 @@ from .conftest import random_dissimilarity, random_ultrametric
 from .oracles import (
     closure_bruteforce,
     closure_floyd_warshall,
+    linkage_loop,
     mst_total_bruteforce,
     parse_newick,
     pearson,
@@ -406,3 +407,49 @@ def test_closure_matches_floyd_warshall_on_clustered_n300():
     d = np.rint(euclidean_distances(CoordinateMatrix(points)).values)
     assert np.count_nonzero(d) < d.size - d.shape[0]
     assert_closure_matches_floyd_warshall(DissimilarityMatrix(d))
+
+
+def assert_linkage_matches_loop(d):
+    for criterion in LINKAGE_CRITERIA:
+        got = linkage(d, criterion).merges
+        want = linkage_loop(d.values, criterion)
+        assert [(m.left, m.right, m.size) for m in got] == [
+            (m[0], m[1], m[3]) for m in want
+        ], criterion
+        got_heights = np.array([m.height for m in got])
+        want_heights = np.array([m[2] for m in want])
+        assert got_heights.tobytes() == want_heights.tobytes(), criterion
+
+
+@st.composite
+def tie_heavy_dissimilarities(draw):
+    """Integer values 0..k (k <= 3), n in 2..60, some items duplicated."""
+    n = draw(st.integers(2, 5) | st.integers(6, 60))  # small sizes get their share
+    top = draw(st.integers(min_value=0, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = np.triu(rng.integers(0, top + 1, size=(n, n)), 1).astype(float)
+    out += out.T
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=3))
+    for src, dst in copies:
+        if src != dst:  # dst becomes a duplicate of src
+            out[dst, :] = out[src, :]
+            out[:, dst] = out[:, src]
+            out[dst, dst] = out[src, dst] = out[dst, src] = 0.0
+    return DissimilarityMatrix(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_dissimilarities())
+def test_linkage_matches_loop_on_tie_heavy_inputs(d):
+    assert_linkage_matches_loop(d)
+
+
+def test_linkage_matches_loop_on_clustered_n300():
+    rng = np.random.default_rng(301)
+    centers = rng.normal(scale=20.0, size=(8, 5))
+    points = centers[rng.integers(0, 8, size=300)] + rng.normal(size=(300, 5))
+    points[250:] = points[:50]  # duplicate points: zero distances off the diagonal
+    d = np.rint(euclidean_distances(CoordinateMatrix(points)).values)
+    assert np.count_nonzero(d) < d.size - d.shape[0]
+    assert_linkage_matches_loop(DissimilarityMatrix(d))
