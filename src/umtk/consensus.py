@@ -301,16 +301,11 @@ def consensus_dendrogram(
     The input is validated against the strong triangle inequality first
     (tolerance defaults to 1e-9 times the largest level); single linkage
     on a valid ultrametric reproduces its levels as merge heights, so
-    cophenetic(result) equals u. An input equal byte for byte to its own
-    min-max path closure is an exact ultrametric and skips the triple scan.
+    cophenetic(result) equals u.
     """
     if tolerance is None:
         tolerance = 1e-9 * float(u.values.max()) if u.values.size else 0.0
     as_dissimilarity = DissimilarityMatrix(u.values, list(u.labels))
-    if tolerance >= 0 and (
-        minmax_path_closure(as_dissimilarity).values.tobytes() == u.values.tobytes()
-    ):
-        return linkage(as_dissimilarity, "single")
     report = check_ultrametric(as_dissimilarity, tolerance)
     if report.violations:
         i, j, k, slack = report.violations[0]

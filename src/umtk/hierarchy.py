@@ -15,10 +15,10 @@ those of the full-scan loop kept in tests/oracles.py.
 
 The subdominant (maximal lower) ultrametric has one route: the maximal
 edge weight on each minimum spanning tree path (Gower & Ross 1969), read
-off a dense Prim tree with the block fill that cophenetic uses. The
-Floyd-Warshall and path-enumeration closures in tests/oracles.py check
-it exactly, as none of the routes does arithmetic on the input values.
-mst_kruskal stays public for its deterministic edge list.
+off mst_kruskal's tree, which a dense Prim builds, with the block fill
+that cophenetic uses. The Floyd-Warshall and path-enumeration closures
+in tests/oracles.py check it exactly, as none of the routes does
+arithmetic on the input values.
 
 Criteria
 --------
@@ -136,7 +136,8 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     size = np.ones(n, dtype=np.int64)
     by_id = np.arange(n)  # the active slots in increasing node id order
     # each active row's minimum and the smallest node id tied at it
-    best_val, best_col = _row_minima(work, by_id, by_id)
+    best_val = work.min(axis=1)
+    best_col = (work == best_val[:, None]).argmax(axis=1)  # columns in id order
     merges: list[Merge] = []
     for step in range(n - 1):
         vals = best_val[by_id]
@@ -263,32 +264,41 @@ class EdgeList(NamedTuple):
 def mst_kruskal(d: DissimilarityMatrix) -> EdgeList:
     """Minimum spanning tree over the complete weighted graph of d.
 
-    Edges are examined in increasing (weight, i, j) order, which fixes
-    the tree deterministically even when weights tie.
+    Edges are ranked by (weight, i, j), which fixes the tree even when
+    weights tie: it is the tree Kruskal's algorithm builds in that order.
+    A dense Prim finds it in n - 1 numpy steps of O(n), taking each
+    step's least edge under the same ranking; the edges are listed in
+    that order.
     """
     n = d.n
     if n < 2:
         raise ValueError("need at least two items")
-    iu, ju = np.triu_indices(n, k=1)
-    weights = d.values[iu, ju]
-    order = np.lexsort((ju, iu, weights))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int, float]] = []
-    for idx in order:
-        i, j, w = int(iu[idx]), int(ju[idx]), float(weights[idx])
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j, w))
-            if len(edges) == n - 1:
-                break
+    values = d.values
+    items = np.arange(n)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    dist = values[0].copy()  # each outside item's least edge into the tree
+    dist[0] = np.inf
+    parent = np.zeros(n, dtype=np.int64)
+    tails = np.empty(n - 1, dtype=np.int64)
+    for k in range(n - 1):
+        # tied edges sharing a lower end hang from that tree item, so the
+        # first of them in item order also has the least higher end
+        tied = items[dist == dist.min()]
+        j = int(tied[np.minimum(parent[tied], tied).argmin()])
+        tails[k] = j
+        outside[j] = False
+        dist[j] = np.inf
+        row = values[j]
+        # two edges into one item rank as their other ends do
+        closer = outside & ((row < dist) | ((row == dist) & (j < parent)))
+        dist[closer] = row[closer]
+        parent[closer] = j
+    heads = parent[tails]
+    lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+    weights = values[lo, hi]
+    order = np.lexsort((hi, lo, weights))
+    edges = list(zip(lo[order].tolist(), hi[order].tolist(), weights[order].tolist()))
     return EdgeList(edges, float(sum(w for _, _, w in edges)))
 
 
@@ -300,37 +310,8 @@ def minmax_path_closure(d: DissimilarityMatrix) -> UltrametricMatrix:
     The result is the largest ultrametric lying at or below d
     entrywise; d is unchanged exactly when it already is an ultrametric.
     """
-    return UltrametricMatrix(_join_levels(d.n, _prim_edges(d.values)), list(d.labels))
-
-
-def _prim_edges(values: np.ndarray) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree edges of a dense matrix by Prim, sorted by weight.
-
-    The tree grows from item 0 in n - 1 steps of O(n) each. Under ties
-    it may differ from mst_kruskal's, but its path maxima do not.
-    """
-    n = values.shape[0]
-    if n < 2:
-        return []
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
-    dist = values[0].copy()
-    dist[0] = np.inf
-    parent = np.zeros(n, dtype=np.int64)
-    tails = np.empty(n - 1, dtype=np.int64)
-    for k in range(n - 1):
-        j = int(dist.argmin())
-        tails[k] = j
-        outside[j] = False
-        dist[j] = np.inf
-        row = values[j]
-        closer = outside & (row < dist)
-        dist[closer] = row[closer]
-        parent[closer] = j
-    heads = parent[tails]
-    weights = values[heads, tails]
-    order = np.argsort(weights, kind="stable")
-    return list(zip(heads[order].tolist(), tails[order].tolist(), weights[order].tolist()))
+    edges = mst_kruskal(d).edges if d.n > 1 else []
+    return UltrametricMatrix(_join_levels(d.n, edges), list(d.labels))
 
 
 def cophenetic_correlation(d: DissimilarityMatrix, u: _SymmetricMatrix) -> float:

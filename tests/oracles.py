@@ -202,6 +202,33 @@ def mst_total_bruteforce(d: np.ndarray) -> float:
     return best
 
 
+def mst_kruskal_loop(values: np.ndarray) -> tuple[list[tuple[int, int, float]], float]:
+    """Kruskal with union-find over edges in (weight, i, j) order, i < j.
+
+    Returns the tree edges in the order they were accepted and their
+    total weight, summed in that order.
+    """
+    n = values.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    weights = values[iu, ju]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for idx in np.lexsort((ju, iu, weights)):
+        i, j = int(iu[idx]), int(ju[idx])
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j, float(weights[idx])))
+    return edges, float(sum(w for _, _, w in edges))
+
+
 def closure_floyd_warshall(d: np.ndarray) -> np.ndarray:
     """Min-max path closure by Floyd-Warshall in the (min, max) semiring."""
     u = d.copy()

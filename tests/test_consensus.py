@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import umtk.consensus
 from umtk.consensus import (
     SHAPE_EQUILATERAL,
     SHAPE_ISOSCELES,
@@ -307,40 +306,3 @@ def test_consensus_dendrogram_fixed_point_closure(rng):
     np.testing.assert_array_equal(
         minmax_path_closure(u).values, u.values
     )
-
-
-def test_consensus_dendrogram_scans_only_inputs_that_differ_from_their_closure(
-    rng, monkeypatch
-):
-    u1 = untied_cophenetic(rng, 12, "ward")
-    u2 = UltrametricMatrix(untied_cophenetic(rng, 12).values, list(u1.labels))
-    merged = consensus_ultrametric(u1, u2)
-    scans = []
-
-    def counting_check(d, tolerance=0.0):
-        scans.append(tolerance)
-        return check_ultrametric(d, tolerance)
-
-    monkeypatch.setattr(umtk.consensus, "check_ultrametric", counting_check)
-    h = consensus_dendrogram(merged)
-    assert scans == []
-    np.testing.assert_array_equal(cophenetic(h).values, merged.values)
-
-    # raise the largest level by one ulp: its triples lose their tied maximum
-    values = merged.values.copy()
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    values[i, j] = values[j, i] = np.nextafter(values[i, j], np.inf)
-    bumped = UltrametricMatrix(values, list(merged.labels))
-    report = check_ultrametric(DissimilarityMatrix(values), 0.0)
-    assert len(report.violations) == 10
-    a, b, c, slack = report.violations[0]
-    message = (
-        f"input is not ultrametric within tolerance 0: triple ({a}, {b}, {c}) "
-        f"has slack {slack:g} (10 violating triples in total)"
-    )
-    with pytest.raises(ValueError) as err:
-        consensus_dendrogram(bumped, tolerance=0.0)
-    assert str(err.value) == message
-    assert scans == [0.0]
-    consensus_dendrogram(bumped)  # one ulp lies within the default tolerance
-    assert len(scans) == 2

@@ -24,6 +24,7 @@ from .oracles import (
     closure_bruteforce,
     closure_floyd_warshall,
     linkage_loop,
+    mst_kruskal_loop,
     mst_total_bruteforce,
     parse_newick,
     pearson,
@@ -386,6 +387,20 @@ def tied_dissimilarities(draw):
     return DissimilarityMatrix(out + out.T)
 
 
+def assert_mst_matches_kruskal_loop(d):
+    tree = mst_kruskal(d)
+    edges, total = mst_kruskal_loop(d.values)
+    assert tree.edges == edges
+    assert np.float64(tree.total_weight).tobytes() == np.float64(total).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_dissimilarities())
+def test_mst_matches_kruskal_loop_on_tied_inputs(d):
+    if d.n >= 2:
+        assert_mst_matches_kruskal_loop(d)
+
+
 def assert_closure_matches_floyd_warshall(d):
     got = minmax_path_closure(d).values
     want = closure_floyd_warshall(d.values)
@@ -399,14 +414,23 @@ def test_closure_matches_floyd_warshall_on_tied_inputs(d):
     assert_closure_matches_floyd_warshall(d)
 
 
-def test_closure_matches_floyd_warshall_on_clustered_n300():
-    rng = np.random.default_rng(300)
+def clustered_n300(seed):
+    """300 clustered 5-d points, 50 of them duplicated, distances rounded."""
+    rng = np.random.default_rng(seed)
     centers = rng.normal(scale=20.0, size=(8, 5))
     points = centers[rng.integers(0, 8, size=300)] + rng.normal(size=(300, 5))
     points[250:] = points[:50]  # duplicate points: zero distances off the diagonal
     d = np.rint(euclidean_distances(CoordinateMatrix(points)).values)
     assert np.count_nonzero(d) < d.size - d.shape[0]
-    assert_closure_matches_floyd_warshall(DissimilarityMatrix(d))
+    return DissimilarityMatrix(d)
+
+
+def test_closure_matches_floyd_warshall_on_clustered_n300():
+    assert_closure_matches_floyd_warshall(clustered_n300(300))
+
+
+def test_mst_matches_kruskal_loop_on_clustered_n300():
+    assert_mst_matches_kruskal_loop(clustered_n300(302))
 
 
 def assert_linkage_matches_loop(d):
@@ -446,10 +470,4 @@ def test_linkage_matches_loop_on_tie_heavy_inputs(d):
 
 
 def test_linkage_matches_loop_on_clustered_n300():
-    rng = np.random.default_rng(301)
-    centers = rng.normal(scale=20.0, size=(8, 5))
-    points = centers[rng.integers(0, 8, size=300)] + rng.normal(size=(300, 5))
-    points[250:] = points[:50]  # duplicate points: zero distances off the diagonal
-    d = np.rint(euclidean_distances(CoordinateMatrix(points)).values)
-    assert np.count_nonzero(d) < d.size - d.shape[0]
-    assert_linkage_matches_loop(DissimilarityMatrix(d))
+    assert_linkage_matches_loop(clustered_n300(301))
