@@ -7,10 +7,10 @@ geometry, and extracts the subset of triplets on which independent
 clusterings and raw geometry agree: the data's ultrametric component.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .component import (
-    ComponentTriplet,
+    RETAINED_DTYPE,
     EpsilonProfile,
     epsilon_threshold_count,
     ultrametric_component,
@@ -87,7 +87,7 @@ from .ultrametricity import (
 
 __all__ = [
     "__version__",
-    "ComponentTriplet", "EpsilonProfile", "epsilon_threshold_count",
+    "RETAINED_DTYPE", "EpsilonProfile", "epsilon_threshold_count",
     "ultrametric_component",
     "ConsensusReport", "ConsensusTable", "TripletSignature",
     "consensus_count", "consensus_dendrogram", "consensus_table",

@@ -21,7 +21,7 @@ from . import __version__, matrixio
 from .component import ultrametric_component
 from .consensus import (
     DEFAULT_TIE_TOLERANCE,
-    _matched_triplets,
+    consensus_count,
     consensus_dendrogram,
     consensus_table,
     consensus_ultrametric,
@@ -39,10 +39,10 @@ from .spectral import correspondence_analysis, pcoa
 from .transforms import cailliez_additive, power_shrink
 from .ultrametricity import (
     DEFAULT_EPSILON,
-    _verdict_columns,
     alpha_epsilon,
     lerman_h,
     rammal_index,
+    scan_triplet_verdicts,
     treves_hartmann_points,
 )
 
@@ -276,7 +276,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     if args.per_triplet:
         matrixio.write_table(_out_path(args, "coeffs_triplets.csv"),
                              ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"],
-                             _verdict_columns(coords, args.epsilon, **sample_kw), headers)
+                             scan_triplet_verdicts(coords, args.epsilon, **sample_kw), headers)
     return 0
 
 
@@ -297,10 +297,11 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
     u_a, u_b = table.ultrametrics[0], table.ultrametrics[1]
-    matched, _ = _matched_triplets(u_a, u_b)
+    report = consensus_count(u_a, u_b)
     matrixio.write_table(_out_path(args, "consensus_matched.csv"),
                          ["i", "j", "k", "base_i", "base_j", "apex"],
-                         list(matched.T), pair_headers)
+                         list(report.matched_set.T),
+                         pair_headers + [f"skipped_ties: {report.skipped_ties}"])
     merged = consensus_ultrametric(u_a, u_b)
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  merged, pair_headers)
@@ -321,13 +322,11 @@ def _cmd_uca(args: argparse.Namespace) -> int:
         "criteria": ",".join(args.criteria),
         "epsilon": args.epsilon,
     })
+    labels = np.array(coords.point_labels, dtype=object)
     matrixio.write_table(_out_path(args, "uca_listing.csv"),
-                         ["base1", "base2", "apex", "angle_diff_radians"], [
-                             np.array([r.base_labels[0] for r in retained], dtype=object),
-                             np.array([r.base_labels[1] for r in retained], dtype=object),
-                             np.array([r.apex_label for r in retained], dtype=object),
-                             np.array([r.base_angle_diff for r in retained], dtype=np.float64),
-                         ], headers)
+                         ["base1", "base2", "apex", "angle_diff_radians"],
+                         [labels[retained["base1"]], labels[retained["base2"]],
+                          labels[retained["apex"]], retained["base_angle_diff"]], headers)
     diffs = profile.sorted_diffs
     matrixio.write_table(_out_path(args, "uca_profile.csv"),
                          ["rank", "angle_diff_radians"],

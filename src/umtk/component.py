@@ -17,20 +17,19 @@ import math
 
 import numpy as np
 
-from .consensus import DEFAULT_TIE_TOLERANCE, _matched_triplets, _require_inversion_free
+from .consensus import DEFAULT_TIE_TOLERANCE, _require_inversion_free, consensus_count
 from .hierarchy import cophenetic, linkage
 from .matrices import CoordinateMatrix, euclidean_distances
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
 
 
-@dataclass
-class ComponentTriplet:
-    """One retained triplet: base pair, apex, and base-angle difference."""
-
-    base_labels: tuple[str, str]
-    apex_label: str
-    base_angle_diff: float
-    triplet: tuple[int, int, int]
+#: One retained triplet per row: its ids, base ids (base1's label sorts
+#: first), apex id and base-angle difference in radians.
+RETAINED_DTYPE = np.dtype([
+    ("i", np.int64), ("j", np.int64), ("k", np.int64),
+    ("base1", np.int64), ("base2", np.int64), ("apex", np.int64),
+    ("base_angle_diff", np.float64),
+])
 
 
 @dataclass
@@ -58,14 +57,16 @@ def ultrametric_component(
     criterion_b: str = "single",
     epsilon: float = DEFAULT_EPSILON,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> tuple[list[ComponentTriplet], EpsilonProfile]:
+) -> tuple[np.ndarray, EpsilonProfile]:
     """Triplets on which clustering agreement and geometry both vote yes.
 
-    Returns (retained triplets, epsilon profile). Retained triplets are
-    sorted by (base_angle_diff, base labels, apex label); base labels are
-    ordered alphabetically within each row. The profile records the
-    base-angle difference of every consensus-matched triplet so the
-    threshold can be re-examined without repeating the scan.
+    Returns (retained triplets, epsilon profile). The retained triplets
+    are a RETAINED_DTYPE structured array sorted by (base_angle_diff,
+    base labels, apex label), labels compared as Python strings and
+    exact ties left in ascending triplet order; base1 is the base vertex
+    whose label sorts first. The profile records the base-angle
+    difference of every consensus-matched triplet so the threshold can
+    be re-examined without repeating the scan.
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
@@ -75,49 +76,31 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    rows, _ = _matched_triplets(u_a, u_b, tie_tolerance)
-    labels = coords.point_labels
-    sorted_diffs = np.zeros(0)
-    retained: list[ComponentTriplet] = []
-    if rows.shape[0]:
-        ii, jj, kk = rows[:, 0], rows[:, 1], rows[:, 2]
-        b_lo, b_hi, apex = rows[:, 3], rows[:, 4], rows[:, 5]
-        values = d.values
-        ang_i, ang_j, ang_k, degen = _angles_from_sides(
-            values[jj, kk], values[ii, kk], values[ii, jj]
-        )
-        angles = {0: ang_i, 1: ang_j, 2: ang_k}
-        # map vertex ids to their position (i, j or k) within each row
-        def angle_of(vertex: np.ndarray) -> np.ndarray:
-            out = np.where(
-                vertex == ii, angles[0], np.where(vertex == jj, angles[1], angles[2])
-            )
-            return out
+    rows = consensus_count(u_a, u_b, tie_tolerance).matched_set
+    ii, jj, kk, b_lo, b_hi, apex = rows.T
+    values = d.values
+    *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 
-        a_apex = angle_of(apex)
-        a_lo = angle_of(b_lo)
-        a_hi = angle_of(b_hi)
-        diff = np.abs(a_lo - a_hi)
-        ok = ~degen
-        apex_is_min = a_apex <= np.minimum(a_lo, a_hi) + ANGLE_SLACK
-        keep = (
-            ok
-            & apex_is_min
-            & (a_apex <= math.pi / 3.0 + ANGLE_SLACK)
-            & (diff <= epsilon)
-        )
-        sorted_diffs = np.sort(diff[ok])
-        for t in np.nonzero(keep)[0]:
-            pair = sorted([labels[int(b_lo[t])], labels[int(b_hi[t])]])
-            retained.append(
-                ComponentTriplet(
-                    base_labels=(pair[0], pair[1]),
-                    apex_label=labels[int(apex[t])],
-                    base_angle_diff=float(diff[t]),
-                    triplet=(int(ii[t]), int(jj[t]), int(kk[t])),
-                )
-            )
-    retained.sort(key=lambda r: (r.base_angle_diff, r.base_labels, r.apex_label))
+    def angle_of(vertex: np.ndarray) -> np.ndarray:
+        return np.where(vertex == ii, angles[0], np.where(vertex == jj, angles[1], angles[2]))
+
+    a_apex, a_lo, a_hi = angle_of(apex), angle_of(b_lo), angle_of(b_hi)
+    diff = np.abs(a_lo - a_hi)
+    ok = ~degen
+    keep = np.flatnonzero(
+        ok
+        & (a_apex <= np.minimum(a_lo, a_hi) + ANGLE_SLACK)
+        & (a_apex <= math.pi / 3.0 + ANGLE_SLACK)
+        & (diff <= epsilon)
+    )
+    _, rank = np.unique(np.array(coords.point_labels, dtype=object), return_inverse=True)
+    swap = rank[b_lo] > rank[b_hi]
+    base1, base2 = np.where(swap, b_hi, b_lo), np.where(swap, b_lo, b_hi)
+    keep = keep[np.lexsort((rank[apex[keep]], rank[base2[keep]], rank[base1[keep]], diff[keep]))]
+    retained = np.empty(keep.size, dtype=RETAINED_DTYPE)
+    for name, col in zip(RETAINED_DTYPE.names, (ii, jj, kk, base1, base2, apex, diff)):
+        retained[name] = col[keep]
+    sorted_diffs = np.sort(diff[ok])
     profile = EpsilonProfile(
         sorted_diffs=sorted_diffs,
         threshold=epsilon,

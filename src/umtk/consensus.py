@@ -57,14 +57,16 @@ class TripletSignature:
 
 @dataclass
 class ConsensusReport:
-    """Agreement counts between two ultrametrics over all triplets."""
+    """Agreement counts between two ultrametrics over all triplets.
+
+    matched_set is an (matched, 6) int64 array of rows
+    (i, j, k, base_i, base_j, apex) in ascending triplet order.
+    """
 
     total_triplets: int
     matched: int
-    matched_set: list[tuple[int, int, int, int, int, int]] = field(
-        default_factory=list
-    )
-    skipped_ties: int = 0
+    matched_set: np.ndarray
+    skipped_ties: int
 
 
 @dataclass
@@ -150,21 +152,21 @@ def _check_same_items(u1: UltrametricMatrix, u2: UltrametricMatrix) -> None:
         raise ValueError("ultrametrics must have matching labels")
 
 
-def _matched_triplets(
+def consensus_count(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     workers: int = 1,
-) -> tuple[np.ndarray, int]:
-    """(m, 6) int64 rows (i, j, k, base_i, base_j, apex) and the tie skips.
+) -> ConsensusReport:
+    """Count triplets on which two ultrametrics agree morphologically.
 
-    The array core of consensus_count: rows come in ascending triplet
-    order.
+    A triplet matches when both sides make it isosceles-small-base with
+    the same base pair. Triplets that are not isosceles on one side or
+    the other (equilateral or otherwise tied) are never matched and are
+    tallied under skipped_ties. The matched set holds
+    (i, j, k, base_i, base_j, apex) rows in ascending triplet order.
     """
     _check_same_items(u1, u2)
-    n = u1.n
-    if n < 3:
-        return np.zeros((0, 6), dtype=np.int64), 0
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
         iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
@@ -178,27 +180,11 @@ def _matched_triplets(
         rows = np.column_stack([mi, mj, mk, base_lo, base_hi, ma])
         return rows, int((~both_iso).sum())
 
-    blocks, skipped = zip(*scan(n, kernel, workers=workers))
-    return np.concatenate(blocks), sum(skipped)
-
-
-def consensus_count(
-    u1: UltrametricMatrix,
-    u2: UltrametricMatrix,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    workers: int = 1,
-) -> ConsensusReport:
-    """Count triplets on which two ultrametrics agree morphologically.
-
-    A triplet matches when both sides make it isosceles-small-base with
-    the same base pair. Triplets that are not isosceles on one side or
-    the other (equilateral or otherwise tied) are never matched and are
-    tallied under skipped_ties. The matched set lists
-    (i, j, k, base_i, base_j, apex) rows in ascending triplet order.
-    """
-    rows, skipped = _matched_triplets(u1, u2, tie_tolerance, workers)
-    matched_set = list(zip(*rows.T.tolist()))
-    return ConsensusReport(triplet_count(u1.n), len(matched_set), matched_set, skipped)
+    results = scan(u1.n, kernel, workers=workers)
+    rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *(r for r, _ in results)])
+    return ConsensusReport(
+        triplet_count(u1.n), rows.shape[0], rows, sum(s for _, s in results)
+    )
 
 
 def _require_inversion_free(criteria: list[str]) -> None:
@@ -307,11 +293,11 @@ def consensus_dendrogram(
         tolerance = 1e-9 * float(u.values.max()) if u.values.size else 0.0
     as_dissimilarity = DissimilarityMatrix(u.values, list(u.labels))
     report = check_ultrametric(as_dissimilarity, tolerance)
-    if report.violations:
-        i, j, k, slack = report.violations[0]
+    if report:
+        i, j, k = report.triples[0]
         raise ValueError(
             f"input is not ultrametric within tolerance {tolerance:g}: "
-            f"triple ({i}, {j}, {k}) has slack {slack:g} "
-            f"({len(report.violations)} violating triples in total)"
+            f"triple ({i}, {j}, {k}) has slack {report.slack[0]:g} "
+            f"({report.slack.size} violating triples in total)"
         )
     return linkage(as_dissimilarity, "single")

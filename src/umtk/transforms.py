@@ -10,7 +10,7 @@ the largest power in (0, 1] that works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +25,38 @@ REPAIR_TOLERANCE_FACTOR = 1e-12
 class ViolationReport:
     """Triples violating a triangle-type inequality, worst slack each.
 
-    kind is "triangle" or "strong-triangle". Each violation is
-    (i, j, k, slack) with i < j < k; the slack is the excess of the worst
-    of the three orientations. Triples are listed once, in ascending
-    (i, j, k) order.
+    kind is "triangle" or "strong-triangle". triples is an (m, 3) int64
+    array of rows (i, j, k) with i < j < k, listed once each in
+    ascending order; slack[t] is the excess of the worst of the three
+    orientations of triples[t]. The report is true when m > 0.
     """
 
     kind: str
-    violations: list[tuple[int, int, int, float]] = field(default_factory=list)
+    triples: np.ndarray
+    slack: np.ndarray
 
     def __bool__(self) -> bool:
-        return bool(self.violations)
+        return bool(self.slack.size)
 
 
 def _scan_violations(
-    d: DissimilarityMatrix, tolerance: float, strong: bool
-) -> list[tuple[int, int, int, float]]:
-    def kernel(
-        ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
-    ) -> list[tuple[int, int, int, float]]:
-        s = sorted_pair_values(d.values, ii, jj, kk)
-        slack = s[2] - s[1] if strong else s[2] - s[1] - s[0]
-        bad = slack > tolerance
-        return list(zip(*(c[bad].tolist() for c in (ii, jj, kk, slack))))
+    d: DissimilarityMatrix, kind: str, tolerance: float
+) -> ViolationReport:
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
 
-    return [row for rows in scan(d.n, kernel) for row in rows]
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = sorted_pair_values(d.values, ii, jj, kk)
+        slack = s[2] - s[1] if kind == "strong-triangle" else s[2] - s[1] - s[0]
+        bad = slack > tolerance
+        return np.column_stack([ii[bad], jj[bad], kk[bad]]), slack[bad]
+
+    results = scan(d.n, kernel)
+    return ViolationReport(
+        kind,
+        np.concatenate([np.zeros((0, 3), dtype=np.int64), *(t for t, _ in results)]),
+        np.concatenate([np.zeros(0), *(s for _, s in results)]),
+    )
 
 
 def check_metric(d: DissimilarityMatrix, tolerance: float = 0.0) -> ViolationReport:
@@ -60,9 +67,7 @@ def check_metric(d: DissimilarityMatrix, tolerance: float = 0.0) -> ViolationRep
     which is the worst of the three orientations of the triangle
     inequality.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return ViolationReport("triangle", _scan_violations(d, tolerance, strong=False))
+    return _scan_violations(d, "triangle", tolerance)
 
 
 def check_ultrametric(
@@ -73,11 +78,7 @@ def check_ultrametric(
     The strong triangle inequality holds on a triple exactly when its two
     largest values are equal, so the recorded slack is max - mid.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return ViolationReport(
-        "strong-triangle", _scan_violations(d, tolerance, strong=True)
-    )
+    return _scan_violations(d, "strong-triangle", tolerance)
 
 
 def _worst_metric_slack(values: np.ndarray, n: int) -> float:

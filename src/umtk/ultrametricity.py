@@ -136,6 +136,22 @@ def triplet_geometry(
     )
 
 
+def _classify_angles(
+    angles: np.ndarray, verts: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verdicts from (3, m) angles at (3, m) ascending vertex ids: (apex, diff, ultra).
+
+    The apex is the smallest angle, the first (lowest id) on ties. The
+    apex-angle bound of classify_triplet is not tested: the smallest
+    angle of a non-degenerate triangle is at most 60 degrees.
+    """
+    order = np.argsort(angles, axis=0, kind="stable")
+    srt = np.take_along_axis(angles, order, axis=0)
+    diff = srt[2] - srt[1]
+    apex = np.take_along_axis(verts, order[:1], axis=0)[0]
+    return apex, diff, diff < epsilon
+
+
 def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> TripletVerdict:
     """Decide whether one triangle is isosceles with small base.
 
@@ -148,20 +164,19 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
         raise ValueError("cannot classify a degenerate triangle")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    vertices = (g.i, g.j, g.k)
-    order = sorted(range(3), key=lambda p: (g.angles[p], vertices[p]))
-    apex_pos = order[0]
-    base_pos = [p for p in range(3) if p != apex_pos]
-    diff = abs(g.angles[base_pos[0]] - g.angles[base_pos[1]])
-    apex_angle = g.angles[apex_pos]
-    ultra = apex_angle <= math.pi / 3.0 + ANGLE_SLACK and diff < epsilon
-    base_ids = sorted(vertices[p] for p in base_pos)
+    order = np.argsort([g.i, g.j, g.k], kind="stable")
+    verts = np.array([g.i, g.j, g.k])[order, None]
+    angles = np.array(g.angles)[order, None]
+    apex, diff, ultra = _classify_angles(angles, verts, epsilon)
+    apex_id = int(apex[0])
+    base = sorted({g.i, g.j, g.k} - {apex_id})
+    # hand-built angles need not form a triangle, so the apex bound is tested here
     return TripletVerdict(
         geometry=g,
-        apex=vertices[apex_pos],
-        base=(base_ids[0], base_ids[1]),
-        base_angle_diff=diff,
-        ultrametric=ultra,
+        apex=apex_id,
+        base=(base[0], base[1]),
+        base_angle_diff=float(diff[0]),
+        ultrametric=bool(ultra[0]) and min(g.angles) <= math.pi / 3.0 + ANGLE_SLACK,
     )
 
 
@@ -172,23 +187,10 @@ def _classify_chunk(
     kk: np.ndarray,
     epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate).
-
-    The apex-angle bound of classify_triplet is not tested: the smallest
-    angle of a non-degenerate triangle is at most 60 degrees.
-    """
-    x = values[jj, kk]
-    y = values[ii, kk]
-    z = values[ii, jj]
-    ang_i, ang_j, ang_k, degen = _angles_from_sides(x, y, z)
-    stacked = np.stack([ang_i, ang_j, ang_k])
-    order = np.argsort(stacked, axis=0, kind="stable")
-    srt = np.take_along_axis(stacked, order, axis=0)
-    diff = srt[2] - srt[1]
-    ultra = (diff < epsilon) & ~degen
-    verts = np.stack([ii, jj, kk])
-    apex = np.take_along_axis(verts, order[:1], axis=0)[0]
-    return apex, diff, ultra, degen
+    """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate)."""
+    *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
+    apex, diff, ultra = _classify_angles(np.stack(angles), np.stack([ii, jj, kk]), epsilon)
+    return apex, diff, ultra & ~degen, degen
 
 
 def alpha_epsilon(
@@ -230,19 +232,23 @@ def alpha_epsilon(
     )
 
 
-def _verdict_columns(
+def scan_triplet_verdicts(
     coords: CoordinateMatrix,
-    epsilon: float,
-    sample: int | None,
-    seed: int | None,
+    epsilon: float = DEFAULT_EPSILON,
+    sample: int | None = None,
+    seed: int | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Columns (i, j, k, apex, base_angle_diff, ultrametric) of a verdict scan.
 
-    apex and base_angle_diff are masked arrays, masked where the triangle
-    is degenerate; ultrametric is False there.
+    One entry per triplet, in scan order. apex and base_angle_diff are
+    masked arrays, masked where the triangle is degenerate; ultrametric
+    is False there. Intended for report export; use alpha_epsilon for
+    the aggregate.
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     values = euclidean_distances(coords).values
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -253,21 +259,6 @@ def _verdict_columns(
         np.concatenate(col) for col in zip(*scan(coords.n, kernel, sample, seed))
     )
     return ii, jj, kk, np.ma.array(apex, mask=degen), np.ma.array(diff, mask=degen), ultra
-
-
-def scan_triplet_verdicts(
-    coords: CoordinateMatrix,
-    epsilon: float = DEFAULT_EPSILON,
-    sample: int | None = None,
-    seed: int | None = None,
-) -> list[tuple[int, int, int, int | None, float | None, bool]]:
-    """Per-triplet rows (i, j, k, apex, base_angle_diff, ultrametric).
-
-    Degenerate triplets carry None for apex and diff. Intended for
-    report export; use alpha_epsilon for the aggregate.
-    """
-    columns = _verdict_columns(coords, epsilon, sample, seed)
-    return list(zip(*(c.tolist() for c in columns)))
 
 
 def rammal_index(d: DissimilarityMatrix) -> float:

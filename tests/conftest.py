@@ -42,3 +42,13 @@ def random_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def row_tuples(*columns: np.ndarray) -> list[tuple]:
+    """Rows of equal-length 1-D columns as Python tuples; masked entries become None."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def retained_triplets(retained: np.ndarray) -> set[tuple[int, int, int]]:
+    """(i, j, k) of every row of an ultrametric_component result."""
+    return set(row_tuples(retained["i"], retained["j"], retained["k"]))

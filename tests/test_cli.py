@@ -16,7 +16,10 @@ from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_dista
 from umtk.triplets import triplet_count
 from umtk.ultrametricity import DEFAULT_EPSILON, scan_triplet_verdicts
 
+from .conftest import row_tuples
 from .oracles import write_rows
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_example_distances(path):
@@ -178,7 +181,7 @@ def test_coeffs_triplets_file_matches_row_writer(tmp_path, sample):
     assert main(["coeffs", "--coords", str(coords_path), "--per-triplet",
                  *sample, "--out", str(out)]) == 0
     kw = {"sample": 500, "seed": 3} if sample else {}
-    rows = scan_triplet_verdicts(coords, DEFAULT_EPSILON, **kw)
+    rows = row_tuples(*scan_triplet_verdicts(coords, DEFAULT_EPSILON, **kw))
     assert any(row[3] is None for row in rows)  # degenerate triangles present
     got = out / "coeffs_triplets.csv"
     expected = tmp_path / "oracle.csv"
@@ -258,7 +261,9 @@ def test_consensus_matched_file_matches_row_writer(tmp_path):
     got = out / "consensus_matched.csv"
     expected = tmp_path / "oracle.csv"
     header = ["i", "j", "k", "base_i", "base_j", "apex"]
-    write_rows(expected, [header] + report.matched_set, header_lines_of(got))
+    skip_lines = [h for h in header_lines_of(got) if h.startswith("skipped_ties: ")]
+    assert skip_lines == [f"skipped_ties: {report.skipped_ties}"]
+    write_rows(expected, [header] + row_tuples(*report.matched_set.T), header_lines_of(got))
     assert got.read_bytes() == expected.read_bytes()
 
 
@@ -367,6 +372,21 @@ def test_ingest_corpus_directory(tmp_path):
     assert "# top_k: 3" in header
 
 
+def pyproject_project():
+    """The [project] table of this checkout's pyproject.toml."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)["project"]
+
+
+def test_version_matches_pyproject():
+    # every output file's first line is "# umtk <__version__>"
+    assert __version__ == pyproject_project()["version"]
+
+
 def test_console_script_installed(tmp_path):
     """The `umtk` script declared in pyproject.toml works when run by name.
 
@@ -375,14 +395,7 @@ def test_console_script_installed(tmp_path):
     this checkout's `src` first on PYTHONPATH, so the script under test
     is the one this source tree declares.
     """
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
-
-    root = Path(__file__).resolve().parents[1]
-    with open(root / "pyproject.toml", "rb") as f:
-        value = tomllib.load(f)["project"]["scripts"]["umtk"]
+    value = pyproject_project()["scripts"]["umtk"]
     ep = EntryPoint(name="umtk", value=value, group="console_scripts")
 
     bin_dir = tmp_path / "bin"
@@ -398,7 +411,7 @@ def test_console_script_installed(tmp_path):
     script.chmod(0o755)
 
     env = dict(os.environ)
-    for var, first in (("PATH", bin_dir), ("PYTHONPATH", root / "src")):
+    for var, first in (("PATH", bin_dir), ("PYTHONPATH", ROOT / "src")):
         env[var] = os.pathsep.join(filter(None, [str(first), env.get(var)]))
 
     def run(*args):
@@ -419,9 +432,8 @@ def test_console_script_installed(tmp_path):
 
 def test_python_dash_m_umtk(tmp_path):
     """`python -m umtk` runs the command line from this checkout's source."""
-    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
 
     def run(*args):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umtk.component import (
+    RETAINED_DTYPE,
     EpsilonProfile,
     epsilon_threshold_count,
     ultrametric_component,
@@ -14,7 +15,7 @@ from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_dista
 from umtk.spectral import pcoa
 from umtk.ultrametricity import DEFAULT_EPSILON
 
-from .conftest import random_dissimilarity, random_points
+from .conftest import random_dissimilarity, random_points, retained_triplets, row_tuples
 from .oracles import brute_angles, brute_component, brute_consensus
 
 
@@ -32,10 +33,9 @@ def stage_one_report(coords, criterion_a="ward", criterion_b="single"):
 def test_retained_subset_of_matched(rng):
     pts = point_cloud(rng, 12, 3)
     retained, profile = ultrametric_component(pts)
-    matched_triples = {row[:3] for row in stage_one_report(pts).matched_set}
-    for row in retained:
-        assert row.triplet in matched_triples
-        assert row.base_angle_diff <= DEFAULT_EPSILON
+    matched_triples = set(row_tuples(*stage_one_report(pts).matched_set[:, :3].T))
+    assert retained_triplets(retained) <= matched_triples
+    assert np.all(retained["base_angle_diff"] <= DEFAULT_EPSILON)
     assert len(retained) <= profile.count_at_threshold
 
 
@@ -49,7 +49,7 @@ def test_matches_bruteforce_two_stage(rng):
         for eps in (0.01, DEFAULT_EPSILON, 0.5):
             retained, profile = ultrametric_component(pts, epsilon=eps)
             expected = brute_component(pts.coords, matched, eps)
-            assert {row.triplet for row in retained} == expected
+            assert retained_triplets(retained) == expected
         nondegenerate = sum(
             1
             for (i, j, k, *_rest) in matched
@@ -78,7 +78,7 @@ def test_retained_monotone_in_epsilon(rng):
     previous: set = set()
     for eps in (0.005, 0.05, 0.2, 1.0):
         retained, _ = ultrametric_component(pts, epsilon=eps)
-        current = {row.triplet for row in retained}
+        current = retained_triplets(retained)
         assert previous <= current
         previous = current
 
@@ -99,13 +99,39 @@ def test_rows_sorted_and_labelled(rng):
     pts = CoordinateMatrix(rng.normal(size=(11, 3)), labels)
     retained, _ = ultrametric_component(pts, epsilon=0.8)
     assert len(retained) > 0
-    keys = [(r.base_angle_diff, r.base_labels, r.apex_label) for r in retained]
+    assert retained.dtype == RETAINED_DTYPE
+    keys = [(r["base_angle_diff"], (labels[r["base1"]], labels[r["base2"]]), labels[r["apex"]])
+            for r in retained]
     assert keys == sorted(keys)
-    for row in retained:
-        i, j, k = row.triplet
+    for r in retained:
+        i, j, k = int(r["i"]), int(r["j"]), int(r["k"])
         assert i < j < k
-        assert row.base_labels[0] < row.base_labels[1]
-        assert {*row.base_labels, row.apex_label} == {labels[i], labels[j], labels[k]}
+        assert labels[r["base1"]] < labels[r["base2"]]
+        assert {int(r["base1"]), int(r["base2"]), int(r["apex"])} == {i, j, k}
+
+
+def test_rows_sorted_by_python_label_order(rng):
+    # integer grid points give many exactly tied diffs, so the label keys
+    # decide, and the labels' order is unrelated to the point ids; each
+    # point has a mirror image with the same label, so some rows tie on
+    # every key and must keep ascending triplet order
+    cells = rng.choice(20, size=8, replace=False)
+    half = np.column_stack([cells // 5 + 1, cells % 5]).astype(float)
+    names = ["p10", "p2", "B", "a", "é", "Z", "", "ß"]
+    labels = names + names
+    pts = CoordinateMatrix(np.vstack([half, half * [-1.0, 1.0]]), labels)
+    retained, _ = ultrametric_component(pts, epsilon=0.5)
+    assert len(retained) > 0
+    rows = [(float(r["base_angle_diff"]),
+             tuple(sorted([labels[r["base1"]], labels[r["base2"]]])),
+             labels[r["apex"]], int(r["i"]), int(r["j"]), int(r["k"]))
+            for r in retained]
+    # the order a stable Python sort gives on rows taken in triplet order
+    expected = sorted(sorted(rows, key=lambda row: row[3:]), key=lambda row: row[:3])
+    assert rows == expected
+    assert len({row[0] for row in rows}) < len(rows)  # some diffs tie
+    assert len({row[:3] for row in rows}) < len(rows)  # some rows tie on every key
+    assert all(labels[r["base1"]] <= labels[r["base2"]] for r in retained)
 
 
 def test_similarity_invariance(rng):
@@ -124,14 +150,14 @@ def test_similarity_invariance(rng):
     )
     base, _ = ultrametric_component(pts)
     same, _ = ultrametric_component(moved)
-    assert {r.triplet for r in base} == {r.triplet for r in same}
+    assert retained_triplets(base) == retained_triplets(same)
 
 
 def test_default_criteria_are_ward_single(rng):
     pts = point_cloud(rng, 9, 2)
     implicit, _ = ultrametric_component(pts)
     explicit, _ = ultrametric_component(pts, criterion_a="ward", criterion_b="single")
-    assert implicit == explicit
+    assert np.array_equal(implicit, explicit)
 
 
 def test_other_criterion_pairs_accepted(rng):
@@ -140,8 +166,7 @@ def test_other_criterion_pairs_accepted(rng):
         pts, criterion_a="average", criterion_b="complete"
     )
     assert profile.count_at_threshold >= len(retained) - 0  # profile covers retained
-    for row in retained:
-        assert row.base_angle_diff <= DEFAULT_EPSILON
+    assert np.all(retained["base_angle_diff"] <= DEFAULT_EPSILON)
 
 
 def test_argument_validation(rng):

@@ -26,7 +26,7 @@ from umtk.matrices import (
 from umtk.transforms import check_ultrametric
 from umtk.triplets import triplet_count
 
-from .conftest import random_dissimilarity, random_ultrametric
+from .conftest import random_dissimilarity, random_ultrametric, row_tuples
 from .oracles import brute_consensus, brute_signature
 
 
@@ -144,7 +144,7 @@ def test_consensus_matches_bruteforce(rng):
         u2 = UltrametricMatrix(u2relabeled.values, list(u1.labels))
         report = consensus_count(u1, u2)
         expected_set, expected_skips = brute_consensus(u1.values, u2.values, 1e-9)
-        assert set(report.matched_set) == expected_set
+        assert set(row_tuples(*report.matched_set.T)) == expected_set
         assert report.matched == len(expected_set)
         assert report.skipped_ties == expected_skips
 
@@ -152,7 +152,7 @@ def test_consensus_matches_bruteforce(rng):
 def test_consensus_matched_set_sorted(rng):
     u1 = untied_cophenetic(rng, 9, "ward")
     u2 = UltrametricMatrix(untied_cophenetic(rng, 9).values, list(u1.labels))
-    triples = [row[:3] for row in consensus_count(u1, u2).matched_set]
+    triples = row_tuples(*consensus_count(u1, u2).matched_set[:, :3].T)
     assert triples == sorted(triples)
 
 
@@ -163,7 +163,7 @@ def test_consensus_symmetric_in_arguments(rng):
     b = consensus_count(u2, u1)
     assert a.matched == b.matched
     assert a.skipped_ties == b.skipped_ties
-    assert set(r[:3] for r in a.matched_set) == set(r[:3] for r in b.matched_set)
+    assert set(row_tuples(*a.matched_set[:, :3].T)) == set(row_tuples(*b.matched_set[:, :3].T))
 
 
 def test_consensus_parallel_equals_serial(rng):
@@ -171,7 +171,10 @@ def test_consensus_parallel_equals_serial(rng):
     u2 = UltrametricMatrix(untied_cophenetic(rng, 15).values, list(u1.labels))
     serial = consensus_count(u1, u2, workers=1)
     parallel = consensus_count(u1, u2, workers=4)
-    assert serial == parallel
+    assert (serial.total_triplets, serial.matched, serial.skipped_ties) == (
+        parallel.total_triplets, parallel.matched, parallel.skipped_ties
+    )
+    assert np.array_equal(serial.matched_set, parallel.matched_set)
 
 
 def test_consensus_argument_validation(rng):
@@ -190,7 +193,8 @@ def test_consensus_tiny_n():
     report = consensus_count(u, u)
     assert report.total_triplets == 0
     assert report.matched == 0
-    assert report.matched_set == []
+    assert report.matched_set.shape == (0, 6)
+    assert report.matched_set.dtype == np.int64
 
 
 def test_consensus_table_shape_and_diagonal(rng):

@@ -11,7 +11,7 @@ from umtk.transforms import (
     power_shrink,
 )
 
-from .conftest import random_dissimilarity, random_ultrametric
+from .conftest import random_dissimilarity, random_ultrametric, row_tuples
 from .oracles import brute_strong_violations, brute_triangle_violations
 
 
@@ -41,7 +41,8 @@ def dissimilarities(draw):
 def test_check_metric_frozen_example():
     report = check_metric(three_point(1.0, 5.0, 1.0))
     assert report.kind == "triangle"
-    assert report.violations == [(0, 1, 2, 3.0)]
+    assert row_tuples(*report.triples.T, report.slack) == [(0, 1, 2, 3.0)]
+    assert report.triples.dtype == np.int64 and report.slack.dtype == np.float64
     assert bool(report)
 
 
@@ -58,7 +59,7 @@ def test_check_ultrametric_frozen_examples():
     assert not check_ultrametric(three_point(1.0, 2.0, 2.0))
     report = check_ultrametric(three_point(1.0, 2.0, 3.0))
     assert report.kind == "strong-triangle"
-    assert report.violations == [(0, 1, 2, 1.0)]
+    assert row_tuples(*report.triples.T, report.slack) == [(0, 1, 2, 1.0)]
 
 
 def test_check_ultrametric_empty_on_closure(rng):
@@ -67,8 +68,10 @@ def test_check_ultrametric_empty_on_closure(rng):
 
 def test_tolerance_is_strict_threshold():
     d = three_point(1.0, 2.0, 3.0)
-    assert check_ultrametric(d, tolerance=1.0).violations == []
-    assert check_ultrametric(d, tolerance=0.999).violations == [(0, 1, 2, 1.0)]
+    loose = check_ultrametric(d, tolerance=1.0)
+    assert loose.triples.shape == (0, 3) and loose.slack.shape == (0,)
+    tight = check_ultrametric(d, tolerance=0.999)
+    assert row_tuples(*tight.triples.T, tight.slack) == [(0, 1, 2, 1.0)]
     with pytest.raises(ValueError):
         check_metric(d, tolerance=-1e-9)
 
@@ -76,20 +79,18 @@ def test_tolerance_is_strict_threshold():
 def test_violations_match_bruteforce(rng):
     for _ in range(10):
         d = random_dissimilarity(rng, 8)
-        got = check_metric(d).violations
+        got = check_metric(d)
         expected = brute_triangle_violations(d.values, 0.0)
-        assert [v[:3] for v in got] == [v[:3] for v in expected]
-        np.testing.assert_array_equal(
-            [v[3] for v in got], [v[3] for v in expected]
-        )
-        got_u = check_ultrametric(d, tolerance=1e-9).violations
+        assert row_tuples(*got.triples.T) == [v[:3] for v in expected]
+        np.testing.assert_array_equal(got.slack, [v[3] for v in expected])
+        got_u = check_ultrametric(d, tolerance=1e-9)
         expected_u = brute_strong_violations(d.values, 1e-9)
-        assert [v[:3] for v in got_u] == [v[:3] for v in expected_u]
+        assert row_tuples(*got_u.triples.T) == [v[:3] for v in expected_u]
 
 
 def test_violations_listed_once_in_ascending_order(rng):
     d = random_dissimilarity(rng, 9)
-    triples = [v[:3] for v in check_metric(d).violations]
+    triples = row_tuples(*check_metric(d).triples.T)
     assert triples == sorted(set(triples))
     assert all(i < j < k for i, j, k in triples)
 

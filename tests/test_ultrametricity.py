@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,15 @@ def test_classify_small_base_isosceles():
     assert v.base_angle_diff == pytest.approx(0.0, abs=1e-12)
 
 
+def test_classify_hand_built_angles_above_60_degrees():
+    # equal angles of 66 degrees are no triangle; the apex bound rejects them
+    wide = math.radians(66.0)
+    g = TripletGeometry(0, 1, 2, (1.0, 1.0, 1.0), (wide, wide, wide), False)
+    v = classify_triplet(g)
+    assert v.apex == 0 and v.base_angle_diff == 0.0
+    assert not v.ultrametric
+
+
 def test_classify_rejects_degenerate_and_bad_epsilon():
     g = triplet_geometry(COLLINEAR, 0, 1, 2)
     with pytest.raises(ValueError, match="degenerate"):
@@ -243,13 +253,61 @@ def test_alpha_errors(rng):
 def test_scan_verdicts_agree_with_alpha(rng):
     pts = np.vstack([rng.normal(size=(6, 2)), [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
     coords = CoordinateMatrix(pts)
-    rows = scan_triplet_verdicts(coords, epsilon=0.2)
-    assert len(rows) == triplet_count(coords.n)
-    degen = sum(1 for r in rows if r[3] is None)
-    hits = sum(1 for r in rows if r[5])
+    ii, jj, kk, apex, diff, ultra = scan_triplet_verdicts(coords, epsilon=0.2)
+    assert ii.shape == (triplet_count(coords.n),)
+    assert np.array_equal(np.ma.getmaskarray(apex), np.ma.getmaskarray(diff))
     report = alpha_epsilon(coords, epsilon=0.2)
-    assert degen == report.excluded_degenerate
-    assert hits == round(report.alpha * report.counted)
+    assert int(np.ma.getmaskarray(apex).sum()) == report.excluded_degenerate
+    assert int(ultra.sum()) == round(report.alpha * report.counted)
+    assert not np.any(ultra & np.ma.getmaskarray(apex))
+
+
+def test_scan_verdicts_reject_nonpositive_epsilon():
+    for epsilon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            scan_triplet_verdicts(EQUILATERAL, epsilon=epsilon)
+    with pytest.raises(ValueError, match="three points"):
+        scan_triplet_verdicts(CoordinateMatrix(np.zeros((2, 2))))
+
+
+@st.composite
+def integer_triangles(draw):
+    """Three points on a small 3-d integer grid, with exact ties on purpose.
+
+    Integer coordinates make every side the square root of an exact
+    integer, so triplet_geometry and the scan see bitwise equal sides.
+    """
+    kind = draw(st.sampled_from(("generic", "equilateral", "isosceles")))
+    if kind == "equilateral":
+        s = draw(st.integers(1, 5))
+        pts = [[s, 0, 0], [0, s, 0], [0, 0, s]]
+    elif kind == "isosceles":
+        h = draw(st.integers(1, 12))
+        w = draw(st.integers(1, 12))
+        pts = [[-w, 0, 0], [w, 0, 0], [0, h, 0]]
+    else:
+        coord = st.integers(-6, 6)
+        pts = [[draw(coord) for _ in range(3)] for _ in range(3)]
+    shift = [draw(st.integers(-5, 5)) for _ in range(3)]
+    pts = [[a + b for a, b in zip(p, shift)] for p in draw(st.permutations(pts))]
+    return np.array(pts, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_triangles())
+def test_classify_matches_scan_in_every_index_order(pts):
+    coords = CoordinateMatrix(pts)
+    ii, jj, kk, apex, diff, ultra = scan_triplet_verdicts(coords, DEFAULT_EPSILON)
+    if np.ma.getmaskarray(apex)[0]:
+        assert triplet_geometry(coords, 0, 1, 2).degenerate
+        return
+    for perm in itertools.permutations(range(3)):
+        v = classify_triplet(triplet_geometry(coords, *perm))
+        assert v.apex == int(apex[0])
+        assert v.base == tuple(sorted({0, 1, 2} - {v.apex}))
+        assert v.base_angle_diff == float(diff[0])
+        if min(v.geometry.angles) <= math.pi / 3:
+            assert v.ultrametric == bool(ultra[0])
 
 
 def test_rammal_frozen_values(rng):
