@@ -19,7 +19,7 @@ import numpy as np
 
 from .consensus import DEFAULT_TIE_TOLERANCE, _require_inversion_free, consensus_count
 from .hierarchy import cophenetic, linkage
-from .matrices import CoordinateMatrix, euclidean_distances
+from .matrices import CoordinateMatrix, _ArrayFieldsEq, euclidean_distances
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
 
 
@@ -32,8 +32,8 @@ RETAINED_DTYPE = np.dtype([
 ])
 
 
-@dataclass
-class EpsilonProfile:
+@dataclass(eq=False)
+class EpsilonProfile(_ArrayFieldsEq):
     """Base-angle differences of every consensus-matched triplet.
 
     sorted_diffs is ascending and covers all matched, geometrically

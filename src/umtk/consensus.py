@@ -25,7 +25,7 @@ from .hierarchy import (
     linkage,
     minmax_path_closure,
 )
-from .matrices import DissimilarityMatrix, UltrametricMatrix
+from .matrices import DissimilarityMatrix, UltrametricMatrix, _ArrayFieldsEq
 from .transforms import check_ultrametric
 from .triplets import scan, triplet_count
 
@@ -55,8 +55,8 @@ class TripletSignature:
     base_value: float
 
 
-@dataclass
-class ConsensusReport:
+@dataclass(eq=False)
+class ConsensusReport(_ArrayFieldsEq):
     """Agreement counts between two ultrametrics over all triplets.
 
     matched_set is an (matched, 6) int64 array of rows
@@ -69,8 +69,8 @@ class ConsensusReport:
     skipped_ties: int
 
 
-@dataclass
-class ConsensusTable:
+@dataclass(eq=False)
+class ConsensusTable(_ArrayFieldsEq):
     """Pairwise matched-triplet counts for a list of linkage criteria.
 
     ultrametrics holds the cophenetic matrix of each criterion, in the

@@ -7,10 +7,12 @@ float64 arrays; labels are plain strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+
+#: Cells per row block of euclidean_distances' accumulator.
+_BLOCK_CELLS = 1 << 16
 
 
 def _as_float_matrix(values, name: str) -> np.ndarray:
@@ -26,8 +28,21 @@ def _default_labels(count: int, prefix: str = "x") -> list[str]:
     return [f"{prefix}{i + 1}" for i in range(count)]
 
 
-@dataclass
-class _SymmetricMatrix:
+class _ArrayFieldsEq:
+    """Field-wise == for dataclasses (eq=False) whose fields hold arrays."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+
+@dataclass(eq=False)
+class _SymmetricMatrix(_ArrayFieldsEq):
     """Square symmetric labeled matrix, zero diagonal; _kind names it in errors."""
 
     values: np.ndarray
@@ -92,8 +107,8 @@ class UltrametricMatrix(_SymmetricMatrix):
     _kind = "ultrametric matrix"
 
 
-@dataclass
-class CoordinateMatrix:
+@dataclass(eq=False)
+class CoordinateMatrix(_ArrayFieldsEq):
     """n points in p-dimensional real space, one row per point."""
 
     coords: np.ndarray
@@ -119,8 +134,8 @@ class CoordinateMatrix:
         return self.coords.shape[1]
 
 
-@dataclass
-class FrequencyMatrix:
+@dataclass(eq=False)
+class FrequencyMatrix(_ArrayFieldsEq):
     """Nonnegative counts or frequencies cross-tabulating rows by columns."""
 
     values: np.ndarray
@@ -146,8 +161,24 @@ class FrequencyMatrix:
 
 
 def euclidean_distances(coords: CoordinateMatrix) -> DissimilarityMatrix:
-    """Pairwise Euclidean distances between the rows of a coordinate set."""
-    if coords.n < 1:
+    """Pairwise Euclidean distances between the rows of a coordinate set.
+
+    Bit for bit scipy's pdist: squared differences summed in coordinate
+    order from zero, then sqrt, over mirrored row blocks of the upper triangle.
+    """
+    n = coords.n
+    if n < 1:
         raise ValueError("need at least one point")
-    values = squareform(pdist(coords.coords, metric="euclidean"))
+    values = np.empty((n, n))
+    columns = np.ascontiguousarray(coords.coords.T)
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        acc = np.zeros((r1 - r0, n - r0))
+        for c in columns:
+            diff = c[r0:r1, None] - c[None, r0:]
+            acc += diff * diff
+        np.sqrt(acc, out=acc)
+        values[r0:r1, r0:] = acc
+        values[r0:, r0:r1] = acc.T
     return DissimilarityMatrix(values, list(coords.point_labels))

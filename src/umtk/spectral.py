@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import CoordinateMatrix, DissimilarityMatrix, FrequencyMatrix
+from .matrices import CoordinateMatrix, DissimilarityMatrix, FrequencyMatrix, _ArrayFieldsEq
 
 DEFAULT_ZERO_TOLERANCE = 1e-10
 
 
-@dataclass
-class SpectralResult:
+@dataclass(eq=False)
+class SpectralResult(_ArrayFieldsEq):
     """Full signed spectrum of a symmetric matrix, eigenvalues descending."""
 
     eigenvalues: np.ndarray
@@ -66,8 +66,8 @@ class MetricityReport:
     coefficient: float
 
 
-@dataclass
-class CaResult:
+@dataclass(eq=False)
+class CaResult(_ArrayFieldsEq):
     """Row and column factor coordinates of a frequency table."""
 
     row_coords: CoordinateMatrix

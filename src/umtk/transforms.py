@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DissimilarityMatrix
+from .matrices import DissimilarityMatrix, _ArrayFieldsEq
 from .triplets import scan, sorted_pair_values
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
 
 
-@dataclass
-class ViolationReport:
+@dataclass(eq=False)
+class ViolationReport(_ArrayFieldsEq):
     """Triples violating a triangle-type inequality, worst slack each.
 
     kind is "triangle" or "strong-triangle". triples is an (m, 3) int64

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .hierarchy import minmax_path_closure
 from .matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
@@ -276,6 +275,13 @@ def rammal_index(d: DissimilarityMatrix) -> float:
     return gap / total
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank (scipy's rankdata formula)."""
+    _, dense, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.r_[0, np.cumsum(counts)]
+    return 0.5 * (ends[dense] + ends[dense + 1] + 1)
+
+
 def lerman_h(
     d: DissimilarityMatrix,
     sample: int | None = None,
@@ -291,7 +297,7 @@ def lerman_h(
     if n < 3:
         raise ValueError("need at least three items")
     pair_count = n * (n - 1) // 2
-    ranks_condensed = rankdata(d.condensed(), method="average")
+    ranks_condensed = _average_ranks(d.condensed())
     rank_matrix = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
     rank_matrix[iu] = ranks_condensed

@@ -430,11 +430,17 @@ def test_console_script_installed(tmp_path):
     assert "rows >= 2" in result.stderr
 
 
-def test_python_dash_m_umtk(tmp_path):
-    """`python -m umtk` runs the command line from this checkout's source."""
+def source_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_umtk(tmp_path):
+    """`python -m umtk` runs the command line from this checkout's source."""
+    env = source_env()
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "umtk", *args],
@@ -447,3 +453,43 @@ def test_python_dash_m_umtk(tmp_path):
     result = run("mirror", "1", "9", "--out", str(tmp_path / "tiny"))
     assert result.returncode == 1
     assert "rows >= 2" in result.stderr
+
+
+NO_SCIPY = "import sys; sys.modules['scipy'] = None; from umtk.cli import entry; entry()"
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    write_example_distances(root / "d.csv")
+    write_example_coords(root / "c.csv")
+    assert main(["mirror", "5", "4", "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["consensus", "--input", "d.csv"],
+    ["uca", "--coords", "c.csv"],
+    ["coeffs", "--coords", "c.csv", "--per-triplet"],
+    ["coeffs", "--distances", "d.csv", "--sample", "20"],
+    ["transform", "--input", "d.csv"],
+    ["hclust", "--input", "d.csv"],
+    ["pcoa", "--input", "d.csv"],
+    ["ca", "--input", "mirror.csv"],
+    ["mirror", "3", "4"],
+], ids=lambda args: "-".join(a.lstrip("-") for a in args[:2]))
+def test_commands_run_without_scipy(tiny_inputs, tmp_path, args):
+    """Every command runs in a process where importing scipy fails."""
+    out = [] if args == ["--help"] else ["--out", str(tmp_path)]
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY, *args, *out], capture_output=True,
+                            text=True, env=source_env(), cwd=tiny_inputs)
+    assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, umtk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=source_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from umtk.component import ultrametric_component
 from umtk.consensus import (
     SHAPE_EQUILATERAL,
     SHAPE_ISOSCELES,
@@ -175,6 +178,39 @@ def test_consensus_parallel_equals_serial(rng):
         parallel.total_triplets, parallel.matched, parallel.skipped_ties
     )
     assert np.array_equal(serial.matched_set, parallel.matched_set)
+
+
+def test_results_with_array_fields_compare_by_value(rng):
+    u1 = untied_cophenetic(rng, 15, "ward")
+    u2 = UltrametricMatrix(untied_cophenetic(rng, 15).values, list(u1.labels))
+    report = consensus_count(u1, u2)
+    assert report.matched > 1
+    assert report == consensus_count(u1, u2)
+    assert consensus_count(u1, u2, workers=2) == consensus_count(u1, u2, workers=1)
+    changed_row = report.matched_set.copy()
+    changed_row[-1, 5] = changed_row[-1, 3]
+    assert report != replace(report, matched_set=changed_row)
+    assert report != replace(report, matched_set=report.matched_set[:-1])
+
+    assert u1 == UltrametricMatrix(u1.values.copy(), list(u1.labels))
+    assert u1 != UltrametricMatrix(u1.values, list(reversed(u1.labels)))
+    assert u1 != DissimilarityMatrix(u1.values, list(u1.labels))
+
+    coords = CoordinateMatrix(rng.normal(size=(10, 3)))
+    assert coords == CoordinateMatrix(coords.coords.copy())
+    assert coords != CoordinateMatrix(coords.coords[::-1])
+    d = euclidean_distances(coords)
+    table = consensus_table(d, ["ward", "single"])
+    assert table == consensus_table(d, ["ward", "single"])
+    assert table != replace(table, counts=table.counts + np.eye(2, dtype=table.counts.dtype))
+
+    violations = check_ultrametric(d)
+    assert violations == check_ultrametric(d)
+    assert violations != replace(violations, slack=violations.slack * 2.0)
+
+    profile = ultrametric_component(coords)[1]
+    assert profile == ultrametric_component(coords)[1]
+    assert profile != replace(profile, sorted_diffs=profile.sorted_diffs[1:])
 
 
 def test_consensus_argument_validation(rng):

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist, squareform
 
+from umtk import matrices
 from umtk.matrices import (
     CoordinateMatrix,
     DissimilarityMatrix,
@@ -117,6 +120,38 @@ def test_euclidean_distances_matches_bruteforce(rng):
     expected = brute_pairwise(pts)
     np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.values, got.values.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.booleans(),
+    duplicates=st.booleans(),
+    log_scale=st.integers(-8, 8),
+    mixed_scales=st.booleans(),
+    block_cells=st.one_of(st.none(), st.integers(1, 300)),
+)
+def test_euclidean_distances_bits_match_scipy(
+    n, dim, seed, grid, duplicates, log_scale, mixed_scales, block_cells
+):
+    """Same bytes as squareform(pdist(X)), whatever the row-block size."""
+    gen = np.random.default_rng(seed)
+    pts = gen.integers(-2, 3, size=(n, dim)) if grid else gen.normal(size=(n, dim))
+    if duplicates:
+        pts = pts[gen.integers(0, n, size=n)]
+    scale = gen.integers(-8, 9, size=dim) if mixed_scales else log_scale
+    pts = pts * 10.0 ** scale
+    cells = matrices._BLOCK_CELLS if block_cells is None else block_cells
+    with mock.patch.object(matrices, "_BLOCK_CELLS", cells):
+        got = euclidean_distances(CoordinateMatrix(pts)).values
+    assert got.tobytes() == squareform(pdist(pts)).tobytes()
+
+
+def test_euclidean_distances_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        euclidean_distances(CoordinateMatrix(np.zeros((0, 3))))
 
 
 def test_euclidean_distances_keeps_labels(rng):

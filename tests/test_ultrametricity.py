@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix
 from umtk.triplets import triplet_count
@@ -19,6 +20,7 @@ from umtk.ultrametricity import (
     treves_hartmann_points,
     triplet_geometry,
     _angles_from_sides,
+    _average_ranks,
 )
 
 from .conftest import random_dissimilarity, random_ultrametric
@@ -380,6 +382,21 @@ def test_lerman_matches_manual_computation(rng):
         count += 1
     expected = total / (count * (len(cond) - 1))
     assert lerman_h(d) == pytest.approx(expected, rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 4).map(float), max_size=300),
+    st.lists(st.sampled_from([0.0, -0.0, 1e-300, 2.5, 1e300]), max_size=60),
+    st.lists(st.floats(-1e9, 1e9), max_size=300, unique=True),
+    st.lists(st.floats(0.0, 1e9), max_size=300),
+))
+def test_average_ranks_bits_match_scipy(values):
+    values = np.array(values, dtype=np.float64)
+    expected = rankdata(values, method="average")
+    got = _average_ranks(values)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_lerman_needs_three_items():
