@@ -1,29 +1,46 @@
 """CSV readers and writers for labeled matrices and per-record tables.
 
 Layout: an optional block of '#'-prefixed comment lines, then a header
-row, then one row per record. A labeled matrix has an empty leading
+row, then one row per record. Only that leading block is comments: a
+data row may start with '#'. A labeled matrix has an empty leading
 header cell followed by the column labels, and each row starts with its
 label. UTF-8 throughout, LF line endings.
 
-Every table goes through one writer, write_table, which takes a header
-and equal-length 1-D numpy arrays (one per column) and streams the rows
-in chunks of CHUNK_ROWS, so at most one chunk of text is held at a time.
-A column's dtype sets how its cells are written, byte for byte as
-csv.writer(lineterminator="\n") writes format_value of each value:
+Every table goes through one writer. write_table takes a header and
+equal-length 1-D numpy arrays (one per column); write_labeled_matrix
+passes its matrix as one 2-D block. A column's dtype sets how its cells
+are written, byte for byte as csv.writer(lineterminator="\n") writes
+format_value of each value:
 
 - integers as %d;
 - floats as %.17g, which round-trips exactly ("nan", "inf", "-0");
 - booleans as true / false;
 - strings as they are, quoted the way csv.writer quotes them;
 - entries masked in a numpy masked array as empty cells.
+
+The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
+of same-dtype columns becomes a uint8 array of fixed-width cell slots
+plus a mask of the bytes each cell keeps, and one np.compress joins the
+slots of a chunk into its CSV bytes. Integers and booleans are encoded
+by numpy alone. A float x is scaled to the 17-digit integer D with an
+error-free double-double product (Dekker 1971), and its digits, point
+and exponent come from lookup tables. A cell whose D could be off by one
+(within 1e-9 of a rounding tie, or at a power of ten), and every |x|
+outside [1e-280, 1e280] (also 0, nan and inf), falls back to
+'%.17g' % x, one cell at a time. Text is quoted and encoded once per
+distinct value in a chunk.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,11 +69,27 @@ def format_value(v) -> str:
     return str(v)
 
 
-#: Rows formatted per write: the writer holds at most this many rows of text.
-CHUNK_ROWS = 8192
+#: Cells encoded per write, whatever the width of a row: it bounds the
+#: writer's byte blocks and digit temporaries (a few MB). Each encoder
+#: call costs some 100 us of numpy calls, so much smaller chunks cost time.
+CHUNK_CELLS = 8192
 
 #: A cell containing one of these may need quotes; csv.writer decides.
 _QUOTE_CANDIDATE = re.compile(r'[,"\r\n]')
+
+# Float cells |x| in [_EASY_MIN, _EASY_MAX] take the numpy route; the
+# decimal exponent e of such a cell lies in [_E_MIN, _E_MAX].
+_EASY_MIN, _EASY_MAX = 1e-280, 1e280
+_E_MIN, _E_MAX = -281, 280
+#: Veltkamp's splitting constant 2**27 + 1: a double splits into two
+#: 26-bit halves whose products are exact (Dekker 1971).
+_SPLIT = 134217729.0
+#: A scaled value closer than this to a rounding tie is formatted by Python.
+_TIE_MARGIN = 1e-9
+
+#: Layout classes: 0 and 1 scientific with 2 and 3 exponent digits, then
+#: fixed notation for e = -4 .. 16 (the range where %g does not switch).
+_FIXED_E = range(-4, 17)
 
 
 def _quote_cell(text: str) -> str:
@@ -66,52 +99,310 @@ def _quote_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _cell_format(dtype: np.dtype) -> str:
-    if dtype.kind in "iu":
-        return "%d"
-    if dtype.kind == "f":
-        return "%.17g"
-    if dtype.kind in "bUO":
-        return "%s"
-    raise TypeError(f"cannot write a column of dtype {dtype}")
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """Constant tables of the encoders, built on the first write.
+
+    pow10: 10**(16 - e) for e in [_E_MIN, _E_MAX] as an unevaluated sum
+    hi + lo of doubles, each correctly rounded from exact integer
+    arithmetic, with hi split for Dekker's product. quad: the four ASCII
+    digits of 0..9999 as one uint32 each; quad_digits and zeros: their
+    significant and trailing zero digits (1 and 4 for 0). lead_words,
+    digit_words, exp_words: the words of the float cell by d0, by 4-digit
+    group and by e - _E_MIN. The int cell's words and keep masks.
+    """
+    hi, lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    q = np.arange(10000)
+    quad = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    zeros = np.zeros(10000, dtype=np.uint8)
+    for power in (10, 100, 1000, 10000):
+        zeros += q % power == 0
+    digit = np.full((10000, 8), ord("."))
+    digit[:, ::2] = quad
+    return SimpleNamespace(
+        hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=np.array(lo),
+        quad=_words(quad),
+        zeros=zeros,
+        lead_words=np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64),
+        digit_words=_words(digit),
+        exp_words=np.frombuffer(b"".join(b"e%+04d\0\0," % e
+                                         for e in range(_E_MIN, _E_MAX + 1)), np.uint64),
+        float_keep=_float_keep(),
+        quad_digits=1 + (q >= 10) + (q >= 100) + (q >= 1000),
+        sign_word=np.frombuffer(b"\0\0\0-", np.uint32)[0],
+        separator_word=np.frombuffer(b"\0\0\0,", np.uint32)[0],
+        int_keep=[None] + [_int_keep(n_groups) for n_groups in range(1, 6)],
+    )
 
 
-def _cells(values: np.ndarray) -> list:
-    """Python values of a column slice, ready for its cell format."""
-    if values.dtype.kind == "b":
-        return np.where(values, "true", "false").tolist()
-    if values.dtype.kind in "UO":
-        return [_quote_cell(v) if _QUOTE_CANDIDATE.search(v) else v
-                for v in values.tolist()]
-    return values.tolist()
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 4 or 8 character codes as one uint32 or uint64 word each."""
+    dtype = np.uint32 if chars.shape[1] == 4 else np.uint64
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(dtype)[:, 0]
 
 
-def _format_rows(
-    columns: list[np.ndarray],
-    masks: list[np.ndarray | None],
-    formats: list[str],
-    lo: int,
-    hi: int,
-) -> str:
-    """CSV text of rows lo..hi: one %-format call per row."""
-    row_formats = []
-    cells = []
-    for values, mask, fmt in zip(columns, masks, formats):
-        part = _cells(values[lo:hi])
-        blank = np.flatnonzero(mask[lo:hi]).tolist() if mask is not None else []
-        if blank:
-            part = [fmt % v for v in part]
-            for pos in blank:
-                part[pos] = ""
-            fmt = "%s"
-        row_formats.append(fmt)
-        cells.append(part)
-    template = ",".join(row_formats) + "\n"
-    lines = [template % row for row in zip(*cells)]
-    if len(columns) == 1:
+def _int_keep(n_groups: int) -> np.ndarray:
+    """Keep masks of the int cell with n_groups digit words, by (digits, negative)."""
+    digits = 4 * n_groups
+    slots = np.arange(digits + 8)
+    shown = np.arange(digits + 1)[:, None, None]
+    keep = (slots >= digits + 4 - shown) & (slots < digits + 4) | (slots == digits + 7)
+    keep = keep | ((slots == 3) & np.array([False, True])[:, None])
+    return keep.reshape(-1, digits + 8)
+
+
+def _float_keep() -> np.ndarray:
+    """Keep masks of the canonical float cell, by (class, digits - 1, negative).
+
+    The cell is six 8-byte words: "-0.000", d0, "."; four words
+    "d.d.d.d." holding d1..d16, each digit followed by a '.' slot; then
+    "e", the exponent sign, three exponent digits, two unused slots and
+    the ',' separator. "0.000" are the leading zeros of fixed cells with
+    e < 0.
+    """
+    keep = np.zeros((2 + len(_FIXED_E), 17, 2, 48), dtype=bool)
+    keep[..., -1] = True
+    keep[:, :, 1, 0] = True
+    digits = np.arange(1, 18)[:, None]
+    for cls in range(keep.shape[0]):
+        k = keep[cls]
+        if cls < 2:
+            shown, dot = digits, np.where(digits > 1, 0, -1)
+            k[..., 40:45] = [True, True, cls == 1, True, True]
+        else:
+            e = _FIXED_E[cls - 2]
+            k[..., 1:2 - e] = e < 0
+            shown = np.maximum(digits, e + 1)
+            dot = np.where(digits > e + 1, e, -1)
+        k[..., 6:39:2] = (np.arange(17) < shown)[:, None, :]
+        k[..., 7:38:2] = (np.arange(16) == dot)[:, None, :]
+    return keep.reshape(-1, 48)
+
+
+def _float_cells(x: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte slots and keep mask of the %.17g cells of x.
+
+    x is scaled by 10**(16 - e), e = floor(log10|x|), as a double-double
+    (Dekker's exact product plus the low part of the power), and rounded
+    to the 17-digit integer D. That is exact unless the scaled value lies
+    within _TIE_MARGIN of a rounding tie, or D is 10**16 or 10**17 (a
+    power-of-ten class boundary, where e may be one off), or |x| is
+    outside [_EASY_MIN, _EASY_MAX] (also nan, inf and 0); those cells are
+    formatted by '%.17g' % x, one by one.
+    """
+    t = _tables()
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    easy = (a >= _EASY_MIN) & (a <= _EASY_MAX) & ~blank
+    a = np.where(easy, a, 1.5)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    i = e - _E_MIN
+    hi = t.hi[i]
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = t.hi_hi[i], t.hi_lo[i]
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * t.lo[i]
+    down = np.floor(err)
+    frac = err - down
+    d = p.astype(np.int64) + down.astype(np.int64) + (frac > 0.5)
+    hard = ~(easy & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+             & (d > 10**16) & (d < 10**17)) & ~blank
+    d[hard | blank] = 10**16 + 1
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    z = t.zeros
+    trailing = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
+    fixed = (e >= _FIXED_E[0]) & (e <= _FIXED_E[-1])
+    cls = np.where(fixed, e - _FIXED_E[0] + 2, np.abs(e) >= 100)
+    keep = t.float_keep.take((cls * 17 + 16 - trailing) * 2 + (x < 0), axis=0)
+    words = np.empty(x.shape + (6,), dtype=np.uint64)
+    words[..., 0] = t.lead_words[lead]
+    for j, group in enumerate((g1, g2, g3, g4), start=1):
+        words[..., j] = t.digit_words[group]
+    words[..., 5] = t.exp_words[i]
+    buf = words.view(np.uint8)
+    keep[blank, :-1] = False
+    if hard.any():
+        _put_bytes(buf, keep, hard, [b"%.17g" % v for v in x[hard].tolist()])
+    return buf, keep
+
+
+def _int_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte slots and keep mask of the %d cells of an integer array.
+
+    The cell is 4-byte words: the sign at the end of the first, as many
+    4-digit groups as the largest magnitude in v needs, then the ','.
+    """
+    t = _tables()
+    if v.dtype.kind == "u":
+        negative = np.zeros(v.shape, dtype=bool)
+        u = v.astype(np.uint64)
+    else:
+        v = v.astype(np.int64)
+        negative = v < 0
+        u = v.view(np.uint64)
+        u = np.where(negative, np.negative(u), u)
+    u[blank] = 0
+    groups, top = [u], int(u.max(initial=0))
+    while top >= 10**4:
+        top //= 10**4
+        high = groups[-1] // 10**4
+        groups[-1] = groups[-1] - high * 10**4
+        groups.append(high)
+    shown = t.quad_digits[groups[0]]
+    for j, group in enumerate(groups[1:], start=1):
+        shown = np.where(group > 0, 4 * j + t.quad_digits[group], shown)
+    words = np.empty(v.shape + (len(groups) + 2,), dtype=np.uint32)
+    words[..., 0] = t.sign_word
+    for j, group in enumerate(reversed(groups), start=1):
+        words[..., j] = t.quad[group]
+    words[..., -1] = t.separator_word
+    keep = t.int_keep[len(groups)].take(shown * 2 + negative, axis=0)
+    keep[blank, :-1] = False
+    return words.view(np.uint8), keep
+
+
+_BOOL_CELLS = np.frombuffer(b"false,true,,", np.uint8).reshape(2, 6)
+
+
+def _bool_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte slots and keep mask of the true/false cells of a bool array."""
+    buf = _BOOL_CELLS[v.astype(np.intp)]
+    keep = buf != ord(",")
+    keep[..., -1] = True
+    keep[blank, :-1] = False
+    return buf, keep
+
+
+def _text_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte slots and keep mask of text cells, quoted as csv.writer quotes them.
+
+    Each distinct text is quoted and encoded once; code len(distinct)
+    is the blank cell.
+    """
+    texts = v[~blank].tolist()
+    codes = dict.fromkeys(texts)
+    for code, text in enumerate(codes):
+        codes[text] = code
+    cells = [(_quote_cell(s) if _QUOTE_CANDIDATE.search(s) else s).encode("utf-8")
+             for s in codes]
+    width = max(map(len, cells), default=0)
+    table = np.zeros((len(cells) + 1, max(width, 2) + 1), dtype=np.uint8)
+    table_keep = np.zeros(table.shape, dtype=bool)
+    table[:, -1] = ord(",")
+    table_keep[:, -1] = True
+    if cells:
+        _put_bytes(table[:-1], table_keep[:-1], np.ones(len(cells), dtype=bool), cells)
+    index = np.full(v.shape, len(cells))
+    index[~blank] = np.fromiter(map(codes.__getitem__, texts), dtype=np.intp,
+                                count=len(texts))
+    return table.take(index, axis=0), table_keep.take(index, axis=0)
+
+
+def _put_bytes(buf: np.ndarray, keep: np.ndarray, where: np.ndarray,
+               cells: list[bytes]) -> None:
+    """Write cells (one per True entry of where) into their slots, unpadded."""
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    width = max(int(lengths.max()), 1)
+    buf[where, :width] = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    keep[where, :-1] = np.arange(buf.shape[-1] - 1) < lengths[:, None]
+
+
+_ENCODERS = {"i": _int_cells, "u": _int_cells, "f": _float_cells, "b": _bool_cells,
+             "U": _text_cells, "O": _text_cells}
+
+
+def _encode_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
+    """CSV bytes of rows given as (values, blank) blocks of shape (rows, k).
+
+    Each block's encoder returns a fixed-width byte slot array per cell,
+    ending in a ',' separator, and a mask of the bytes to keep; the rows
+    are the kept bytes of the joined slots, with '\n' in the last one.
+    """
+    parts = [_ENCODERS[values.dtype.kind](values, blank) for values, blank in blocks]
+    rows = blocks[0][0].shape[0]
+    buf = np.concatenate([b.reshape(rows, -1) for b, _ in parts], axis=1)
+    keep = np.concatenate([k.reshape(rows, -1) for _, k in parts], axis=1)
+    buf[:, -1] = ord("\n")
+    if sum(values.shape[1] for values, _ in blocks) == 1:
         # csv.writer writes a row whose only cell is empty as ""
-        lines = ['""\n' if line == "\n" else line for line in lines]
-    return "".join(lines)
+        empty = ~keep[:, :-1].any(axis=1)
+        buf[empty, :2] = ord('"')
+        keep[empty, :2] = True
+    return np.compress(keep.reshape(-1), buf.reshape(-1)).tobytes()
+
+
+def _data_and_blank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The data of an array and its mask, None if no entry is masked.
+
+    numpy loads numpy.ma lazily, and a masked array exists only once it
+    is loaded, so writing plain arrays does not import it.
+    """
+    ma = sys.modules.get("numpy.ma")
+    if ma is None or not isinstance(values, ma.MaskedArray):
+        return values, None
+    return values.data, values.mask if ma.is_masked(values) else None
+
+
+def _block_rows(block: list[tuple[np.ndarray, np.ndarray | None]], lo: int, hi: int,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, blank) of rows lo..hi of a block, each of shape (rows, k).
+
+    A block is one 2-D (data, mask) pair, or one such pair per column.
+    """
+    if block[0][0].ndim == 2:
+        values, mask = block[0]
+        values, blank = values[lo:hi], None if mask is None else mask[lo:hi]
+    else:
+        values = np.stack([v[lo:hi] for v, _ in block], axis=1)
+        blank = None
+        if any(m is not None for _, m in block):
+            blank = np.stack([np.zeros(len(values), dtype=bool) if m is None
+                              else m[lo:hi] for _, m in block], axis=1)
+    return values, np.broadcast_to(False, values.shape) if blank is None else blank
+
+
+def _write_blocks(
+    path: str | Path,
+    header: Sequence[str],
+    blocks: Sequence[np.ndarray | list[np.ndarray]],
+    header_lines: Sequence[str],
+) -> None:
+    """Write blocks of columns side by side as one CSV table.
+
+    A block is a 2-D array or a list of 1-D arrays of one dtype, masked
+    or not. The table is encoded and written CHUNK_CELLS cells at a time.
+    """
+    pairs = [[_data_and_blank(c) for c in (b if isinstance(b, list) else [b])]
+             for b in blocks]
+    for block in pairs:
+        if block[0][0].dtype.kind not in _ENCODERS:
+            raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
+    n_rows = len(pairs[0][0][0])
+    step = max(1, CHUNK_CELLS // len(header))
+    head = np.array(list(header), dtype=object)[None, :]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
+        fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
+        for lo in range(0, n_rows, step):
+            fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in pairs]))
 
 
 def write_table(
@@ -125,8 +416,8 @@ def write_table(
     The '#' header lines come first, then the header row, then one row
     per array index. Each column's dtype sets how its cells are written
     (see the module docstring); entries masked in a numpy masked array
-    are written as empty cells. Rows are formatted and written
-    CHUNK_ROWS at a time.
+    are written as empty cells. Rows are encoded and written about
+    CHUNK_CELLS cells at a time.
     """
     columns = [np.asanyarray(c) for c in columns]
     if not columns:
@@ -135,25 +426,15 @@ def write_table(
         raise ValueError(f"{len(header)} header cells for {len(columns)} columns")
     if any(c.ndim != 1 for c in columns) or len({c.shape[0] for c in columns}) != 1:
         raise ValueError("table columns must be 1-D arrays of equal length")
-    n_rows = columns[0].shape[0]
-    masks = [np.ma.getmaskarray(c) if np.ma.isMaskedArray(c) else None
-             for c in columns]
-    data = [np.ma.getdata(c) for c in columns]
-    formats = [_cell_format(c.dtype) for c in data]
-    header_cols = [np.array([str(h)], dtype=object) for h in header]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(_format_rows(header_cols, [None] * len(header_cols),
-                              ["%s"] * len(header_cols), 0, 1))
-        for lo in range(0, n_rows, CHUNK_ROWS):
-            fh.write(_format_rows(data, masks, formats, lo, lo + CHUNK_ROWS))
+    blocks = [list(run) for _, run in itertools.groupby(columns, key=lambda c: c.dtype)]
+    _write_blocks(path, [str(h) for h in header], blocks, header_lines)
 
 
 def read_rows(path: str | Path) -> list[list[str]]:
+    """Rows of a CSV file after its leading block of '#' comment lines."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return [row for row in csv.reader(lines) if row]
+        lines = itertools.dropwhile(lambda ln: ln.startswith("#"), fh)
+        return [row for row in csv.reader(lines) if row]
 
 
 def write_labeled_matrix(
@@ -164,8 +445,13 @@ def write_labeled_matrix(
     header_lines: Sequence[str] = (),
 ) -> None:
     matrix = np.asarray(values, dtype=np.float64)
-    write_table(path, ["", *col_labels],
-                [np.asarray(row_labels, dtype=object), *matrix.T], header_lines)
+    labels = np.asarray(row_labels, dtype=object)
+    if matrix.ndim != 2 or labels.shape != matrix.shape[:1]:
+        raise ValueError("a labeled matrix needs a 2-D matrix and one label per row")
+    if len(col_labels) != matrix.shape[1]:
+        raise ValueError(f"{len(col_labels)} column labels for {matrix.shape[1]} columns")
+    _write_blocks(path, [str(h) for h in ["", *col_labels]],
+                  [labels[:, None], matrix], header_lines)
 
 
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:

@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .hierarchy import minmax_path_closure
-from .matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
+from .matrices import (
+    CoordinateMatrix,
+    DissimilarityMatrix,
+    _ArrayFieldsEq,
+    euclidean_distances,
+)
 from .triplets import scan, sorted_pair_values
 
 #: Default tolerance on the difference between base angles, in radians
@@ -81,7 +85,8 @@ class UltrametricityReport:
     seed: int | None
 
 
-class TrevesHartmannResult(NamedTuple):
+@dataclass(eq=False)
+class TrevesHartmannResult(_ArrayFieldsEq):
     """Per-triplet shape records (min/max, med/max, max - med)."""
 
     points: np.ndarray

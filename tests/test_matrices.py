@@ -218,6 +218,25 @@ def test_read_skips_comment_lines(tmp_path):
     assert d.values[0, 1] == 1.0
 
 
+def test_hash_labels_are_data_not_comments(tmp_path):
+    # only the leading '#' block is comments; a row label may start with '#'
+    d = DissimilarityMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
+                            labels=["a", "#b", "c"])
+    matrixio.write_dissimilarity(tmp_path / "d.csv", d, header_lines=["note: x"])
+    assert matrixio.read_dissimilarity(tmp_path / "d.csv") == d
+
+    pts = CoordinateMatrix(np.arange(6.0).reshape(3, 2), ["#p1", "p2", "# p3"])
+    matrixio.write_coordinates(tmp_path / "c.csv", pts, header_lines=["note: x"])
+    assert matrixio.read_coordinates(tmp_path / "c.csv") == pts
+
+    f = FrequencyMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                        ["d1", "#d2", "d3"], ["#x", "y"])
+    matrixio.write_frequency(tmp_path / "f.csv", f, header_lines=["note: x"])
+    back = matrixio.read_frequency(tmp_path / "f.csv")
+    assert back.row_labels == ["d1", "#d2", "d3"]
+    assert back == f
+
+
 def test_read_dissimilarity_rejects_mismatched_labels(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(",a,b\nb,0,1\na,1,0\n", encoding="utf-8")
@@ -257,21 +276,21 @@ _TEXT = st.text(
 ) | st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " lead", "trail ", 'a,"b"\nc'])
 _POOLS = {"int": _INTS, "float": _FLOATS, "bool": st.booleans(), "str": _TEXT}
 _DTYPES = {"int": np.int64, "float": np.float64, "bool": bool}
-_ROWS = st.integers(0, 12) | st.sampled_from(
-    [matrixio.CHUNK_ROWS - 1, matrixio.CHUNK_ROWS, matrixio.CHUNK_ROWS + 1]
-)
 
 
 @st.composite
 def _tables(draw):
     """(header, numpy columns, oracle rows) of a random table.
 
-    Each column draws a small pool of values and fills its rows from the
-    pool with a seeded generator, so tables of CHUNK_ROWS +- 1 rows stay
-    cheap to draw; masked columns blank a random share of their cells.
+    The writer encodes CHUNK_CELLS // n_cols rows at a time, so the row
+    counts include that chunk length +- 1. Each column draws a small pool
+    of values and fills its rows from the pool with a seeded generator, so
+    such tables stay cheap to draw; masked columns blank a random share of
+    their cells.
     """
-    n_rows = draw(_ROWS)
     n_cols = draw(st.integers(1, 5))
+    step = matrixio.CHUNK_CELLS // n_cols
+    n_rows = draw(st.integers(0, 12) | st.sampled_from([step - 1, step, step + 1]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     header = [draw(_TEXT) for _ in range(n_cols)]
     columns, cells = [], []
@@ -316,3 +335,111 @@ def test_write_table_rejects_malformed_columns(tmp_path):
         matrixio.write_table(path, [], [])
     with pytest.raises(TypeError, match="complex"):
         matrixio.write_table(path, ["z"], [np.zeros(2, dtype=complex)])
+
+
+def _single_column_lines(path, column):
+    matrixio.write_table(path, ["v"], [column])
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b"v" and lines[-1] == b""
+    return [line.decode("ascii") for line in lines[1:-1]]
+
+
+def _float_cases(rng):
+    """Named float64 arrays that stress the %.17g encoder."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    boundaries = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = []
+    for values, steps in ((powers, 3), (boundaries, 40)):
+        for direction in (np.inf, -np.inf):
+            step = values
+            for _ in range(steps):
+                step = np.nextafter(step, direction)
+                near.append(step)
+    near = np.concatenate([powers, boundaries, *near])
+    integers = np.concatenate([
+        rng.integers(0, 2**63, 40_000, dtype=np.int64).astype(np.float64),
+        rng.integers(-(2**53), 2**53, 40_000).astype(np.float64),
+        2.0 ** np.arange(64), 2.0 ** np.arange(64) - 1, np.arange(-2000.0, 2000.0),
+        10.0 ** np.arange(23), [2.0**63, 9007199254740993.0, 1e17 - 16],
+    ])
+    special = np.concatenate([
+        rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64),
+        [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, 1e-280, 1e280, 0.0, np.nan, np.inf],
+    ])
+    return {
+        "random bit patterns": rng.integers(0, 2**64 - 1, 120_000, dtype=np.uint64,
+                                            endpoint=True).view(np.float64),
+        "powers of ten and the %g boundaries, +-ulps": np.concatenate([near, -near]),
+        "integer-valued up to 2**63": np.concatenate([integers, -integers]),
+        "subnormals and specials": np.concatenate([special, -special]),
+        "uniform and log-uniform": np.concatenate([
+            rng.uniform(-1.0, 1.0, 20_000), rng.uniform(-1e6, 1e6, 20_000),
+            np.exp(rng.uniform(-745.0, 709.0, 20_000)),
+        ]),
+    }
+
+
+def test_float_cells_match_percent_17g_at_scale(tmp_path, rng):
+    for name, values in _float_cases(rng).items():
+        lines = _single_column_lines(tmp_path / "f.csv", values)
+        expected = ["%.17g" % x for x in values.tolist()]
+        wrong = [(x, got, want) for x, got, want in zip(values.tolist(), lines, expected)
+                 if got != want]
+        assert len(lines) == len(expected)
+        assert not wrong, (name, wrong[:5])
+
+
+def test_float_fallback_cells_match_percent_17g(tmp_path, rng):
+    # a tie margin of 1 sends every cell down the one-by-one '%.17g' route
+    values = np.concatenate(list(_float_cases(rng).values()))[::7]
+    with mock.patch.object(matrixio, "_TIE_MARGIN", 1.0):
+        lines = _single_column_lines(tmp_path / "f.csv", values)
+    assert lines == ["%.17g" % x for x in values.tolist()]
+
+
+def test_int_cells_match_percent_d_at_scale(tmp_path, rng):
+    powers = np.array([10**k for k in range(19)] + [10**k - 1 for k in range(1, 19)])
+    cases = {
+        "int64": np.concatenate([
+            rng.integers(-(2**63), 2**63 - 1, 100_000, dtype=np.int64, endpoint=True),
+            rng.integers(-1000, 1000, 10_000), powers, -powers,
+            [-(2**63), -(2**63) + 1, 2**63 - 1, 0, -1],
+        ]).astype(np.int64),
+        "uint64": np.concatenate([
+            rng.integers(2**63, 2**64 - 1, 50_000, dtype=np.uint64, endpoint=True),
+            np.array([0, 2**63, 2**64 - 1, 10**19, 10**19 - 1], dtype=np.uint64),
+        ]),
+        "int32": rng.integers(-(2**31), 2**31 - 1, 10_000, dtype=np.int32, endpoint=True),
+        "uint8": np.arange(256, dtype=np.uint8),
+    }
+    # the largest magnitude sets how many 4-digit groups a chunk spells out
+    for k in range(1, 5):
+        cases[f"largest 10**{4 * k}"] = np.array([-(10 ** (4 * k)), 10 ** (4 * k) - 1, 7])
+        cases[f"largest 10**{4 * k} - 1"] = np.array([10 ** (4 * k) - 1, -5, 0])
+    for name, values in cases.items():
+        lines = _single_column_lines(tmp_path / "i.csv", values)
+        assert lines == ["%d" % v for v in values.tolist()], name
+
+
+def test_labeled_matrix_matches_row_writer(tmp_path, rng):
+    # a float block many chunks long and wider than one column, beside labels
+    values = rng.integers(0, 2**64 - 1, (matrixio.CHUNK_CELLS // 5 + 3, 7), dtype=np.uint64,
+                          endpoint=True).view(np.float64)
+    labels = [f"r{i}" for i in range(values.shape[0])]
+    labels[:4] = ["a,b", 'say "x"', "", "#d"]
+    cols = [f"c{j}" for j in range(6)] + ["x,y"]
+    matrixio.write_labeled_matrix(tmp_path / "new.csv", values, labels, cols, ["h: 1"])
+    write_rows(tmp_path / "old.csv", [["", *cols]] + [
+        [label, *row] for label, row in zip(labels, values.tolist())], ["h: 1"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_labeled_matrix_rejects_mismatched_labels(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="column labels"):
+        matrixio.write_labeled_matrix(path, np.zeros((2, 3)), ["a", "b"], ["x", "y"])
+    with pytest.raises(ValueError, match="one label per row"):
+        matrixio.write_labeled_matrix(path, np.zeros((2, 3)), ["a"], ["x", "y", "z"])
+    with pytest.raises(ValueError, match="2-D"):
+        matrixio.write_labeled_matrix(path, np.zeros(3), ["a", "b", "c"], ["x"])

@@ -429,5 +429,17 @@ def test_treves_hartmann_sampled_determinism(rng):
     d = random_dissimilarity(rng, 20)
     a = treves_hartmann_points(d, sample=50, seed=4)
     b = treves_hartmann_points(d, sample=50, seed=4)
-    np.testing.assert_array_equal(a.points, b.points)
+    assert a == b
     assert a.points.shape == (50, 3)
+    assert a != treves_hartmann_points(d, sample=50, seed=5)
+
+
+def test_treves_hartmann_results_compare_by_value():
+    d = random_dissimilarity(np.random.default_rng(0), 6)
+    a, b = treves_hartmann_points(d), treves_hartmann_points(d)
+    assert a.points.shape[0] > 1
+    assert a == b
+    assert not a != b
+    assert a != type(a)(a.points + 1.0, a.skipped_zero_max)
+    assert a != type(a)(a.points, a.skipped_zero_max + 1)
+    assert a != (a.points, a.skipped_zero_max)
