@@ -7,7 +7,7 @@ geometry, and extracts the subset of triplets on which independent
 clusterings and raw geometry agree: the data's ultrametric component.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .component import (
     RETAINED_DTYPE,
@@ -22,7 +22,6 @@ from .consensus import (
     consensus_count,
     consensus_dendrogram,
     consensus_table,
-    consensus_ultrametric,
     triplet_signature,
 )
 from .corpus import (
@@ -91,7 +90,7 @@ __all__ = [
     "ultrametric_component",
     "ConsensusReport", "ConsensusTable", "TripletSignature",
     "consensus_count", "consensus_dendrogram", "consensus_table",
-    "consensus_ultrametric", "triplet_signature",
+    "triplet_signature",
     "Corpus", "TermDocMatrix", "build_term_doc", "random_mirror",
     "read_corpus_dir", "read_corpus_file", "tokenize",
     "INVERSION_FREE_CRITERIA", "LINKAGE_CRITERIA", "Dendrogram", "EdgeList",

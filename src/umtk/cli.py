@@ -24,7 +24,6 @@ from .consensus import (
     consensus_count,
     consensus_dendrogram,
     consensus_table,
-    consensus_ultrametric,
 )
 from .corpus import build_term_doc, random_mirror, read_corpus_dir, read_corpus_file
 from .hierarchy import (
@@ -233,18 +232,15 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         raise CliError("coeffs needs exactly one of --coords or --distances")
     if args.per_triplet and args.coords is None:
         raise CliError("--per-triplet requires --coords")
-    params = {
-        "epsilon": args.epsilon,
-        "sample": args.sample,
-        "seed": args.seed if args.sample is not None else None,
-    }
+    seed = args.seed if args.sample is not None else None
+    sample_kw = dict(sample=args.sample, seed=seed)
+    params = {"epsilon": args.epsilon, "sample": args.sample, "seed": seed}
     report: dict[str, object] = {}
     if args.coords is not None:
         params["coords"] = _basename(args.coords)
         coords = matrixio.read_coordinates(args.coords)
         d = euclidean_distances(coords)
-        alpha = alpha_epsilon(coords, args.epsilon, sample=args.sample,
-                              seed=args.seed if args.sample is not None else None)
+        alpha = alpha_epsilon(coords, args.epsilon, **sample_kw)
         report.update({
             "alpha": alpha.alpha,
             "alpha_counted": alpha.counted,
@@ -255,13 +251,11 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         d = matrixio.read_dissimilarity(args.distances)
         report["alpha"] = "unavailable (requires coordinates)"
     headers = _headers(args, params)
-    sample_kw = dict(sample=args.sample,
-                     seed=args.seed if args.sample is not None else None)
     report.update({
         "epsilon": args.epsilon,
         "sampled": args.sample is not None,
         "sample": args.sample,
-        "seed": args.seed if args.sample is not None else None,
+        "seed": seed,
         "rammal": rammal_index(d),
         "lerman_h": lerman_h(d, **sample_kw),
         "lerman_h_definition": "mean((rank(max)-rank(med))/(pairs-1)) over triplets",
@@ -296,16 +290,14 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
                                   headers)
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
-    u_a, u_b = table.ultrametrics[0], table.ultrametrics[1]
-    report = consensus_count(u_a, u_b)
+    report = consensus_count(table.ultrametrics[0], table.ultrametrics[1])
     matrixio.write_table(_out_path(args, "consensus_matched.csv"),
                          ["i", "j", "k", "base_i", "base_j", "apex"],
                          list(report.matched_set.T),
                          pair_headers + [f"skipped_ties: {report.skipped_ties}"])
-    merged = consensus_ultrametric(u_a, u_b)
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
-                                 merged, pair_headers)
-    tree = consensus_dendrogram(merged)
+                                 report.ultrametric, pair_headers)
+    tree = consensus_dendrogram(report.ultrametric)
     _write_dendrogram(args, tree, "consensus", pair_headers)
     return 0
 
@@ -395,10 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "criteria", None) is not None:
             args.criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
         return cli_dispatch(args)
-    except CliError as exc:
-        print(f"umtk: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"umtk: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

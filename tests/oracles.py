@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is written with plain loops and scalar math so that the
+Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
-different computation.
+different computation. The others are the routes a faster library
+routine replaced (Floyd-Warshall closure, the two-branch consensus
+scan), kept so the replacement can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ import itertools
 import math
 
 import numpy as np
+
+from umtk.consensus import _signature_arrays
+from umtk.hierarchy import minmax_path_closure
+from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
+from umtk.triplets import scan
 
 
 def brute_pairwise(points: np.ndarray) -> np.ndarray:
@@ -157,6 +164,49 @@ def brute_consensus(u1: np.ndarray, u2: np.ndarray, tol: float):
         if r1[1] == r2[1]:
             matched.add((i, j, k, r1[0][0], r1[0][1], r1[1]))
     return matched, skipped
+
+
+def consensus_ultrametric_two_branch(
+    u1: UltrametricMatrix, u2: UltrametricMatrix, tie_tolerance: float = 1e-9
+) -> UltrametricMatrix:
+    """Consensus ultrametric by the separate two-branch triplet scan.
+
+    Every triplet proposes candidate levels for its three pairs: the
+    elementwise minimum of the two inputs where the triplet is
+    morphologically consistent, and the minimum over all six involved
+    values where it is not. Each pair keeps its smallest candidate, and
+    the result is the min-max path closure of the candidates. With fewer
+    than three items the elementwise minimum is returned.
+    """
+    n = u1.n
+    if n < 3:
+        return UltrametricMatrix(np.minimum(u1.values, u2.values), list(u1.labels))
+    cand = np.full((n, n), np.inf)
+    np.fill_diagonal(cand, 0.0)
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> None:
+        iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
+        iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
+        consistent = iso1 & iso2 & (apex1 == apex2)
+        pairs = ((ii, jj), (ii, kk), (jj, kk))
+        if np.any(consistent):
+            c = consistent
+            for a, b in pairs:
+                prop = np.minimum(u1.values[a[c], b[c]], u2.values[a[c], b[c]])
+                np.minimum.at(cand, (a[c], b[c]), prop)
+        inconsistent = ~consistent
+        if np.any(inconsistent):
+            t = inconsistent
+            six = np.full(int(t.sum()), np.inf)
+            for a, b in pairs:
+                six = np.minimum(six, u1.values[a[t], b[t]])
+                six = np.minimum(six, u2.values[a[t], b[t]])
+            for a, b in pairs:
+                np.minimum.at(cand, (a[t], b[t]), six)
+
+    scan(n, kernel)
+    cand = np.minimum(cand, cand.T)
+    return minmax_path_closure(DissimilarityMatrix(cand, list(u1.labels)))
 
 
 def brute_component(points: np.ndarray, matched, epsilon: float):

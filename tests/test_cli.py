@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umtk import __version__, matrixio
+from umtk import __version__, matrixio, triplets
 from umtk.cli import main
 from umtk.consensus import consensus_count
 from umtk.corpus import random_mirror
@@ -265,6 +265,24 @@ def test_consensus_matched_file_matches_row_writer(tmp_path):
     assert skip_lines == [f"skipped_ties: {report.skipped_ties}"]
     write_rows(expected, [header] + row_tuples(*report.matched_set.T), header_lines_of(got))
     assert got.read_bytes() == expected.read_bytes()
+
+
+def test_consensus_runs_three_triplet_scans(tmp_path, monkeypatch):
+    """The table, the pair (matched set and ultrametric) and check_ultrametric."""
+    values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
+    src = tmp_path / "d.csv"
+    matrixio.write_dissimilarity(src, DissimilarityMatrix(values))
+    original = triplets.iter_triplet_chunks
+    started = []
+
+    def counting(n, *args, **kwargs):
+        started.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(triplets, "iter_triplet_chunks", counting)
+    assert main(["consensus", "--input", str(src), "--criteria",
+                 "ward,single,average,complete", "--out", str(tmp_path / "out")]) == 0
+    assert started == [12, 12, 12]
 
 
 def test_consensus_criteria_validation(tmp_path, capsys):

@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from umtk import triplets
 
 from umtk.component import ultrametric_component
 from umtk.consensus import (
@@ -11,7 +14,6 @@ from umtk.consensus import (
     consensus_count,
     consensus_dendrogram,
     consensus_table,
-    consensus_ultrametric,
     triplet_signature,
 )
 from umtk.hierarchy import (
@@ -30,7 +32,7 @@ from umtk.transforms import check_ultrametric
 from umtk.triplets import triplet_count
 
 from .conftest import random_dissimilarity, random_ultrametric, row_tuples
-from .oracles import brute_consensus, brute_signature
+from .oracles import brute_consensus, brute_signature, consensus_ultrametric_two_branch
 
 
 def ultra3(u01, u02, u12, labels=("x1", "x2", "x3")):
@@ -191,6 +193,7 @@ def test_results_with_array_fields_compare_by_value(rng):
     changed_row[-1, 5] = changed_row[-1, 3]
     assert report != replace(report, matched_set=changed_row)
     assert report != replace(report, matched_set=report.matched_set[:-1])
+    assert report != replace(report, ultrametric=u1)
 
     assert u1 == UltrametricMatrix(u1.values.copy(), list(u1.labels))
     assert u1 != UltrametricMatrix(u1.values, list(reversed(u1.labels)))
@@ -217,11 +220,10 @@ def test_consensus_argument_validation(rng):
     u1 = untied_cophenetic(rng, 5)
     u2 = untied_cophenetic(rng, 6)
     renamed = UltrametricMatrix(u1.values, ["a", "b", "c", "d", "e"])
-    for combine in (consensus_count, consensus_ultrametric):
-        with pytest.raises(ValueError, match="^ultrametrics must have matching dimensions"):
-            combine(u1, u2)
-        with pytest.raises(ValueError, match="^ultrametrics must have matching labels"):
-            combine(u1, renamed)
+    with pytest.raises(ValueError, match="^ultrametrics must have matching dimensions"):
+        consensus_count(u1, u2)
+    with pytest.raises(ValueError, match="^ultrametrics must have matching labels"):
+        consensus_count(u1, renamed)
 
 
 def test_consensus_tiny_n():
@@ -272,7 +274,7 @@ def test_consensus_table_rejects_bad_criteria(rng):
 def test_consensus_ultrametric_frozen_example():
     u1 = ultra3(1.0, 2.0, 2.0)
     u2 = ultra3(0.5, 3.0, 3.0)
-    merged = consensus_ultrametric(u1, u2)
+    merged = consensus_count(u1, u2).ultrametric
     np.testing.assert_array_equal(
         merged.values,
         np.array([[0.0, 0.5, 2.0], [0.5, 0.0, 2.0], [2.0, 2.0, 0.0]]),
@@ -281,22 +283,22 @@ def test_consensus_ultrametric_frozen_example():
 
 def test_consensus_ultrametric_identity(rng):
     u = untied_cophenetic(rng, 10)
-    merged = consensus_ultrametric(u, u)
+    merged = consensus_count(u, u).ultrametric
     np.testing.assert_array_equal(merged.values, u.values)
 
 
 def test_consensus_ultrametric_commutative(rng):
     u1 = untied_cophenetic(rng, 11, "ward")
     u2 = UltrametricMatrix(untied_cophenetic(rng, 11).values, list(u1.labels))
-    ab = consensus_ultrametric(u1, u2)
-    ba = consensus_ultrametric(u2, u1)
+    ab = consensus_count(u1, u2).ultrametric
+    ba = consensus_count(u2, u1).ultrametric
     np.testing.assert_array_equal(ab.values, ba.values)
 
 
 def test_consensus_ultrametric_output_is_valid(rng):
     u1 = untied_cophenetic(rng, 10, "ward")
     u2 = UltrametricMatrix(untied_cophenetic(rng, 10).values, list(u1.labels))
-    merged = consensus_ultrametric(u1, u2)
+    merged = consensus_count(u1, u2).ultrametric
     as_d = DissimilarityMatrix(merged.values, list(merged.labels))
     assert not check_ultrametric(as_d)
     assert np.all(merged.values <= np.maximum(u1.values, u2.values))
@@ -305,8 +307,42 @@ def test_consensus_ultrametric_output_is_valid(rng):
 def test_consensus_ultrametric_tiny_n():
     a = UltrametricMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
     b = UltrametricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    merged = consensus_ultrametric(a, b)
+    merged = consensus_count(a, b).ultrametric
     np.testing.assert_array_equal(merged.values, b.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("gaussian", "integer", "duplicates")),
+    rounding=st.integers(1, 4),
+)
+def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
+    gen = np.random.default_rng(seed)
+    pts = gen.normal(size=(n, 3))
+    if kind == "duplicates":
+        copied = gen.random(n) < 0.3
+        pts[copied] = pts[gen.integers(0, n, size=n)[copied]]
+    values = euclidean_distances(CoordinateMatrix(pts)).values
+    if kind != "gaussian":
+        values = np.rint(rounding * values)
+    d = DissimilarityMatrix(values)
+    ultrams = [cophenetic(linkage(d, crit)) for crit in INVERSION_FREE_CRITERIA]
+    pairs = [(u1, u2) for u1 in ultrams for u2 in ultrams]
+    wanted = [consensus_ultrametric_two_branch(u1, u2).values.tobytes() for u1, u2 in pairs]
+    # small chunks, so that four workers really do lower the shared
+    # candidate matrix from several chunks at once
+    chunk_size = triplet_count(n) // 7 + 1
+    original = triplets.iter_triplet_chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triplets, "iter_triplet_chunks",
+                   lambda n: original(n, chunk_size=chunk_size))
+        for (u1, u2), want in zip(pairs, wanted):
+            for workers in (1, 4):
+                got = consensus_count(u1, u2, workers=workers).ultrametric
+                assert got.values.tobytes() == want
+                assert got.labels == u1.labels
 
 
 def test_consensus_dendrogram_frozen_example():
@@ -321,7 +357,7 @@ def test_consensus_dendrogram_frozen_example():
 def test_consensus_dendrogram_round_trip(rng):
     u1 = untied_cophenetic(rng, 14, "ward")
     u2 = UltrametricMatrix(untied_cophenetic(rng, 14).values, list(u1.labels))
-    merged = consensus_ultrametric(u1, u2)
+    merged = consensus_count(u1, u2).ultrametric
     h = consensus_dendrogram(merged)
     np.testing.assert_array_equal(cophenetic(h).values, merged.values)
 
