@@ -459,6 +459,8 @@ def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[s
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     col_labels = rows[0][1:]
+    if any(len(r) != len(rows[0]) for r in rows[1:]):
+        raise ValueError(f"{path}: ragged matrix rows")
     row_labels = [r[0] for r in rows[1:]]
     try:
         values = np.array(
@@ -466,8 +468,6 @@ def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[s
         )
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric matrix entry ({exc})") from None
-    if values.size and values.shape[1] != len(col_labels):
-        raise ValueError(f"{path}: ragged matrix rows")
     return values, row_labels, col_labels
 
 

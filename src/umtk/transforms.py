@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import DissimilarityMatrix, _ArrayFieldsEq
-from .triplets import scan, sorted_pair_values
+from .triplets import DEFAULT_CHUNK, scan, sorted_pair_values
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
@@ -81,12 +81,44 @@ def check_ultrametric(
     return _scan_violations(d, "strong-triangle", tolerance)
 
 
-def _worst_metric_slack(values: np.ndarray, n: int) -> float:
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
-        s = sorted_pair_values(values, ii, jj, kk)
-        return float((s[2] - s[1] - s[0]).max())
+#: Most candidate triples power_shrink keeps; with more it scans them all.
+_CANDIDATE_CAP = 1_000_000
+#: Slack, as a share of the largest value, at or below which a triple is
+#: settled; the rounding of ``**`` and two subtractions is under 1e-15.
+_SETTLED_MARGIN = 1e-9
 
-    return max([-np.inf, *scan(n, kernel)])
+
+def _worst_metric_slack(
+    values: np.ndarray, n: int, ids: np.ndarray | None = None, floor: float | None = None
+) -> tuple[float, np.ndarray | None]:
+    """Largest triangle slack over the (3, m) triple ids, or all triples.
+
+    Given a floor, it also returns the ids of the triples whose slack is
+    not at or below it, or None if there are more than _CANDIDATE_CAP.
+    """
+    kept: list[np.ndarray] | None = None if floor is None else []
+    count = 0
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
+        nonlocal kept, count
+        s = sorted_pair_values(values, ii, jj, kk)
+        slack = s[2] - s[1] - s[0]
+        if kept is not None:
+            open_ = ~(slack <= floor)
+            kept.append(np.stack([ii[open_], jj[open_], kk[open_]]))
+            count += kept[-1].shape[1]
+            if count > _CANDIDATE_CAP:
+                kept = None
+        return float(slack.max())
+
+    if ids is None:
+        worsts = scan(n, kernel)
+    else:
+        windows = range(0, ids.shape[1], DEFAULT_CHUNK)
+        worsts = [kernel(*ids[:, lo : lo + DEFAULT_CHUNK]) for lo in windows]
+    if kept is None:
+        return max([-np.inf, *worsts]), None
+    return max([-np.inf, *worsts]), np.concatenate([np.zeros((3, 0), np.int64), *kept], axis=1)
 
 
 def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:
@@ -100,25 +132,19 @@ def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, floa
     """
     if d.n < 3:
         return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
-    c = max(0.0, _worst_metric_slack(d.values, d.n))
+    c = max(0.0, _worst_metric_slack(d.values, d.n)[0])
     if c == 0.0:
         return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
     for _ in range(100):
         shifted = d.values + c
         np.fill_diagonal(shifted, 0.0)
-        residual = _worst_metric_slack(shifted, d.n)
+        residual = _worst_metric_slack(shifted, d.n)[0]
         if residual <= 0.0:
             break
         c += residual
     else:
         raise RuntimeError("additive repair failed to converge")
     return DissimilarityMatrix(shifted, list(d.labels)), c
-
-
-def _is_metric(values: np.ndarray, n: int) -> bool:
-    worst = _worst_metric_slack(values, n)
-    scale = float(values.max())
-    return worst <= REPAIR_TOLERANCE_FACTOR * scale
 
 
 def power_shrink(
@@ -129,32 +155,43 @@ def power_shrink(
     Returns (matrix of d**r, r) where r is located by bisection to within
     r_tolerance and the returned matrix is certified metric. Zero
     off-diagonal entries are rejected since no power separates them.
+
+    A triple metric at r0 is metric at every r < r0 (x ** (r / r0) is
+    subadditive), so after each failed test, which lowers the upper end,
+    the bisection re-scans only the triples that can still decide it.
+    Every test decides as a scan of all triples would.
     """
     if r_tolerance <= 0:
         raise ValueError("r_tolerance must be positive")
-    off_diag = ~np.eye(d.n, dtype=bool)
-    if np.any(d.values[off_diag] == 0.0):
-        raise ValueError(
-            "power repair requires positive off-diagonal dissimilarities"
-        )
-    if d.n < 3 or _is_metric(d.values, d.n):
-        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 1.0
+    if np.any(d.values[~np.eye(d.n, dtype=bool)] == 0.0):
+        raise ValueError("power repair requires positive off-diagonal dissimilarities")
+
+    def is_metric(values: np.ndarray, ids: np.ndarray | None, keep: bool):
+        scale = float(values.max())
+        floor = -_SETTLED_MARGIN * scale if keep else None
+        worst, kept = _worst_metric_slack(values, d.n, ids, floor)
+        return worst <= REPAIR_TOLERANCE_FACTOR * scale, kept
 
     def candidate(r: float) -> np.ndarray:
         out = d.values ** r
         np.fill_diagonal(out, 0.0)
         return out
 
+    passed, ids = (True, None) if d.n < 3 else is_metric(d.values, None, keep=True)
+    if passed:
+        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 1.0
+    # a failure here leaves hi at 1, so it must not drop triples
     lo = 0.5
-    while not _is_metric(candidate(lo), d.n):
+    while not is_metric(candidate(lo), ids, keep=False)[0]:
         lo *= 0.5
         if lo < 1e-18:
             raise RuntimeError("no metric power found")
     hi = 1.0
     while hi - lo > r_tolerance:
         mid = 0.5 * (lo + hi)
-        if _is_metric(candidate(mid), d.n):
+        passed, kept = is_metric(candidate(mid), ids, keep=True)
+        if passed:
             lo = mid
         else:
-            hi = mid
+            hi, ids = mid, kept
     return DissimilarityMatrix(candidate(lo), list(d.labels)), lo

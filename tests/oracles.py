@@ -4,7 +4,8 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan), kept so the replacement can be checked bit for bit.
+scan, the power repair's full bisection), kept so the replacement can be
+checked bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from umtk.consensus import _signature_arrays
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
-from umtk.triplets import scan
+from umtk.transforms import REPAIR_TOLERANCE_FACTOR
+from umtk.triplets import scan, sorted_pair_values
 
 
 def brute_pairwise(points: np.ndarray) -> np.ndarray:
@@ -434,3 +436,53 @@ def write_rows(path, rows, header_lines=()) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
             writer.writerow([format_value(v) for v in row])
+
+
+def power_shrink_full_bisection(
+    d: DissimilarityMatrix, r_tolerance: float = 1e-6
+) -> tuple[DissimilarityMatrix, float]:
+    """power_shrink as it was before it dropped settled triples.
+
+    Every test of the bisection scans all C(n,3) triples of d ** r.
+    """
+
+    def worst_metric_slack(values: np.ndarray, n: int) -> float:
+        def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
+            s = sorted_pair_values(values, ii, jj, kk)
+            return float((s[2] - s[1] - s[0]).max())
+
+        return max([-np.inf, *scan(n, kernel)])
+
+    def is_metric(values: np.ndarray, n: int) -> bool:
+        worst = worst_metric_slack(values, n)
+        scale = float(values.max())
+        return worst <= REPAIR_TOLERANCE_FACTOR * scale
+
+    if r_tolerance <= 0:
+        raise ValueError("r_tolerance must be positive")
+    off_diag = ~np.eye(d.n, dtype=bool)
+    if np.any(d.values[off_diag] == 0.0):
+        raise ValueError(
+            "power repair requires positive off-diagonal dissimilarities"
+        )
+    if d.n < 3 or is_metric(d.values, d.n):
+        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 1.0
+
+    def candidate(r: float) -> np.ndarray:
+        out = d.values ** r
+        np.fill_diagonal(out, 0.0)
+        return out
+
+    lo = 0.5
+    while not is_metric(candidate(lo), d.n):
+        lo *= 0.5
+        if lo < 1e-18:
+            raise RuntimeError("no metric power found")
+    hi = 1.0
+    while hi - lo > r_tolerance:
+        mid = 0.5 * (lo + hi)
+        if is_metric(candidate(mid), d.n):
+            lo = mid
+        else:
+            hi = mid
+    return DissimilarityMatrix(candidate(lo), list(d.labels)), lo

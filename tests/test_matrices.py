@@ -244,6 +244,22 @@ def test_read_dissimilarity_rejects_mismatched_labels(tmp_path):
         matrixio.read_dissimilarity(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,0,1\nb,1\n", "ragged matrix rows"),
+        ("a,0,1\nb,1,0,2\n", "ragged matrix rows"),
+        ("a,0,1\nb,1,x\n", "non-numeric matrix entry"),
+    ],
+    ids=["short-row", "long-row", "bad-cell"],
+)
+def test_read_matrix_error_messages(tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text(",a,b\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        matrixio.read_labeled_matrix(path)
+
+
 def test_written_files_use_lf_and_utf8(tmp_path):
     d = DissimilarityMatrix(np.zeros((2, 2)), labels=["å", "b"])
     path = tmp_path / "d.csv"

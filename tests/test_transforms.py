@@ -1,18 +1,28 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umtk import transforms
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.transforms import (
+    REPAIR_TOLERANCE_FACTOR,
     cailliez_additive,
     check_metric,
     check_ultrametric,
     power_shrink,
 )
+from umtk.triplets import DEFAULT_CHUNK, triplet_count
 
 from .conftest import random_dissimilarity, random_ultrametric, row_tuples
-from .oracles import brute_strong_violations, brute_triangle_violations
+from .oracles import (
+    brute_strong_violations,
+    brute_triangle_violations,
+    power_shrink_full_bisection,
+)
 
 
 def three_point(d12, d13, d23):
@@ -36,6 +46,46 @@ def dissimilarities(draw):
     out = np.zeros((n, n))
     out[np.triu_indices(n, k=1)] = vals
     return DissimilarityMatrix(out + out.T)
+
+
+@st.composite
+def power_inputs(draw):
+    """Tie-heavy, near-metric, squared, cubed or zero-holding dissimilarities."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    kind = draw(st.sampled_from(["integer", "near-metric", "squared", "cubed", "zero"]))
+    m = n * (n - 1) // 2
+    if kind == "integer":
+        out = np.zeros((n, n))
+        out[np.triu_indices(n, k=1)] = draw(
+            st.lists(st.integers(min_value=1, max_value=4), min_size=m, max_size=m)
+        )
+        return DissimilarityMatrix(out + out.T)
+    coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+    values = euclidean_distances(CoordinateMatrix(np.array(points))).values
+    if kind == "near-metric":
+        noise = np.zeros((n, n))
+        noise[np.triu_indices(n, k=1)] = draw(
+            st.lists(st.floats(min_value=-1e-9, max_value=1e-9), min_size=m, max_size=m)
+        )
+        values = values * (1.0 + noise + noise.T)
+    elif kind in ("squared", "cubed"):
+        values = values ** (2 if kind == "squared" else 3)
+    else:
+        values[0, 1] = values[1, 0] = 0.0
+    return DissimilarityMatrix(values)
+
+
+def assert_power_matches_full_bisection(d):
+    try:
+        expected, expected_r = power_shrink_full_bisection(d)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            power_shrink(d)
+        return
+    out, r = power_shrink(d)
+    assert r == expected_r
+    assert out.values.tobytes() == expected.values.tobytes()
 
 
 def test_check_metric_frozen_example():
@@ -149,6 +199,37 @@ def test_power_frozen_example():
     np.testing.assert_array_equal(
         out.values, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     )
+
+
+def test_power_frozen_example_after_halving():
+    # 8**r = 2 binds at r = 1/3: the halving loop fails at 0.5, and the
+    # bisection then tests midpoints above 0.5 before it comes down
+    d = three_point(1.0, 8.0, 1.0)
+    out, r = power_shrink(d)
+    assert r == 0.33333301544189453
+    assert power_shrink_full_bisection(d)[1] == r
+    assert not check_metric(out, tolerance=REPAIR_TOLERANCE_FACTOR * float(out.values.max()))
+
+
+@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 3], ids=["default-cap", "cap-3"])
+@settings(max_examples=80, deadline=None)
+@given(d=power_inputs())
+def test_power_matches_full_bisection(cap, d):
+    with mock.patch.object(transforms, "_CANDIDATE_CAP", cap):
+        assert_power_matches_full_bisection(d)
+
+
+def test_power_matches_full_bisection_across_chunks(rng, monkeypatch):
+    centres = rng.normal(scale=6.0, size=(8, 5))
+    points = centres[np.arange(130) % 8] + rng.normal(size=(130, 5))
+    d = DissimilarityMatrix(euclidean_distances(CoordinateMatrix(points)).values ** 2)
+    assert triplet_count(d.n) > DEFAULT_CHUNK
+    assert_power_matches_full_bisection(d)
+    # above the cap the first tests scan every triple
+    monkeypatch.setattr(transforms, "_CANDIDATE_CAP", 5)
+    floor = -transforms._SETTLED_MARGIN * float(d.values.max())
+    assert transforms._worst_metric_slack(d.values, d.n, floor=floor)[1] is None
+    assert_power_matches_full_bisection(d)
 
 
 def test_power_rejects_off_diagonal_zero():
