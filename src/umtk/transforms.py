@@ -116,9 +116,10 @@ def _worst_metric_slack(
     else:
         windows = range(0, ids.shape[1], DEFAULT_CHUNK)
         worsts = [kernel(*ids[:, lo : lo + DEFAULT_CHUNK]) for lo in windows]
+    worst = max([-np.inf, *worsts])
     if kept is None:
-        return max([-np.inf, *worsts]), None
-    return max([-np.inf, *worsts]), np.concatenate([np.zeros((3, 0), np.int64), *kept], axis=1)
+        return worst, None
+    return worst, np.concatenate([np.zeros((3, 0), np.int64), *kept], axis=1)
 
 
 def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:
@@ -163,8 +164,11 @@ def power_shrink(
     """
     if r_tolerance <= 0:
         raise ValueError("r_tolerance must be positive")
-    if np.any(d.values[~np.eye(d.n, dtype=bool)] == 0.0):
-        raise ValueError("power repair requires positive off-diagonal dissimilarities")
+    off_diag = ~np.eye(d.n, dtype=bool)
+    if np.any(d.values[off_diag] == 0.0):
+        raise ValueError(
+            "power repair requires positive off-diagonal dissimilarities"
+        )
 
     def is_metric(values: np.ndarray, ids: np.ndarray | None, keep: bool):
         scale = float(values.max())
@@ -193,5 +197,6 @@ def power_shrink(
         if passed:
             lo = mid
         else:
+            # what this test settled cannot decide a test below mid
             hi, ids = mid, kept
     return DissimilarityMatrix(candidate(lo), list(d.labels)), lo
