@@ -4,7 +4,16 @@ Layout: an optional block of '#'-prefixed comment lines, then a header
 row, then one row per record. Only that leading block is comments: a
 data row may start with '#'. A labeled matrix has an empty leading
 header cell followed by the column labels, and each row starts with its
-label. UTF-8 throughout, LF line endings.
+label. UTF-8 throughout; the writers use LF line endings.
+
+read_labeled_matrix skips a byte order mark, the leading '#' block and
+empty lines, and checks each row's width against the header's before it
+parses a value. A file with no '"' loses its CR/LF line endings, is
+split at ',' and np.loadtxt parses its value columns; csv.reader splits
+a quoted file. Values are exactly float()'s: a quoted file, a file that
+holds ASCII 0x1c-0x1f (numpy's parser strips them as whitespace, float()
+does not) and a file loadtxt rejects (it rejects '1_0' and non-ASCII
+digits) are converted by float() cell by cell, errors included.
 
 Every table goes through one writer. write_table takes a header and
 equal-length 1-D numpy arrays (one per column); write_labeled_matrix
@@ -76,6 +85,8 @@ CHUNK_CELLS = 8192
 
 #: A cell containing one of these may need quotes; csv.writer decides.
 _QUOTE_CANDIDATE = re.compile(r'[,"\r\n]')
+#: numpy's float parser strips these as whitespace, float() does not.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 # Float cells |x| in [_EASY_MIN, _EASY_MAX] take the numpy route; the
 # decimal exponent e of such a cell lies in [_E_MIN, _E_MAX].
@@ -430,13 +441,6 @@ def write_table(
     _write_blocks(path, [str(h) for h in header], blocks, header_lines)
 
 
-def read_rows(path: str | Path) -> list[list[str]]:
-    """Rows of a CSV file after its leading block of '#' comment lines."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = itertools.dropwhile(lambda ln: ln.startswith("#"), fh)
-        return [row for row in csv.reader(lines) if row]
-
-
 def write_labeled_matrix(
     path: str | Path,
     values: np.ndarray,
@@ -455,20 +459,36 @@ def write_labeled_matrix(
 
 
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
-    rows = read_rows(path)
-    if not rows:
+    """(values, row labels, column labels) of a labeled matrix file."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
+    if any('"' in ln for ln in lines):
+        rows = [r for r in csv.reader(lines) if r]
+        labels, widths, body = [r[0] for r in rows], [len(r) for r in rows], None
+        cells = iter([r[1:] for r in rows])
+    else:
+        lines = [s for s in (ln.rstrip("\r\n") for ln in lines) if s]
+        labels = [ln.partition(",")[0] for ln in lines]
+        widths = [ln.count(",") + 1 for ln in lines]
+        cells, body = (ln.split(",")[1:] for ln in lines), lines[1:]
+    if not widths:
         raise ValueError(f"{path}: empty matrix file")
-    col_labels = rows[0][1:]
-    if any(len(r) != len(rows[0]) for r in rows[1:]):
+    if any(w != widths[0] for w in widths):
         raise ValueError(f"{path}: ragged matrix rows")
-    row_labels = [r[0] for r in rows[1:]]
+    header, labels, width = next(cells), labels[1:], widths[0]
+    if not labels or width == 1:
+        return np.empty((len(labels), width - 1)), labels, header
+    if body and not any(c in ln for ln in body for c in _NOT_FLOAT_SPACE):
+        try:
+            return np.loadtxt(body, delimiter=",", comments=None,
+                              usecols=range(1, width), ndmin=2), labels, header
+        except ValueError:
+            pass
     try:
-        values = np.array(
-            [[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64
-        )
+        values = np.array([[float(v) for v in c] for c in cells], dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric matrix entry ({exc})") from None
-    return values, row_labels, col_labels
+    return values, labels, header
 
 
 def read_dissimilarity(path: str | Path) -> DissimilarityMatrix:

@@ -37,13 +37,15 @@ def triplet_count(n: int) -> int:
 
 
 def iter_triplet_chunks(
-    n: int, chunk_size: int = DEFAULT_CHUNK
+    n: int, chunk_size: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (ii, jj, kk) index arrays covering all triples i < j < k.
 
     Concatenating the chunks gives the full enumeration in ascending
-    lexicographic order. Each chunk holds at most chunk_size triples.
+    lexicographic order. Each chunk holds at most chunk_size triples
+    (None: DEFAULT_CHUNK as it is at call time).
     """
+    chunk_size = DEFAULT_CHUNK if chunk_size is None else chunk_size
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     buf_i: list[np.ndarray] = []

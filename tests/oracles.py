@@ -4,7 +4,7 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the power repair's full bisection), kept so the replacement can be
+scan, the power repair's full bisection, the csv matrix reader), kept so the replacement can be
 checked bit for bit.
 """
 
@@ -436,6 +436,30 @@ def write_rows(path, rows, header_lines=()) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
             writer.writerow([format_value(v) for v in row])
+
+
+def read_labeled_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
+    """The matrix reader the library used before it parsed with np.loadtxt.
+
+    Every row goes through csv.reader and every value cell through
+    float(); the differential tests compare read_labeled_matrix with it.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = itertools.dropwhile(lambda ln: ln.startswith("#"), fh)
+        rows = [row for row in csv.reader(lines) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    col_labels = rows[0][1:]
+    if any(len(r) != len(rows[0]) for r in rows[1:]):
+        raise ValueError(f"{path}: ragged matrix rows")
+    row_labels = [r[0] for r in rows[1:]]
+    try:
+        values = np.array(
+            [[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric matrix entry ({exc})") from None
+    return values, row_labels, col_labels
 
 
 def power_shrink_full_bisection(

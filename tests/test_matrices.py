@@ -16,7 +16,7 @@ from umtk.matrices import (
 )
 from umtk import matrixio
 
-from .oracles import brute_pairwise, write_rows
+from .oracles import brute_pairwise, read_labeled_matrix_csv, write_rows
 
 
 def test_dissimilarity_accepts_valid():
@@ -258,6 +258,137 @@ def test_read_matrix_error_messages(tmp_path, body, message):
     path.write_text(",a,b\n" + body, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         matrixio.read_labeled_matrix(path)
+
+
+@pytest.mark.parametrize("head", ["# tool: x\n# note: y\n", ""], ids=["comments", "header"])
+def test_read_matrix_skips_byte_order_mark(tmp_path, head):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (head + ",a,b\na,0,1\nb,1,0\n").encode("utf-8"))
+    values, row_labels, col_labels = matrixio.read_labeled_matrix(path)
+    assert values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert row_labels == col_labels == ["a", "b"]
+
+
+@pytest.mark.parametrize("text", [",a,b\n", ',"a,1",b\r\n'], ids=["plain", "quoted"])
+def test_read_header_only_matrix(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    values, row_labels, col_labels = matrixio.read_labeled_matrix(path)
+    assert values.shape == (0, 2) and values.dtype == np.float64
+    assert row_labels == [] and len(col_labels) == 2
+
+
+def _float_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+_PADS = ["", " ", "\t", "\x0c", "\xa0", "\u3000"]
+#: Cells that float() reads, some of which numpy's parser rejects.
+_GOOD_CELLS = ["nan", "-nan", "+nan", "-inf", "Infinity", "1e-400", "1e400", "1.", ".5",
+               "-0", "1_0", "1_000.5", "١٢", "4 "]
+#: Cells that float() rejects; "\x1c1" is one numpy's parser would read as 1.
+_BAD_CELLS = ["", " ", "x", "1d5", "0x10", "1_", "1__0", "nan(123)", "3\x00", "\x1c1",
+              "1\x1f", "--1", "١x"]
+_LABEL_TEXT = st.text(alphabet=st.sampled_from(list(',"# \tabé中\xa0\n')),
+                      min_size=1, max_size=6)
+
+
+def _csv_cell(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _matrix_files(draw, broken: bool):
+    """Text of a labeled matrix file for the differential reader tests.
+
+    Labels hold ',', '"', '#', spaces, newlines and non-ASCII text (quoted
+    as csv needs, or quoted anyway); values are random float64 bit
+    patterns written by repr or '%.17g', or cells float() reads, each
+    padded with whitespace. Blank lines, LF / CRLF / CR endings and a
+    leading comment block vary. A broken file gets one ragged row or one
+    cell float() rejects.
+    """
+    n_cols = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(1, 5))
+    quoted = draw(st.booleans())
+    # the header row is never empty or a comment, and no data row is empty,
+    # so the file has at least one row under its header
+    lines = [_csv_cell(draw(_LABEL_TEXT), True) if quoted
+             else draw(st.sampled_from(["x", "a b", "h#", "é"] + [""] * (n_cols > 0)))]
+    lines[0] = ",".join([lines[0]] + [
+        _csv_cell(draw(_LABEL_TEXT), draw(st.booleans())) if quoted else f"c{j}#"
+        for j in range(n_cols)])
+    for _ in range(n_rows):
+        label = draw(_LABEL_TEXT)
+        if not quoted:
+            label = label.replace('"', "").replace("\n", "").replace(",", "") or "z"
+        cells = [_csv_cell(label, quoted and draw(st.booleans()))]
+        for _ in range(n_cols):
+            kind = draw(st.sampled_from(["repr", "%.17g", "literal"]))
+            if kind == "literal":
+                cell = draw(st.sampled_from(_GOOD_CELLS))
+            else:
+                x = draw(st.floats() | st.integers(0, 2**64 - 1).map(_float_bits))
+                cell = repr(x) if kind == "repr" else "%.17g" % x
+            cells.append(draw(st.sampled_from(_PADS)) + cell + draw(st.sampled_from(_PADS)))
+        lines.append(",".join(cells))
+    if broken:
+        row = draw(st.integers(1, n_rows))
+        if n_cols and draw(st.booleans()):
+            cells = lines[row].split(",")
+            cells[-1] = draw(st.sampled_from(_BAD_CELLS))
+            lines[row] = ",".join(cells)
+        else:
+            lines[row] += draw(st.sampled_from([",1", ",1,2"]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    comments = ["# " + draw(st.text(alphabet="ab, #\"", max_size=5))
+                for _ in range(draw(st.integers(0, 2)))]
+    text = "".join(f"{c}\n" for c in comments)
+    text += "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text[: -len(endings[-1])]
+    return text
+
+
+def _read_outcome(read, path):
+    try:
+        values, row_labels, col_labels = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return values.dtype, values.shape, values.tobytes(), row_labels, col_labels
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١٢", "\x1c1", "1\x1f", "\u30001\xa0", "nan(1)", "-nan"])
+def test_read_matrix_cell_is_float_or_error(tmp_path, cell):
+    # numpy's parser rejects the first two, which float() reads, and reads
+    # the next two, which float() rejects
+    path = tmp_path / "m.csv"
+    path.write_text(f",a,b\nr,{cell},2\ns,3,4\n", encoding="utf-8")
+    got = _read_outcome(matrixio.read_labeled_matrix, path)
+    assert got == _read_outcome(read_labeled_matrix_csv, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_files(broken=False))
+def test_read_matrix_matches_csv_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _read_outcome(matrixio.read_labeled_matrix, path)
+    assert got == _read_outcome(read_labeled_matrix_csv, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_files(broken=True))
+def test_read_matrix_errors_match_csv_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _read_outcome(matrixio.read_labeled_matrix, path)
+    assert got[0] == "error"
+    assert got == _read_outcome(read_labeled_matrix_csv, path)
 
 
 def test_written_files_use_lf_and_utf8(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from umtk import rng
+from umtk import rng, triplets
 from umtk.triplets import (
     DEFAULT_CHUNK,
     iter_triplet_chunks,
@@ -139,6 +139,14 @@ def test_scan_exhaustive_is_chunk_enumeration_in_order():
     got = scan(n, lambda ii, jj, kk: (ii, jj, kk))
     assert len(got) == 2 and got[0][0].size == DEFAULT_CHUNK
     np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks(n)))
+
+
+def test_exhaustive_scan_reads_default_chunk_at_call_time(monkeypatch):
+    # C(8, 3) = 56 triples in chunks of the patched size, in the same order
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
+    got = scan(8, lambda ii, jj, kk: (ii, jj, kk))
+    assert [c[0].size for c in got] == [7] * 8
+    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks(8, 56)))
 
 
 def test_scan_sampled_is_seeded_draws_in_order():
