@@ -300,8 +300,8 @@ def _csv_cell(text: str, quote: bool) -> str:
 
 
 @st.composite
-def _matrix_files(draw, broken: bool):
-    """Text of a labeled matrix file for the differential reader tests.
+def _matrix_files(draw):
+    """(text of a labeled matrix file, whether it is broken) for the reader test.
 
     Labels hold ',', '"', '#', spaces, newlines and non-ASCII text (quoted
     as csv needs, or quoted anyway); values are random float64 bit
@@ -312,7 +312,7 @@ def _matrix_files(draw, broken: bool):
     """
     n_cols = draw(st.integers(0, 4))
     n_rows = draw(st.integers(1, 5))
-    quoted = draw(st.booleans())
+    quoted, broken = draw(st.booleans()), draw(st.booleans())
     # the header row is never empty or a comment, and no data row is empty,
     # so the file has at least one row under its header
     lines = [_csv_cell(draw(_LABEL_TEXT), True) if quoted
@@ -351,7 +351,7 @@ def _matrix_files(draw, broken: bool):
     text += "".join(line + end for line, end in zip(lines, endings))
     if draw(st.booleans()):
         text = text[: -len(endings[-1])]
-    return text
+    return text, broken
 
 
 def _read_outcome(read, path):
@@ -372,22 +372,14 @@ def test_read_matrix_cell_is_float_or_error(tmp_path, cell):
     assert got == _read_outcome(read_labeled_matrix_csv, path)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_matrix_files(broken=False))
-def test_read_matrix_matches_csv_oracle(tmp_path_factory, text):
+@settings(max_examples=250, deadline=None)
+@given(_matrix_files())
+def test_read_matrix_matches_csv_oracle(tmp_path_factory, file):
+    text, broken = file
     path = tmp_path_factory.mktemp("matrix") / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     got = _read_outcome(matrixio.read_labeled_matrix, path)
-    assert got == _read_outcome(read_labeled_matrix_csv, path)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_matrix_files(broken=True))
-def test_read_matrix_errors_match_csv_oracle(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("matrix") / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
-    got = _read_outcome(matrixio.read_labeled_matrix, path)
-    assert got[0] == "error"
+    assert (got[0] == "error") == broken
     assert got == _read_outcome(read_labeled_matrix_csv, path)
 
 
