@@ -70,7 +70,7 @@ def ultrametric_component(
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     _require_inversion_free([criterion_a, criterion_b])
     d = euclidean_distances(coords)

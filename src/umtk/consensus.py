@@ -7,6 +7,10 @@ granularity-free similarity between clusterings of the same items;
 intersecting the agreements yields a consensus ultrametric and hence a
 consensus dendrogram.
 
+A signature orders the triplet's three levels with triplets.sort3 and
+compares them within a relative tie tolerance. Its apex is the vertex
+opposite the first smallest level in (ij, ik, jk) order.
+
 Only inversion-free linkage criteria are allowed as consensus sources:
 cophenetic levels of a dendrogram with inversions need not satisfy the
 strong triangle inequality, which would make the signatures meaningless.
@@ -28,7 +32,7 @@ from .hierarchy import (
 )
 from .matrices import DissimilarityMatrix, UltrametricMatrix, _ArrayFieldsEq
 from .transforms import check_ultrametric
-from .triplets import scan, triplet_count
+from .triplets import first_smallest, scan, sort3, triplet_count
 
 #: Default relative tolerance for treating two levels as tied.
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -91,28 +95,19 @@ def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _signature_arrays(
-    values: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    kk: np.ndarray,
-    tol: float,
+    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized signatures: (isosceles mask, equilateral mask, apex ids).
 
-    The apex id is the vertex opposite the smallest pair value; it is
-    meaningful only where the isosceles mask holds.
+    The apex id is the vertex opposite the first smallest pair value, in
+    (ij, ik, jk) order; it is meaningful only where the isosceles mask
+    holds.
     """
-    vals = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
-    order = np.argsort(vals, axis=0, kind="stable")
-    srt = np.take_along_axis(vals, order, axis=0)
-    equilateral = _tied(srt[0], srt[2], tol)
-    isosceles = (
-        ~equilateral & _tied(srt[1], srt[2], tol) & ~_tied(srt[0], srt[1], tol)
-    )
-    # pair order in vals is (ij, ik, jk); the opposite vertices are (k, j, i)
-    opposite = np.stack([kk, jj, ii])
-    apex = np.take_along_axis(opposite, order[:1], axis=0)[0]
-    return isosceles, equilateral, apex
+    pairs = values[ii, jj], values[ii, kk], values[jj, kk]
+    lo, mid, hi = sort3(*pairs)
+    equilateral = _tied(lo, hi, tol)
+    isosceles = ~equilateral & _tied(mid, hi, tol) & ~_tied(lo, mid, tol)
+    return isosceles, equilateral, first_smallest(lo, pairs, (kk, jj, ii))
 
 
 def triplet_signature(
@@ -129,13 +124,7 @@ def triplet_signature(
         if not 0 <= idx < u.n:
             raise ValueError(f"index {idx} out of range")
     a, b, c = sorted((i, j, k))
-    iso, equi, apex = _signature_arrays(
-        u.values,
-        np.array([a]),
-        np.array([b]),
-        np.array([c]),
-        tie_tolerance,
-    )
+    iso, equi, apex = _signature_arrays(u.values, *np.array([[a], [b], [c]]), tie_tolerance)
     base_value = float(min(u.values[a, b], u.values[a, c], u.values[b, c]))
     if bool(equi[0]):
         return TripletSignature((a, b, c), SHAPE_EQUILATERAL, None, None, base_value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import DissimilarityMatrix, _ArrayFieldsEq
-from .triplets import DEFAULT_CHUNK, scan, sorted_pair_values
+from .triplets import DEFAULT_CHUNK, scan, sort3
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
@@ -42,12 +42,12 @@ class ViolationReport(_ArrayFieldsEq):
 def _scan_violations(
     d: DissimilarityMatrix, kind: str, tolerance: float
 ) -> ViolationReport:
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be nonnegative")
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = sorted_pair_values(d.values, ii, jj, kk)
-        slack = s[2] - s[1] if kind == "strong-triangle" else s[2] - s[1] - s[0]
+        lo, mid, hi = sort3(d.values[ii, jj], d.values[ii, kk], d.values[jj, kk])
+        slack = hi - mid if kind == "strong-triangle" else hi - mid - lo
         bad = slack > tolerance
         return np.column_stack([ii[bad], jj[bad], kk[bad]]), slack[bad]
 
@@ -101,8 +101,8 @@ def _worst_metric_slack(
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
         nonlocal kept, count
-        s = sorted_pair_values(values, ii, jj, kk)
-        slack = s[2] - s[1] - s[0]
+        lo, mid, hi = sort3(values[ii, jj], values[ii, kk], values[jj, kk])
+        slack = hi - mid - lo
         if kept is not None:
             open_ = ~(slack <= floor)
             kept.append(np.stack([ii[open_], jj[open_], kk[open_]]))
@@ -162,7 +162,7 @@ def power_shrink(
     the bisection re-scans only the triples that can still decide it.
     Every test decides as a scan of all triples would.
     """
-    if r_tolerance <= 0:
+    if not r_tolerance > 0:
         raise ValueError("r_tolerance must be positive")
     off_diag = ~np.eye(d.n, dtype=bool)
     if np.any(d.values[off_diag] == 0.0):

@@ -11,6 +11,9 @@ scan is the one driver for triplet scans: it picks the chunk source
 spreads the chunks over threads. Kernels return integer or
 elementwise-independent results, so serial and threaded scans agree
 exactly.
+
+sort3 orders each triplet's three pair values (or angles) for every
+kernel, and first_smallest reads the apex off the smallest of them.
 """
 
 from __future__ import annotations
@@ -154,10 +157,25 @@ def scan(
     return [kernel(ii, jj, kk) for ii, jj, kk in chunks]
 
 
-def sorted_pair_values(
-    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
-) -> np.ndarray:
-    """(3, m) array of each triple's pair values (ij, ik, jk) sorted ascending."""
-    stacked = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
-    stacked.sort(axis=0)
-    return stacked
+def sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Elementwise (lo, mid, hi) of three arrays, equal values in input order.
+
+    Three neighbour compare-exchanges, (a, b), (b, c), (a, b), each written
+    np.minimum(y, x), np.maximum(x, y): numpy returns the second operand
+    on ties, so equal values (-0.0 beside 0.0 included) are never swapped
+    and the result is a stable sort's, bit for bit. NaN propagates.
+    """
+    lo, hi = np.minimum(b, a), np.maximum(a, b)
+    mid, hi = np.minimum(c, hi), np.maximum(hi, c)
+    lo, mid = np.minimum(mid, lo), np.maximum(lo, mid)
+    return lo, mid, hi
+
+
+def first_smallest(lo: np.ndarray, values: tuple, ids: tuple) -> np.ndarray:
+    """The apex rule: ids entry of the first of the three values equal to lo.
+
+    Signatures pass the pair values (ij, ik, jk) with the opposite vertices
+    (k, j, i); verdicts pass the angles at ascending vertex ids, so the
+    lowest id among the smallest angles is the apex.
+    """
+    return np.where(values[0] == lo, ids[0], np.where(values[1] == lo, ids[1], ids[2]))

@@ -27,7 +27,7 @@ from .matrices import (
     _ArrayFieldsEq,
     euclidean_distances,
 )
-from .triplets import scan, sorted_pair_values
+from .triplets import first_smallest, scan, sort3
 
 #: Default tolerance on the difference between base angles, in radians
 #: (two degrees).
@@ -140,20 +140,16 @@ def triplet_geometry(
     )
 
 
-def _classify_angles(
-    angles: np.ndarray, verts: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Verdicts from (3, m) angles at (3, m) ascending vertex ids: (apex, diff, ultra).
+def _classify_angles(angles: tuple, verts: tuple, epsilon: float) -> tuple[np.ndarray, ...]:
+    """Verdicts from angles (arrays or scalars) at ascending vertex ids: (apex, diff, ultra).
 
     The apex is the smallest angle, the first (lowest id) on ties. The
     apex-angle bound of classify_triplet is not tested: the smallest
     angle of a non-degenerate triangle is at most 60 degrees.
     """
-    order = np.argsort(angles, axis=0, kind="stable")
-    srt = np.take_along_axis(angles, order, axis=0)
-    diff = srt[2] - srt[1]
-    apex = np.take_along_axis(verts, order[:1], axis=0)[0]
-    return apex, diff, diff < epsilon
+    lo, mid, hi = sort3(*angles)
+    diff = hi - mid
+    return first_smallest(lo, angles, verts), diff, diff < epsilon
 
 
 def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> TripletVerdict:
@@ -166,34 +162,28 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
     """
     if g.degenerate or g.angles is None:
         raise ValueError("cannot classify a degenerate triangle")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    order = np.argsort([g.i, g.j, g.k], kind="stable")
-    verts = np.array([g.i, g.j, g.k])[order, None]
-    angles = np.array(g.angles)[order, None]
+    verts, angles = zip(*sorted(zip((g.i, g.j, g.k), g.angles), key=lambda va: va[0]))
     apex, diff, ultra = _classify_angles(angles, verts, epsilon)
-    apex_id = int(apex[0])
+    apex_id = int(apex)
     base = sorted({g.i, g.j, g.k} - {apex_id})
     # hand-built angles need not form a triangle, so the apex bound is tested here
     return TripletVerdict(
         geometry=g,
         apex=apex_id,
         base=(base[0], base[1]),
-        base_angle_diff=float(diff[0]),
-        ultrametric=bool(ultra[0]) and min(g.angles) <= math.pi / 3.0 + ANGLE_SLACK,
+        base_angle_diff=float(diff),
+        ultrametric=bool(ultra) and min(g.angles) <= math.pi / 3.0 + ANGLE_SLACK,
     )
 
 
 def _classify_chunk(
-    values: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    kk: np.ndarray,
-    epsilon: float,
+    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate)."""
     *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
-    apex, diff, ultra = _classify_angles(np.stack(angles), np.stack([ii, jj, kk]), epsilon)
+    apex, diff, ultra = _classify_angles(angles, (ii, jj, kk), epsilon)
     return apex, diff, ultra & ~degen, degen
 
 
@@ -213,7 +203,7 @@ def alpha_epsilon(
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     values = euclidean_distances(coords).values
 
@@ -251,7 +241,7 @@ def scan_triplet_verdicts(
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     values = euclidean_distances(coords).values
 
@@ -309,8 +299,8 @@ def lerman_h(
     rank_matrix = rank_matrix + rank_matrix.T
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[float, int]:
-        s = sorted_pair_values(rank_matrix, ii, jj, kk)
-        return float((s[2] - s[1]).sum()), ii.shape[0]
+        _, mid, hi = sort3(rank_matrix[ii, jj], rank_matrix[ii, kk], rank_matrix[jj, kk])
+        return float((hi - mid).sum()), ii.shape[0]
 
     total, count = (sum(col) for col in zip(*scan(n, kernel, sample, seed)))
     return total / (count * (pair_count - 1))
@@ -330,10 +320,10 @@ def treves_hartmann_points(
         raise ValueError("need at least three items")
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
-        s = sorted_pair_values(d.values, ii, jj, kk)
-        ok = s[2] > 0.0
-        s0, s1, s2 = s[0, ok], s[1, ok], s[2, ok]
-        return np.column_stack([s0 / s2, s1 / s2, s2 - s1]), int((~ok).sum())
+        lo, mid, hi = sort3(d.values[ii, jj], d.values[ii, kk], d.values[jj, kk])
+        ok = hi > 0.0
+        lo, mid, hi = lo[ok], mid[ok], hi[ok]
+        return np.column_stack([lo / hi, mid / hi, hi - mid]), int((~ok).sum())
 
     blocks, skipped = zip(*scan(d.n, kernel, sample, seed))
     return TrevesHartmannResult(np.concatenate(blocks), sum(skipped))

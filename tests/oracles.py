@@ -4,8 +4,9 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the power repair's full bisection, the csv matrix reader), kept so the replacement can be
-checked bit for bit.
+scan, the power repair's full bisection, the csv matrix reader, the
+np.sort and argsort orderings of a triplet's three values), kept so the
+replacement can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +17,63 @@ import math
 
 import numpy as np
 
-from umtk.consensus import _signature_arrays
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
-from umtk.triplets import scan, sorted_pair_values
+from umtk.triplets import scan
+
+
+def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b))
+
+
+def sorted_pair_values(
+    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray
+) -> np.ndarray:
+    """(3, m) array of each triple's pair values (ij, ik, jk) sorted ascending."""
+    stacked = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
+    stacked.sort(axis=0)
+    return stacked
+
+
+def signature_arrays_argsort(
+    values: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    kk: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """consensus._signature_arrays by a stable argsort of the stacked values.
+
+    The apex id is the vertex opposite the smallest pair value; it is
+    meaningful only where the isosceles mask holds.
+    """
+    vals = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
+    order = np.argsort(vals, axis=0, kind="stable")
+    srt = np.take_along_axis(vals, order, axis=0)
+    equilateral = _tied(srt[0], srt[2], tol)
+    isosceles = (
+        ~equilateral & _tied(srt[1], srt[2], tol) & ~_tied(srt[0], srt[1], tol)
+    )
+    # pair order in vals is (ij, ik, jk); the opposite vertices are (k, j, i)
+    opposite = np.stack([kk, jj, ii])
+    apex = np.take_along_axis(opposite, order[:1], axis=0)[0]
+    return isosceles, equilateral, apex
+
+
+def classify_angles_argsort(
+    angles: np.ndarray, verts: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ultrametricity._classify_angles by a stable argsort of (3, m) angles.
+
+    verts holds the (3, m) ascending vertex ids; the apex is the smallest
+    angle, the first (lowest id) on ties.
+    """
+    order = np.argsort(angles, axis=0, kind="stable")
+    srt = np.take_along_axis(angles, order, axis=0)
+    diff = srt[2] - srt[1]
+    apex = np.take_along_axis(verts, order[:1], axis=0)[0]
+    return apex, diff, diff < epsilon
 
 
 def brute_pairwise(points: np.ndarray) -> np.ndarray:
@@ -187,8 +240,8 @@ def consensus_ultrametric_two_branch(
     np.fill_diagonal(cand, 0.0)
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> None:
-        iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
-        iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
+        iso1, _, apex1 = signature_arrays_argsort(u1.values, ii, jj, kk, tie_tolerance)
+        iso2, _, apex2 = signature_arrays_argsort(u2.values, ii, jj, kk, tie_tolerance)
         consistent = iso1 & iso2 & (apex1 == apex2)
         pairs = ((ii, jj), (ii, kk), (jj, kk))
         if np.any(consistent):

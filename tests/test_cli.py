@@ -320,6 +320,17 @@ def test_uca_needs_exactly_two_criteria(tmp_path, capsys):
     assert "exactly two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["uca", "coeffs"])
+def test_nan_epsilon_exits_1_before_writing(tmp_path, capsys, command):
+    coords_path = tmp_path / "pts.csv"
+    write_example_coords(coords_path)
+    out = tmp_path / "out"
+    assert main([command, "--coords", str(coords_path), "--epsilon", "nan",
+                 "--out", str(out)]) == 1
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_transform_both_writes_two_files(tmp_path):
     src = tmp_path / "d.csv"
     d = DissimilarityMatrix(

@@ -180,6 +180,11 @@ def test_argument_validation(rng):
         ultrametric_component(pts, criterion_a="centroid")
 
 
+def test_nan_epsilon_is_rejected(rng):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        ultrametric_component(point_cloud(rng, 6, 2), epsilon=math.nan)
+
+
 def test_profile_dataclass_fields():
     profile = EpsilonProfile(
         sorted_diffs=np.array([0.01, 0.02, 0.5]),

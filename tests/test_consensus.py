@@ -374,6 +374,11 @@ def test_consensus_dendrogram_rejects_non_ultrametric():
         consensus_dendrogram(bad)
 
 
+def test_consensus_dendrogram_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        consensus_dendrogram(ultra3(1.0, 2.0, 3.0), float("nan"))
+
+
 def test_consensus_dendrogram_fixed_point_closure(rng):
     u = random_ultrametric(rng, 9)
     as_u = UltrametricMatrix(u.values, list(u.labels))

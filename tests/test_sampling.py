@@ -2,15 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umtk import rng, triplets
+from umtk.consensus import DEFAULT_TIE_TOLERANCE, _signature_arrays
 from umtk.triplets import (
     DEFAULT_CHUNK,
     iter_triplet_chunks,
     sample_triplets,
     scan,
+    sort3,
     triplet_count,
 )
+from umtk.ultrametricity import _angles_from_sides, _classify_angles, _classify_chunk
+
+from .oracles import classify_angles_argsort, signature_arrays_argsort, sorted_pair_values
 
 MASK = (1 << 64) - 1
 
@@ -174,3 +180,73 @@ def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
     with pytest.raises(ValueError, match=match):
         scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
     assert calls == []
+
+
+def _tie_heavy(gen: np.random.Generator, kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Values of one kind, drawn so that exact and near ties are common."""
+    if kind == "integers":
+        return gen.integers(0, 4, size=shape).astype(float)
+    if kind == "two-values":
+        return gen.choice([1.5, 2.5], size=shape)
+    if kind == "near-ties":
+        # relative offsets of 0 or 4e-10 lie inside DEFAULT_TIE_TOLERANCE, 3e-9 outside
+        offsets = gen.choice([0.0, 4e-10, -4e-10, 3e-9], size=shape)
+        return gen.choice([1.0, 2.0], size=shape) * (1.0 + offsets)
+    if kind == "signed-zeros":
+        return gen.choice([-0.0, 0.0, 1.0], size=shape)
+    # duplicate points on a small integer grid: zero sides and exact isosceles ties
+    n = shape[-1]
+    pts = gen.integers(0, 3, size=(n, 2)).astype(float)
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+
+
+def _assert_same(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal values and equal sign bits (so -0.0 and 0.0 differ)."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["integers", "two-values", "near-ties", "signed-zeros", "duplicates"]),
+    n=st.integers(3, 40),
+)
+def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
+    gen = np.random.default_rng(seed)
+    values = _tie_heavy(gen, kind, (n, n))
+    # n = 40 gives 9880 triplets, well past numpy's SIMD block sizes
+    ii, jj, kk = np.concatenate([np.stack(c) for c in iter_triplet_chunks(n)], axis=1)
+    pairs = values[ii, jj], values[ii, kk], values[jj, kk]
+    for got, want in zip(sort3(*pairs), sorted_pair_values(values, ii, jj, kk)):
+        _assert_same(got, want)
+    stacked = np.stack(pairs)
+    stable = np.take_along_axis(stacked, np.argsort(stacked, axis=0, kind="stable"), axis=0)
+    for got, want in zip(sort3(*pairs), stable):
+        _assert_same(got, want)
+
+    for got, want in zip(
+        _signature_arrays(values, ii, jj, kk, DEFAULT_TIE_TOLERANCE),
+        signature_arrays_argsort(values, ii, jj, kk, DEFAULT_TIE_TOLERANCE),
+    ):
+        assert np.array_equal(got, want)
+
+    epsilon = 0.5
+    verts = (ii, jj, kk)
+    # the duplicates kind draws a matrix, so its pair values stand in for angles
+    angles = pairs if kind == "duplicates" else tuple(_tie_heavy(gen, kind, (3, ii.size)))
+    got = _classify_angles(angles, verts, epsilon)
+    want = classify_angles_argsort(np.stack(angles), np.stack(verts), epsilon)
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+
+    # angles of real triangles: NaN angles of degenerate ones may differ under the mask
+    *tri_angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
+    apex, diff, ultra, mask = _classify_chunk(values, ii, jj, kk, epsilon)
+    w_apex, w_diff, w_ultra = classify_angles_argsort(
+        np.stack(tri_angles), np.stack(verts), epsilon
+    )
+    assert np.array_equal(mask, degen)
+    assert np.array_equal(ultra, w_ultra & ~mask)
+    _assert_same(apex[~mask], w_apex[~mask])
+    _assert_same(diff[~mask], w_diff[~mask])

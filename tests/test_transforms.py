@@ -126,6 +126,13 @@ def test_tolerance_is_strict_threshold():
         check_metric(d, tolerance=-1e-9)
 
 
+@pytest.mark.parametrize("check", [check_metric, check_ultrametric])
+def test_nan_check_tolerance_is_rejected(check):
+    # metric and ultrametric both fail on this triple, so a NaN tolerance must not pass it
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        check(three_point(1.0, 2.0, 4.0), tolerance=float("nan"))
+
+
 def test_violations_match_bruteforce(rng):
     for _ in range(10):
         d = random_dissimilarity(rng, 8)
@@ -240,6 +247,11 @@ def test_power_rejects_off_diagonal_zero():
 def test_power_rejects_bad_tolerance(rng):
     with pytest.raises(ValueError):
         power_shrink(random_dissimilarity(rng, 4), r_tolerance=0.0)
+
+
+def test_power_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="r_tolerance must be positive"):
+        power_shrink(three_point(1.0, 2.0, 4.0), r_tolerance=float("nan"))
 
 
 @settings(max_examples=40, deadline=None)

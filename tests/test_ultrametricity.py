@@ -150,6 +150,19 @@ def test_classify_rejects_degenerate_and_bad_epsilon():
         classify_triplet(triplet_geometry(EQUILATERAL, 0, 1, 2), epsilon=0.0)
 
 
+@pytest.mark.parametrize("entry", ["alpha_epsilon", "scan_triplet_verdicts", "classify_triplet"])
+def test_nan_epsilon_is_rejected(entry):
+    calls = {
+        "alpha_epsilon": lambda: alpha_epsilon(RIGHT_ISO, epsilon=math.nan),
+        "scan_triplet_verdicts": lambda: scan_triplet_verdicts(RIGHT_ISO, epsilon=math.nan),
+        "classify_triplet": lambda: classify_triplet(
+            triplet_geometry(RIGHT_ISO, 0, 1, 2), epsilon=math.nan
+        ),
+    }
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        calls[entry]()
+
+
 def test_classify_matches_bruteforce(rng):
     pts = rng.normal(size=(8, 2))
     coords = CoordinateMatrix(pts)
