@@ -12,8 +12,8 @@ spreads the chunks over threads. Kernels return integer or
 elementwise-independent results, so serial and threaded scans agree
 exactly.
 
-sort3 orders each triplet's three pair values (or angles) for every
-kernel, and first_smallest reads the apex off the smallest of them.
+sort3 orders the three values of every triplet (pair values, angles,
+or a draw's ids), and first_smallest reads the apex off the smallest.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ def sample_triplets(
         pending = pending[~ok]
     else:
         raise RuntimeError("triplet sampling failed to converge")
-    out.sort(axis=0)
-    return out[0], out[1], out[2]
+    return sort3(*out)
 
 
 def scan(
