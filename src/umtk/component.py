@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .consensus import DEFAULT_TIE_TOLERANCE, _require_inversion_free, consensus_count
+from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, consensus_count
 from .hierarchy import cophenetic, linkage
 from .matrices import CoordinateMatrix, _ArrayFieldsEq, euclidean_distances
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
@@ -72,7 +72,7 @@ def ultrametric_component(
         raise ValueError("need at least three points")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    _require_inversion_free([criterion_a, criterion_b])
+    _check_consensus_args([criterion_a, criterion_b], tie_tolerance)
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))

@@ -89,6 +89,12 @@ class ConsensusTable(_ArrayFieldsEq):
     ultrametrics: list[UltrametricMatrix] = field(default_factory=list)
 
 
+def _check_tie_tolerance(tol: float) -> None:
+    # from 1 up every two nonnegative levels tie; NaN or below 0, none do
+    if not 0 <= tol < 1:
+        raise ValueError(f"tie_tolerance must be in [0, 1), got {tol!r}")
+
+
 def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Elementwise tie test, tolerance relative to the larger magnitude."""
     return np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b))
@@ -118,6 +124,7 @@ def triplet_signature(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
 ) -> TripletSignature:
     """Signature of one triplet; indices may come in any order."""
+    _check_tie_tolerance(tie_tolerance)
     if len({i, j, k}) != 3:
         raise ValueError("triplet indices must be pairwise distinct")
     for idx in (i, j, k):
@@ -166,6 +173,7 @@ def consensus_count(
     closure, so the result is a valid ultrametric, symmetric in the
     arguments.
     """
+    _check_tie_tolerance(tie_tolerance)
     _check_same_items(u1, u2)
     n = u1.n
     # flat views: 1-D indices make np.minimum.at about 2.5 times faster
@@ -203,7 +211,8 @@ def consensus_count(
     )
 
 
-def _require_inversion_free(criteria: list[str]) -> None:
+def _check_consensus_args(criteria: list[str], tie_tolerance: float) -> None:
+    _check_tie_tolerance(tie_tolerance)
     for crit in criteria:
         if crit not in INVERSION_FREE_CRITERIA:
             raise ValueError(
@@ -229,7 +238,7 @@ def consensus_table(
         raise ValueError("need at least one criterion")
     if len(set(criteria)) != len(criteria):
         raise ValueError("criteria must be distinct")
-    _require_inversion_free(criteria)
+    _check_consensus_args(criteria, tie_tolerance)
     ultrams = [cophenetic(linkage(d, crit)) for crit in criteria]
     m = len(criteria)
 

@@ -1,14 +1,12 @@
 """Enumeration and seeded sampling of index triples {i, j, k}, i < j < k.
 
-Exhaustive scans over all n-choose-3 triples are produced in ascending
-(i, j, k) order as flat index arrays, chunked so that downstream geometry
-can stay vectorized without ever materializing the full enumeration for
-large n. Sampling is counter-based: draw t depends only on (seed, t), so
-a sampled scan is reproducible no matter how it is split across workers.
-
-scan is the one driver for triplet scans: it picks the chunk source
-(exhaustive or sampled), applies a per-chunk kernel, and optionally
-spreads the chunks over threads. Kernels return integer or
+A triplet scan is a sequence of fixed windows of DEFAULT_CHUNK ranks.
+Exhaustive scans rank the n-choose-3 triples in ascending (i, j, k)
+order; triplet_windows builds any window's index arrays from one pair
+table, so the full enumeration never exists at once. Sampling is
+counter-based: draw t depends only on (seed, t). scan is the one driver:
+it runs a per-window kernel over either source, and with workers > 1
+each thread builds the windows it runs. Kernels return integer or
 elementwise-independent results, so serial and threaded scans agree
 exactly.
 
@@ -30,6 +28,7 @@ DEFAULT_CHUNK = 200_000
 _MAX_REJECTION_ROUNDS = 10_000
 
 T = TypeVar("T")
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def triplet_count(n: int) -> int:
@@ -39,56 +38,47 @@ def triplet_count(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
-def iter_triplet_chunks(
-    n: int, chunk_size: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def triplet_windows(n: int) -> tuple[int, Callable[[int, int], Triples]]:
+    """(count, window): window(lo, hi) is the int64 (ii, jj, kk) of ranks lo..hi-1.
+
+    Ranks count the triples i < j < k in ascending lexicographic order.
+    The triples with first id i pair it with the pairs above i, a suffix
+    of the row-major pair table np.triu_indices(n, 1), so a window needs
+    no other window: it repeats its first ids and gathers from the table.
+    """
+    pair_j, pair_k = (a.astype(np.int64, copy=False) for a in np.triu_indices(n, 1))
+    ids = np.arange(max(n - 2, 0), dtype=np.int64)
+    per_id = (n - 1 - ids) * (n - 2 - ids) // 2
+    first = np.concatenate([[0], np.cumsum(per_id)])
+    # rank r with first id i is pair r + shift[i]
+    shift = pair_j.size - per_id - first[:-1]
+
+    def window(lo: int, hi: int) -> Triples:
+        a = int(np.searchsorted(first, lo, side="right")) - 1
+        b = int(np.searchsorted(first, hi, side="left"))
+        sizes = np.diff(np.clip(first[a : b + 1], lo, hi))
+        pos = np.repeat(shift[a:b], sizes)
+        pos += np.arange(lo, hi, dtype=np.int64)
+        return np.repeat(ids[a:b], sizes), pair_j[pos], pair_k[pos]
+
+    return triplet_count(n), window
+
+
+def iter_triplet_chunks(n: int, chunk_size: int | None = None) -> Iterator[Triples]:
     """Yield (ii, jj, kk) index arrays covering all triples i < j < k.
 
-    Concatenating the chunks gives the full enumeration in ascending
-    lexicographic order. Each chunk holds at most chunk_size triples
-    (None: DEFAULT_CHUNK as it is at call time).
+    The chunks are consecutive windows of chunk_size ranks (None:
+    DEFAULT_CHUNK as it is at call time), in ascending lexicographic order.
     """
     chunk_size = DEFAULT_CHUNK if chunk_size is None else chunk_size
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    buf_i: list[np.ndarray] = []
-    buf_j: list[np.ndarray] = []
-    buf_k: list[np.ndarray] = []
-    buffered = 0
-    for i in range(n - 2):
-        # all pairs i < j < k for this i
-        jj, kk = np.triu_indices(n - i - 1, k=1)
-        jj = jj + i + 1
-        kk = kk + i + 1
-        buf_i.append(np.full(jj.shape[0], i, dtype=np.int64))
-        buf_j.append(jj.astype(np.int64))
-        buf_k.append(kk.astype(np.int64))
-        buffered += jj.shape[0]
-        if buffered >= chunk_size:
-            ii = np.concatenate(buf_i)
-            jj_all = np.concatenate(buf_j)
-            kk_all = np.concatenate(buf_k)
-            for lo in range(0, buffered - chunk_size + 1, chunk_size):
-                yield (
-                    ii[lo : lo + chunk_size],
-                    jj_all[lo : lo + chunk_size],
-                    kk_all[lo : lo + chunk_size],
-                )
-            rem = buffered % chunk_size
-            if rem:
-                buf_i = [ii[-rem:]]
-                buf_j = [jj_all[-rem:]]
-                buf_k = [kk_all[-rem:]]
-            else:
-                buf_i, buf_j, buf_k = [], [], []
-            buffered = rem
-    if buffered:
-        yield np.concatenate(buf_i), np.concatenate(buf_j), np.concatenate(buf_k)
+    count, window = triplet_windows(n)
+    for lo in range(0, count, chunk_size):
+        yield window(lo, min(lo + chunk_size, count))
 
 
-def sample_triplets(
-    n: int, count: int, seed: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_triplets(n: int, count: int, seed: int, start: int = 0) -> Triples:
     """Draw `count` distinct-index triples uniformly, with replacement.
 
     Draw number t (counting from `start`) is a pure function of
@@ -116,9 +106,8 @@ def sample_triplets(
         i, j, k = cols
         ok = (i != j) & (j != k) & (i != k)
         sel = pending[ok]
-        out[0, sel] = i[ok]
-        out[1, sel] = j[ok]
-        out[2, sel] = k[ok]
+        for row, col in zip(out, cols):
+            row[sel] = col[ok]
         pending = pending[~ok]
     else:
         raise RuntimeError("triplet sampling failed to converge")
@@ -132,28 +121,29 @@ def scan(
     seed: int | None = None,
     workers: int = 1,
 ) -> list[T]:
-    """Apply kernel(ii, jj, kk) to every chunk of a triplet scan.
+    """Apply kernel(ii, jj, kk) to every DEFAULT_CHUNK window of a triplet scan.
 
-    With sample None the chunks are the exhaustive iter_triplet_chunks
-    enumeration; otherwise they are consecutive DEFAULT_CHUNK windows of
-    the seeded draws sample_triplets(n, sample, seed). workers > 1 maps
-    the kernel over a thread pool. Results come back in chunk order.
+    The windows are triplet_windows(n)'s ranks, or with a sample the
+    seeded draws sample_triplets(n, sample, seed). With workers > 1 each
+    pool thread builds the windows it runs. Results come in window order.
     """
     if sample is None:
-        chunks = iter_triplet_chunks(n)
+        count, window = triplet_windows(n)
+    elif sample < 1:
+        raise ValueError("sample count must be positive")
+    elif seed is None:
+        raise ValueError("sampled scans require a seed")
     else:
-        if sample < 1:
-            raise ValueError("sample count must be positive")
-        if seed is None:
-            raise ValueError("sampled scans require a seed")
-        chunks = (
-            sample_triplets(n, min(DEFAULT_CHUNK, sample - start), seed, start=start)
-            for start in range(0, sample, DEFAULT_CHUNK)
-        )
+        count, window = sample, lambda lo, hi: sample_triplets(n, hi - lo, seed, start=lo)
+    chunk = DEFAULT_CHUNK
+
+    def run(lo: int) -> T:
+        return kernel(*window(lo, min(lo + chunk, count)))
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda chunk: kernel(*chunk), chunks))
-    return [kernel(ii, jj, kk) for ii, jj, kk in chunks]
+            return list(pool.map(run, range(0, count, chunk)))
+    return [run(lo) for lo in range(0, count, chunk)]
 
 
 def sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -5,8 +5,9 @@ vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
 scan, the power repair's full bisection, the csv matrix reader, the
-np.sort and argsort orderings of a triplet's three values), kept so the
-replacement can be checked bit for bit.
+np.sort and argsort orderings of a triplet's three values, the buffered
+per-row enumeration of triplet chunks), kept so the replacement can be
+checked bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
+from umtk import triplets
 from umtk.triplets import scan
 
 
@@ -34,6 +37,53 @@ def sorted_pair_values(
     stacked = np.stack([values[ii, jj], values[ii, kk], values[jj, kk]])
     stacked.sort(axis=0)
     return stacked
+
+
+def iter_triplet_chunks_buffered(
+    n: int, chunk_size: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (ii, jj, kk) index arrays covering all triples i < j < k.
+
+    Concatenating the chunks gives the full enumeration in ascending
+    lexicographic order. Each chunk holds at most chunk_size triples
+    (None: DEFAULT_CHUNK as it is at call time).
+    """
+    chunk_size = triplets.DEFAULT_CHUNK if chunk_size is None else chunk_size
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    buf_i: list[np.ndarray] = []
+    buf_j: list[np.ndarray] = []
+    buf_k: list[np.ndarray] = []
+    buffered = 0
+    for i in range(n - 2):
+        # all pairs i < j < k for this i
+        jj, kk = np.triu_indices(n - i - 1, k=1)
+        jj = jj + i + 1
+        kk = kk + i + 1
+        buf_i.append(np.full(jj.shape[0], i, dtype=np.int64))
+        buf_j.append(jj.astype(np.int64))
+        buf_k.append(kk.astype(np.int64))
+        buffered += jj.shape[0]
+        if buffered >= chunk_size:
+            ii = np.concatenate(buf_i)
+            jj_all = np.concatenate(buf_j)
+            kk_all = np.concatenate(buf_k)
+            for lo in range(0, buffered - chunk_size + 1, chunk_size):
+                yield (
+                    ii[lo : lo + chunk_size],
+                    jj_all[lo : lo + chunk_size],
+                    kk_all[lo : lo + chunk_size],
+                )
+            rem = buffered % chunk_size
+            if rem:
+                buf_i = [ii[-rem:]]
+                buf_j = [jj_all[-rem:]]
+                buf_k = [kk_all[-rem:]]
+            else:
+                buf_i, buf_j, buf_k = [], [], []
+            buffered = rem
+    if buffered:
+        yield np.concatenate(buf_i), np.concatenate(buf_j), np.concatenate(buf_k)
 
 
 def signature_arrays_argsort(

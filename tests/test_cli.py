@@ -272,14 +272,15 @@ def test_consensus_runs_three_triplet_scans(tmp_path, monkeypatch):
     values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
     src = tmp_path / "d.csv"
     matrixio.write_dissimilarity(src, DissimilarityMatrix(values))
-    original = triplets.iter_triplet_chunks
+    original = triplets.triplet_windows
     started = []
 
-    def counting(n, *args, **kwargs):
+    def counting(n):
         started.append(n)
-        return original(n, *args, **kwargs)
+        return original(n)
 
-    monkeypatch.setattr(triplets, "iter_triplet_chunks", counting)
+    # every exhaustive scan asks for its window function once
+    monkeypatch.setattr(triplets, "triplet_windows", counting)
     assert main(["consensus", "--input", str(src), "--criteria",
                  "ward,single,average,complete", "--out", str(tmp_path / "out")]) == 0
     assert started == [12, 12, 12]

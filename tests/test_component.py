@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from umtk import component
 from umtk.component import (
     RETAINED_DTYPE,
     EpsilonProfile,
@@ -183,6 +184,16 @@ def test_argument_validation(rng):
 def test_nan_epsilon_is_rejected(rng):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         ultrametric_component(point_cloud(rng, 6, 2), epsilon=math.nan)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 1.0, float("inf")])
+def test_bad_tie_tolerance_is_rejected_before_linkage(rng, monkeypatch, tol):
+    def no_linkage(*args):
+        raise AssertionError("linkage ran before the tie_tolerance check")
+
+    monkeypatch.setattr(component, "linkage", no_linkage)
+    with pytest.raises(ValueError, match="tie_tolerance"):
+        ultrametric_component(point_cloud(rng, 8, 3), tie_tolerance=tol)
 
 
 def test_profile_dataclass_fields():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umtk import triplets
+from umtk import consensus, triplets
 
 from umtk.component import ultrametric_component
 from umtk.consensus import (
@@ -333,16 +333,28 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
     wanted = [consensus_ultrametric_two_branch(u1, u2).values.tobytes() for u1, u2 in pairs]
     # small chunks, so that four workers really do lower the shared
     # candidate matrix from several chunks at once
-    chunk_size = triplet_count(n) // 7 + 1
-    original = triplets.iter_triplet_chunks
+    original = triplets.triplet_windows
+    built = []
+
+    def counting(n):
+        count, window = original(n)
+
+        def counted(lo, hi):
+            built.append(lo)
+            return window(lo, hi)
+
+        return count, counted
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(triplets, "iter_triplet_chunks",
-                   lambda n: original(n, chunk_size=chunk_size))
+        mp.setattr(triplets, "DEFAULT_CHUNK", triplet_count(n) // 7 + 1)
+        mp.setattr(triplets, "triplet_windows", counting)
         for (u1, u2), want in zip(pairs, wanted):
             for workers in (1, 4):
+                built.clear()
                 got = consensus_count(u1, u2, workers=workers).ultrametric
                 assert got.values.tobytes() == want
                 assert got.labels == u1.labels
+                assert len(built) >= 2 or triplet_count(n) < 2
 
 
 def test_consensus_dendrogram_frozen_example():
@@ -377,6 +389,40 @@ def test_consensus_dendrogram_rejects_non_ultrametric():
 def test_consensus_dendrogram_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be nonnegative"):
         consensus_dendrogram(ultra3(1.0, 2.0, 3.0), float("nan"))
+
+
+BAD_TIE_TOLERANCES = [float("nan"), -1.0, -1e-12, 1.0, float("inf")]
+
+
+@pytest.mark.parametrize("tol", BAD_TIE_TOLERANCES)
+def test_triplet_signature_rejects_bad_tie_tolerance(tol):
+    with pytest.raises(ValueError, match="tie_tolerance"):
+        triplet_signature(ultra3(1.0, 2.0, 2.0), 0, 1, 2, tie_tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TIE_TOLERANCES)
+def test_consensus_count_rejects_bad_tie_tolerance(tol):
+    u = ultra3(1.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="tie_tolerance"):
+        consensus_count(u, u, tie_tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TIE_TOLERANCES)
+def test_consensus_table_rejects_bad_tie_tolerance_before_linkage(rng, monkeypatch, tol):
+    def no_linkage(*args):
+        raise AssertionError("linkage ran before the tie_tolerance check")
+
+    monkeypatch.setattr(consensus, "linkage", no_linkage)
+    with pytest.raises(ValueError, match="tie_tolerance"):
+        consensus_table(random_dissimilarity(rng, 6), ["ward", "single"], tol)
+
+
+def test_tie_tolerance_accepts_zero_and_just_below_one(rng):
+    d = euclidean_distances(CoordinateMatrix(rng.normal(size=(12, 3))))
+    criteria = ["ward", "single"]
+    exact = consensus_table(d, criteria, 0.0).counts
+    np.testing.assert_array_equal(exact, consensus_table(d, criteria).counts)
+    consensus_table(d, criteria, float(np.nextafter(1.0, 0.0)))
 
 
 def test_consensus_dendrogram_fixed_point_closure(rng):

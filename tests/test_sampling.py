@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from umtk.triplets import (
     scan,
     sort3,
     triplet_count,
+    triplet_windows,
 )
 from umtk.ultrametricity import _angles_from_sides, _classify_angles, _classify_chunk
 
-from .oracles import classify_angles_argsort, signature_arrays_argsort, sorted_pair_values
+from .oracles import (
+    classify_angles_argsort,
+    iter_triplet_chunks_buffered,
+    signature_arrays_argsort,
+    sorted_pair_values,
+)
 
 MASK = (1 << 64) - 1
 
@@ -86,6 +93,78 @@ def test_chunks_empty_for_tiny_n():
     assert list(iter_triplet_chunks(2)) == []
     with pytest.raises(ValueError):
         list(iter_triplet_chunks(5, chunk_size=0))
+
+
+def _assert_same_int64(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 60), data=st.data())
+def test_windows_match_the_buffered_generator(n, data):
+    count, window = triplet_windows(n)
+    assert count == triplet_count(n)
+    chunk = data.draw(
+        st.one_of(
+            st.just(1),
+            st.sampled_from([2, 3, 7, 13, 101, 997, 4099]),
+            st.integers(count + 1, 2 * count + 2),
+        ),
+        label="chunk",
+    )
+    got = list(iter_triplet_chunks(n, chunk))
+    want = list(iter_triplet_chunks_buffered(n, chunk))
+    assert [c[0].size for c in got] == [c[0].size for c in want]
+    assert {a.dtype for c in got + want for a in c} <= {np.dtype(np.int64)}
+    if count == 0:
+        assert got == want == []
+        return
+    np.testing.assert_array_equal(_stacked(got), _stacked(want))
+    full = _stacked(iter_triplet_chunks_buffered(n))
+    for _ in range(5):
+        lo = data.draw(st.integers(0, count - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, count), label="hi")
+        _assert_same_int64(window(lo, hi), tuple(full[:, lo:hi]))
+
+
+@pytest.mark.parametrize("sample, seed", [(None, None), (60, 3)])
+def test_threaded_scan_holds_at_most_one_built_window_per_worker(monkeypatch, sample, seed):
+    # C(8, 3) = 56 triples or 60 draws in windows of 7: 8 or 9 windows
+    workers = 2
+    lock = threading.Lock()
+    state = {"built": 0, "open": 0, "peak": 0}
+
+    def built(triples):
+        with lock:
+            state["built"] += 1
+            state["open"] += 1
+            state["peak"] = max(state["peak"], state["open"])
+        return triples
+
+    def counting_windows(n):
+        count, window = original_windows(n)
+        return count, lambda lo, hi: built(window(lo, hi))
+
+    def kernel(ii, jj, kk):
+        result = int(ii.sum()), int((jj * kk).sum()), ii.size
+        with lock:
+            state["open"] -= 1
+        return result
+
+    original_windows, original_sample = triplets.triplet_windows, triplets.sample_triplets
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
+    monkeypatch.setattr(triplets, "triplet_windows", counting_windows)
+    monkeypatch.setattr(
+        triplets, "sample_triplets", lambda *a, **kw: built(original_sample(*a, **kw))
+    )
+    threaded = scan(8, kernel, sample, seed, workers=workers)
+    assert state["built"] == len(threaded) >= 8
+    assert state["open"] == 0
+    assert state["peak"] <= workers
+    assert scan(8, kernel, sample, seed) == threaded
 
 
 def test_sample_triplets_deterministic_and_splittable():
