@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
-from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, consensus_count
+from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, _matched_rows
 from .hierarchy import cophenetic, linkage
 from .matrices import CoordinateMatrix, _ArrayFieldsEq, euclidean_distances
+from .triplets import scan
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
 
 
@@ -76,8 +77,9 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    rows = consensus_count(u_a, u_b, tie_tolerance).matched_set
-    ii, jj, kk, b_lo, b_hi, apex = rows.T
+    # the consensus_count kernel, without the consensus ultrametric
+    rows = scan(coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])
+    ii, jj, kk, b_lo, b_hi, apex = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows]).T
     values = d.values
     *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 

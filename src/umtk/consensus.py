@@ -14,19 +14,31 @@ opposite the first smallest level in (ij, ik, jk) order.
 Only inversion-free linkage criteria are allowed as consensus sources:
 cophenetic levels of a dendrogram with inversions need not satisfy the
 strong triangle inequality, which would make the signatures meaningless.
+
+consensus_table reads its counts off the dendrograms. A triplet's base
+pair ab joins at node J(a, b) and its apex c at an ancestor x: levels
+h(J), h(x), h(x). With top(v) the highest ancestor of v whose level ties
+h(v), ab|c is resolved exactly when c is outside C(top(J(a, b))), the
+leaves under it, so entry (p, q) sums n - |C_p| - |C_q| + |C_p & C_q| over
+pairs a < b. This is exact when no merge sits below a child and every
+node's untied ancestors form a suffix of its chain; a tree failing that
+check takes its entries from consensus_count's scan, with a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import threading
+import warnings
 
 import numpy as np
 
 from .hierarchy import (
     INVERSION_FREE_CRITERIA,
     Dendrogram,
-    cophenetic,
+    _join_nodes,
+    detect_inversions,
     linkage,
     minmax_path_closure,
 )
@@ -151,6 +163,19 @@ def _check_same_items(u1: UltrametricMatrix, u2: UltrametricMatrix) -> None:
         raise ValueError("ultrametrics must have matching labels")
 
 
+def _matched_rows(u1: UltrametricMatrix, u2: UltrametricMatrix, tol: float, ii, jj, kk):
+    """(i, j, k, base_i, base_j, apex) rows of a window's matched triplets,
+    its matched mask and its mask of triplets isosceles on both sides."""
+    iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tol)
+    iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tol)
+    both_iso = iso1 & iso2
+    matched = both_iso & (apex1 == apex2)
+    mi, mj, mk, ma = ii[matched], jj[matched], kk[matched], apex1[matched]
+    base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
+    base_hi = np.where(ma == mk, mj, mk)
+    return np.column_stack([mi, mj, mk, base_lo, base_hi, ma]), matched, both_iso
+
+
 def consensus_count(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
@@ -182,15 +207,7 @@ def consensus_count(
     lock = threading.Lock()
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
-        iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
-        iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
-        both_iso = iso1 & iso2
-        matched = both_iso & (apex1 == apex2)
-        mi, mj, mk = ii[matched], jj[matched], kk[matched]
-        ma = apex1[matched]
-        base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
-        base_hi = np.where(ma == mk, mj, mk)
-        rows = np.column_stack([mi, mj, mk, base_lo, base_hi, ma])
+        rows, matched, both_iso = _matched_rows(u1, u2, tie_tolerance, ii, jj, kk)
         ti, tj, tk = ii[~matched], jj[~matched], kk[~matched]
         pairs = (ti * n + tj, ti * n + tk, tj * n + tk)
         smallest = np.minimum(np.minimum(low[pairs[0]], low[pairs[1]]), low[pairs[2]])
@@ -223,6 +240,42 @@ def _check_consensus_args(criteria: list[str], tie_tolerance: float) -> None:
             )
 
 
+def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray | None:
+    """top(v) of every node v: its highest ancestor whose level ties h(v).
+
+    None where the tree rule would not be exact: a merge sits below a
+    child, or some node's untied ancestors are not a suffix of its chain.
+    """
+    if detect_inversions(h):
+        return None
+    n = h.n_leaves
+    parent = np.full(2 * n - 1, -1)
+    for s, m in enumerate(h.merges):
+        parent[[m.left, m.right]] = n + s
+    top = np.arange(2 * n - 1)
+    node = np.arange(n, 2 * n - 2)  # every node a pair can join at, but the root
+    up, prefix = parent[node], np.ones(node.size, dtype=bool)
+    while node.size:
+        unresolved = _tied(heights[node], heights[up], tol)
+        if np.any(unresolved & ~prefix):
+            return None
+        top[node[unresolved]] = up[unresolved]
+        up = parent[up]
+        keep = up >= 0
+        node, up, prefix = node[keep], up[keep], unresolved[keep]
+    return top
+
+
+def _subtree_sums(h: Dendrogram, leaf_rows: np.ndarray) -> np.ndarray:
+    """Rows indexed by node id: leaf_rows, then each merge's two child rows added."""
+    n = h.n_leaves
+    rows = np.empty((2 * n - 1, leaf_rows.shape[1]), dtype=np.int32)
+    rows[:n] = leaf_rows
+    for s, m in enumerate(h.merges):
+        np.add(rows[m.left], rows[m.right], out=rows[n + s])
+    return rows
+
+
 def consensus_table(
     d: DissimilarityMatrix,
     criteria: list[str],
@@ -233,25 +286,38 @@ def consensus_table(
     Each criterion is run once on d; entry (p, q) counts the triplets on
     which criteria p and q agree. The table is symmetric and its diagonal
     equals the total triplet count minus that criterion's tie skips.
+    The counts come off the trees by the rule in the module docstring.
     """
     if not criteria:
         raise ValueError("need at least one criterion")
     if len(set(criteria)) != len(criteria):
         raise ValueError("criteria must be distinct")
     _check_consensus_args(criteria, tie_tolerance)
-    ultrams = [cophenetic(linkage(d, crit)) for crit in criteria]
-    m = len(criteria)
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-        sigs = [_signature_arrays(u.values, ii, jj, kk, tie_tolerance) for u in ultrams]
-        chunk = np.zeros((m, m), dtype=np.int64)
-        for p, (iso_p, _, apex_p) in enumerate(sigs):
-            for q in range(p, m):
-                iso_q, _, apex_q = sigs[q]
-                chunk[p, q] = chunk[q, p] = (iso_p & iso_q & (apex_p == apex_q)).sum()
-        return chunk
-
-    counts = sum(scan(d.n, kernel), np.zeros((m, m), dtype=np.int64))
+    n, m = d.n, len(criteria)
+    trees = [linkage(d, crit) for crit in criteria]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    ultrams, tops = [], []
+    for crit, h in zip(criteria, trees):
+        heights, joins = _join_nodes(h)
+        ultrams.append(UltrametricMatrix(heights[joins], list(h.labels)))
+        top = _tops(h, heights, tie_tolerance)
+        if top is None:
+            warnings.warn(f"consensus_table: the {crit} dendrogram breaks the tree "
+                          "rule; its entries come from the triplet scan", stacklevel=2)
+        tops.append(None if top is None else top[joins[upper]])  # each pair's top
+    counts = np.zeros((m, m), dtype=np.int64)
+    for p, q in itertools.combinations_with_replacement(range(m), 2):
+        tp, tq = tops[p], tops[q]
+        if tp is None or tq is None:
+            count = consensus_count(ultrams[p], ultrams[q], tie_tolerance).matched
+        elif p == q:
+            count = (n - np.array([1] * n + [g.size for g in trees[p].merges])[tp]).sum()
+        else:
+            # |C_p(u) & C_q(w)| for every node pair; a root holds all n leaves
+            leaves_q = _subtree_sums(trees[q], np.eye(n, dtype=np.int32))
+            common = _subtree_sums(trees[p], leaves_q.T)
+            count = (n - common[tp, -1] - common[-1, tq] + common[tp, tq]).sum(dtype=np.int64)
+        counts[p, q] = counts[q, p] = count
     return ConsensusTable(list(criteria), counts, ultrams)
 
 
@@ -267,8 +333,12 @@ def consensus_dendrogram(
     """
     if tolerance is None:
         tolerance = 1e-9 * float(u.values.max()) if u.values.size else 0.0
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be nonnegative")
     as_dissimilarity = DissimilarityMatrix(u.values, list(u.labels))
-    report = check_ultrametric(as_dissimilarity, tolerance)
+    # path maxima are selections: every triple's two largest values are equal
+    closed = minmax_path_closure(as_dissimilarity).values.tobytes() == u.values.tobytes()
+    report = None if closed else check_ultrametric(as_dissimilarity, tolerance)
     if report:
         i, j, k = report.triples[0]
         raise ValueError(

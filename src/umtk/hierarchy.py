@@ -203,13 +203,13 @@ def _row_minima(
     return low, cols[(block == low[:, None]).argmax(axis=1)]
 
 
-def _join_levels(n: int, joins: Iterable[tuple[int, int, float]]) -> np.ndarray:
+def _join_levels(n: int, joins: Iterable[tuple[int, int, float]], dtype=float) -> np.ndarray:
     """Level at which each leaf pair is first joined, zero diagonal.
 
     joins yields (i, j, level) in merge order; each unites the clusters
     holding leaves i and j, which must still be apart.
     """
-    out = np.zeros((n, n))
+    out = np.zeros((n, n), dtype)
     owner = np.arange(n)
     members = {i: np.array([i]) for i in range(n)}
     for i, j, level in joins:
@@ -222,14 +222,22 @@ def _join_levels(n: int, joins: Iterable[tuple[int, int, float]]) -> np.ndarray:
     return out
 
 
-def cophenetic(h: Dendrogram) -> UltrametricMatrix:
-    """Matrix of merge heights at which each leaf pair first joins."""
+def _join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
+    """(heights, joins): each node's height (0 at the leaves) and the int32
+    node id at which each leaf pair first joins (leaf 0 on the diagonal)."""
     n = h.n_leaves
     leaf = list(range(n))  # one leaf under each node id
     for m in h.merges:
         leaf.append(leaf[m.left])
-    joins = ((leaf[m.left], leaf[m.right], m.height) for m in h.merges)
-    return UltrametricMatrix(_join_levels(n, joins), list(h.labels))
+    joins = ((leaf[m.left], leaf[m.right], n + s) for s, m in enumerate(h.merges))
+    heights = np.array([0.0] * n + [m.height for m in h.merges])
+    return heights, _join_levels(n, joins, np.int32)
+
+
+def cophenetic(h: Dendrogram) -> UltrametricMatrix:
+    """Matrix of merge heights at which each leaf pair first joins."""
+    heights, joins = _join_nodes(h)
+    return UltrametricMatrix(heights[joins], list(h.labels))
 
 
 def detect_inversions(h: Dendrogram) -> list[tuple[int, float]]:

@@ -4,7 +4,7 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the power repair's full bisection, the csv matrix reader, the
+scan, the consensus table's triplet scan, the power repair's full bisection, the csv matrix reader, the
 np.sort and argsort orderings of a triplet's three values, the buffered
 per-row enumeration of triplet chunks), kept so the replacement can be
 checked bit for bit.
@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from umtk.consensus import _signature_arrays
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
@@ -312,6 +313,26 @@ def consensus_ultrametric_two_branch(
     scan(n, kernel)
     cand = np.minimum(cand, cand.T)
     return minmax_path_closure(DissimilarityMatrix(cand, list(u1.labels)))
+
+
+def consensus_table_scan(ultrams: list[UltrametricMatrix], tie_tolerance: float) -> np.ndarray:
+    """consensus_table's counts by one triplet scan over every ultrametric.
+
+    Entry (p, q) counts the triplets isosceles under both p and q with
+    the same apex.
+    """
+    m = len(ultrams)
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+        sigs = [_signature_arrays(u.values, ii, jj, kk, tie_tolerance) for u in ultrams]
+        chunk = np.zeros((m, m), dtype=np.int64)
+        for p, (iso_p, _, apex_p) in enumerate(sigs):
+            for q in range(p, m):
+                iso_q, _, apex_q = sigs[q]
+                chunk[p, q] = chunk[q, p] = (iso_p & iso_q & (apex_p == apex_q)).sum()
+        return chunk
+
+    return sum(scan(ultrams[0].n, kernel), np.zeros((m, m), dtype=np.int64))
 
 
 def brute_component(points: np.ndarray, matched, epsilon: float):

@@ -267,8 +267,10 @@ def test_consensus_matched_file_matches_row_writer(tmp_path):
     assert got.read_bytes() == expected.read_bytes()
 
 
-def test_consensus_runs_three_triplet_scans(tmp_path, monkeypatch):
-    """The table, the pair (matched set and ultrametric) and check_ultrametric."""
+def test_consensus_runs_one_triplet_scan(tmp_path, monkeypatch):
+    """The pair's (matched set and ultrametric): the table is read off the
+    dendrograms, and the consensus dendrogram skips check_ultrametric on
+    the pair's closure."""
     values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
     src = tmp_path / "d.csv"
     matrixio.write_dissimilarity(src, DissimilarityMatrix(values))
@@ -283,7 +285,7 @@ def test_consensus_runs_three_triplet_scans(tmp_path, monkeypatch):
     monkeypatch.setattr(triplets, "triplet_windows", counting)
     assert main(["consensus", "--input", str(src), "--criteria",
                  "ward,single,average,complete", "--out", str(tmp_path / "out")]) == 0
-    assert started == [12, 12, 12]
+    assert started == [12]
 
 
 def test_consensus_criteria_validation(tmp_path, capsys):

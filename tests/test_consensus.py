@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from umtk import consensus, triplets
 
 from umtk.component import ultrametric_component
 from umtk.consensus import (
+    DEFAULT_TIE_TOLERANCE,
     SHAPE_EQUILATERAL,
     SHAPE_ISOSCELES,
     SHAPE_TIE_OTHER,
@@ -18,7 +20,9 @@ from umtk.consensus import (
 )
 from umtk.hierarchy import (
     INVERSION_FREE_CRITERIA,
+    Dendrogram,
     cophenetic,
+    detect_inversions,
     linkage,
     minmax_path_closure,
 )
@@ -32,7 +36,12 @@ from umtk.transforms import check_ultrametric
 from umtk.triplets import triplet_count
 
 from .conftest import random_dissimilarity, random_ultrametric, row_tuples
-from .oracles import brute_consensus, brute_signature, consensus_ultrametric_two_branch
+from .oracles import (
+    brute_consensus,
+    brute_signature,
+    consensus_table_scan,
+    consensus_ultrametric_two_branch,
+)
 
 
 def ultra3(u01, u02, u12, labels=("x1", "x2", "x3")):
@@ -261,6 +270,95 @@ def test_consensus_table_shape_and_diagonal(rng):
         assert np.all(table.counts <= triplet_count(12))
 
 
+def tied_distances(n, seed, kind, rounding=1):
+    """Distances of seeded 3-d points: Gaussian, with duplicated points,
+    integer-rounded, or an integer-rounded ultrametric (multifurcating)."""
+    gen = np.random.default_rng(seed)
+    pts = gen.normal(size=(n, 3))
+    if kind == "duplicates":
+        copied = gen.random(n) < 0.3
+        pts[copied] = pts[gen.integers(0, n, size=n)[copied]]
+    d = euclidean_distances(CoordinateMatrix(pts))
+    if kind == "multifurcating":
+        d = minmax_path_closure(d)
+    if kind in ("integer", "multifurcating"):
+        return DissimilarityMatrix(np.rint(rounding * d.values))
+    return DissimilarityMatrix(d.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("gaussian", "duplicates", "integer", "multifurcating")),
+    rounding=st.integers(1, 4),
+    tol=st.one_of(st.sampled_from((0.0, 1e-9, 0.05, 0.3)), st.floats(0.0, 0.3)),
+)
+def test_consensus_table_matches_the_triplet_scan(n, seed, kind, rounding, tol):
+    d = tied_distances(n, seed, kind, rounding)
+    table = consensus_table(d, list(INVERSION_FREE_CRITERIA), tol)
+    np.testing.assert_array_equal(table.counts, consensus_table_scan(table.ultrametrics, tol))
+
+
+def test_consensus_table_reads_tied_trees_without_the_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("consensus_table scanned triplets")
+
+    # the oracle scans through triplets.scan, which stays in place
+    monkeypatch.setattr(consensus, "scan", no_scan)
+    for kind in ("duplicates", "integer", "multifurcating"):
+        d = tied_distances(40, 7, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = consensus_table(d, list(INVERSION_FREE_CRITERIA), 0.05)
+        np.testing.assert_array_equal(
+            table.counts, consensus_table_scan(table.ultrametrics, 0.05)
+        )
+
+
+def test_consensus_table_falls_back_to_the_scan_on_an_inversion(monkeypatch):
+    d = tied_distances(24, 3, "integer")
+    n = d.n
+
+    def one_ulp_inversion(d, criterion):
+        h = linkage(d, criterion)
+        if criterion != "single":
+            return h
+        merges = list(h.merges)
+        # a merge at the height of its internal child drops one ulp below it
+        s = next(s for s, m in enumerate(merges)
+                 if m.right >= n and m.height == merges[m.right - n].height > 0)
+        merges[s] = merges[s]._replace(height=float(np.nextafter(merges[s].height, 0.0)))
+        return Dendrogram(n, merges, list(h.labels))
+
+    assert detect_inversions(one_ulp_inversion(d, "single"))
+    monkeypatch.setattr(consensus, "linkage", one_ulp_inversion)
+    criteria = ["ward", "single", "average"]
+    with pytest.warns(UserWarning, match="single") as caught:
+        table = consensus_table(d, criteria)
+    assert len(caught) == 1
+    np.testing.assert_array_equal(
+        table.counts, consensus_table_scan(table.ultrametrics, DEFAULT_TIE_TOLERANCE)
+    )
+
+
+def test_consensus_table_falls_back_on_a_non_monotone_tie_test(monkeypatch):
+    d = tied_distances(24, 5, "integer")
+    tied = consensus._tied
+    high = float(np.median(d.values))
+
+    def ties_every_high_level(a, b, tol):
+        return tied(a, b, tol) | (np.maximum(a, b) >= high)
+
+    # the scans, the oracle's included, see the same tie test
+    monkeypatch.setattr(consensus, "_tied", ties_every_high_level)
+    with pytest.warns(UserWarning, match="breaks the tree rule"):
+        table = consensus_table(d, ["ward", "average"])
+    np.testing.assert_array_equal(
+        table.counts, consensus_table_scan(table.ultrametrics, DEFAULT_TIE_TOLERANCE)
+    )
+
+
 def test_consensus_table_rejects_bad_criteria(rng):
     d = random_dissimilarity(rng, 5)
     with pytest.raises(ValueError, match="inversions"):
@@ -384,6 +482,29 @@ def test_consensus_dendrogram_rejects_non_ultrametric():
     bad = ultra3(1.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="not ultrametric"):
         consensus_dendrogram(bad)
+
+
+def test_consensus_dendrogram_skips_the_check_on_a_closed_ultrametric(rng, monkeypatch):
+    def no_windows(n):
+        raise AssertionError("a triplet window was built")
+
+    monkeypatch.setattr(triplets, "triplet_windows", no_windows)
+    for u in (
+        minmax_path_closure(random_dissimilarity(rng, 15)),
+        cophenetic(linkage(tied_distances(30, 1, "integer"), "ward")),
+    ):
+        np.testing.assert_array_equal(cophenetic(consensus_dendrogram(u)).values, u.values)
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        consensus_dendrogram(u, float("nan"))
+
+
+def test_consensus_dendrogram_non_ultrametric_message():
+    with pytest.raises(ValueError) as err:
+        consensus_dendrogram(ultra3(1.0, 2.0, 3.0))
+    assert str(err.value) == (
+        "input is not ultrametric within tolerance 3e-09: triple (0, 1, 2) "
+        "has slack 1 (1 violating triples in total)"
+    )
 
 
 def test_consensus_dendrogram_rejects_nan_tolerance():
