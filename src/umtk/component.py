@@ -77,9 +77,11 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    # the consensus_count kernel, without the consensus ultrametric
+    # the consensus_count kernel, without the consensus ultrametric; the
+    # chunk list is dropped before the rows are used
     rows = scan(coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])
-    ii, jj, kk, b_lo, b_hi, apex = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows]).T
+    rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows])
+    ii, jj, kk, b_lo, b_hi, apex = rows.T
     values = d.values
     *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 
