@@ -77,8 +77,7 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    # the consensus_count kernel, without the consensus ultrametric; the
-    # chunk list is dropped before the rows are used
+    # consensus_count's kernel without the ultrametric; the chunk list goes early
     rows = scan(coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])
     rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows])
     ii, jj, kk, b_lo, b_hi, apex = rows.T

@@ -480,8 +480,12 @@ def test_consensus_dendrogram_two_leaves():
 
 def test_consensus_dendrogram_rejects_non_ultrametric():
     bad = ultra3(1.0, 2.0, 3.0)
-    with pytest.raises(ValueError, match="not ultrametric"):
+    with pytest.raises(ValueError, match="not ultrametric") as err:
         consensus_dendrogram(bad)
+    assert str(err.value) == (
+        "input is not ultrametric within tolerance 3e-09: triple (0, 1, 2) "
+        "has slack 1 (1 violating triples in total)"
+    )
 
 
 def test_consensus_dendrogram_skips_the_check_on_a_closed_ultrametric(rng, monkeypatch):
@@ -496,15 +500,6 @@ def test_consensus_dendrogram_skips_the_check_on_a_closed_ultrametric(rng, monke
         np.testing.assert_array_equal(cophenetic(consensus_dendrogram(u)).values, u.values)
     with pytest.raises(ValueError, match="tolerance must be nonnegative"):
         consensus_dendrogram(u, float("nan"))
-
-
-def test_consensus_dendrogram_non_ultrametric_message():
-    with pytest.raises(ValueError) as err:
-        consensus_dendrogram(ultra3(1.0, 2.0, 3.0))
-    assert str(err.value) == (
-        "input is not ultrametric within tolerance 3e-09: triple (0, 1, 2) "
-        "has slack 1 (1 violating triples in total)"
-    )
 
 
 def test_consensus_dendrogram_rejects_nan_tolerance():
