@@ -20,9 +20,9 @@ pair ab joins at node J(a, b) and its apex c at an ancestor x: levels
 h(J), h(x), h(x). With top(v) the highest ancestor of v whose level ties
 h(v), ab|c is resolved exactly when c is outside C(top(J(a, b))), the
 leaves under it, so entry (p, q) sums n - |C_p| - |C_q| + |C_p & C_q| over
-pairs a < b. This is exact when no merge sits below a child and every
-node's untied ancestors form a suffix of its chain; a tree failing that
-check takes its entries from consensus_count's scan, with a warning.
+pairs a < b. linkage floors the inversion-free criteria's heights, so
+they never fall up a chain, every node's untied ancestors form a suffix
+of its chain, and the rule is exact: no table entry is scanned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import itertools
 import threading
-import warnings
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .hierarchy import (
     INVERSION_FREE_CRITERIA,
     Dendrogram,
     _join_nodes,
-    detect_inversions,
     linkage,
     minmax_path_closure,
 )
@@ -240,29 +238,25 @@ def _check_consensus_args(criteria: list[str], tie_tolerance: float) -> None:
             )
 
 
-def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray | None:
-    """top(v) of every node v: its highest ancestor whose level ties h(v).
-
-    None where the tree rule would not be exact: a merge sits below a
-    child, or some node's untied ancestors are not a suffix of its chain.
-    """
-    if detect_inversions(h):
-        return None
+def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray:
+    """top(v) of every node v: its highest ancestor whose level ties h(v)."""
     n = h.n_leaves
     parent = np.full(2 * n - 1, -1)
     for s, m in enumerate(h.merges):
         parent[[m.left, m.right]] = n + s
     top = np.arange(2 * n - 1)
     node = np.arange(n, 2 * n - 2)  # every node a pair can join at, but the root
-    up, prefix = parent[node], np.ones(node.size, dtype=bool)
+    up = parent[node]
     while node.size:
-        unresolved = _tied(heights[node], heights[up], tol)
-        if np.any(unresolved & ~prefix):
-            return None
-        top[node[unresolved]] = up[unresolved]
+        # levels rise up a chain, so with 0 <= h(v) <= x <= y a tie means
+        # (1 - tol) x <= h(v): a node untied from one ancestor is untied
+        # from every higher one, and it leaves the walk (in exact arithmetic;
+        # for tol above 0.5 the rounded test can break this within a few ulps)
+        tied = _tied(heights[node], heights[up], tol)
+        node, up = node[tied], up[tied]
+        top[node] = up
         up = parent[up]
-        keep = up >= 0
-        node, up, prefix = node[keep], up[keep], unresolved[keep]
+        node, up = node[up >= 0], up[up >= 0]
     return top
 
 
@@ -286,7 +280,8 @@ def consensus_table(
     Each criterion is run once on d; entry (p, q) counts the triplets on
     which criteria p and q agree. The table is symmetric and its diagonal
     equals the total triplet count minus that criterion's tie skips.
-    The counts come off the trees by the rule in the module docstring.
+    The counts come off the trees by the rule in the module docstring,
+    without a triplet scan.
     """
     if not criteria:
         raise ValueError("need at least one criterion")
@@ -297,20 +292,14 @@ def consensus_table(
     trees = [linkage(d, crit) for crit in criteria]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     ultrams, tops = [], []
-    for crit, h in zip(criteria, trees):
+    for h in trees:
         heights, joins = _join_nodes(h)
         ultrams.append(UltrametricMatrix(heights[joins], list(h.labels)))
-        top = _tops(h, heights, tie_tolerance)
-        if top is None:
-            warnings.warn(f"consensus_table: the {crit} dendrogram breaks the tree "
-                          "rule; its entries come from the triplet scan", stacklevel=2)
-        tops.append(None if top is None else top[joins[upper]])  # each pair's top
+        tops.append(_tops(h, heights, tie_tolerance)[joins[upper]])  # each pair's top
     counts = np.zeros((m, m), dtype=np.int64)
     for p, q in itertools.combinations_with_replacement(range(m), 2):
         tp, tq = tops[p], tops[q]
-        if tp is None or tq is None:
-            count = consensus_count(ultrams[p], ultrams[q], tie_tolerance).matched
-        elif p == q:
+        if p == q:
             count = (n - np.array([1] * n + [g.size for g in trees[p].merges])[tp]).sum()
         else:
             # |C_p(u) & C_q(w)| for every node pair; a root holds all n leaves

@@ -26,8 +26,10 @@ single, complete, average, mcquitty update plain dissimilarities; ward,
 centroid, median update squared dissimilarities and their merge heights
 are reported as the square root of the squared-space level so all
 criteria share the input's units. single, complete, average, mcquitty
-and ward are reducible and can never produce inversions; centroid and
-median can.
+and ward are reducible, so in exact arithmetic no updated distance falls
+below the merge level; rounding can put one an ulp under it, and linkage
+floors each updated row at the level, which makes their heights monotone
+by construction. centroid and median are not floored and can invert.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class Dendrogram:
                 used.add(child)
             if m.left >= m.right:
                 raise ValueError(f"merge {step} children must satisfy left < right")
+            if not np.isfinite(m.height):
+                raise ValueError(f"merge {step} has non-finite height {m.height!r}")
             if m.height < 0:
                 raise ValueError(f"merge {step} has negative height")
             sizes[new_id] = sizes[m.left] + sizes[m.right]
@@ -118,7 +122,9 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     - centroid:  (n_a d_ac + n_b d_bc)/(n_a+n_b) - n_a n_b d_ab/(n_a+n_b)^2
     - median:    d_ac/2 + d_bc/2 - d_ab/4
 
-    where ward, centroid and median operate on squared values.
+    where ward, centroid and median operate on squared values. For the
+    inversion-free criteria each updated row is floored at the merge
+    level (in the same working space), so no later merge sits lower.
     """
     if criterion not in LINKAGE_CRITERIA:
         raise ValueError(
@@ -170,6 +176,10 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
             new_row = (na * row_a + nb * row_b) / nab - (na * nb * d_ab) / nab ** 2
         else:  # median
             new_row = 0.5 * row_a + 0.5 * row_b - 0.25 * d_ab
+        if criterion in INVERSION_FREE_CRITERIA:
+            # np.maximum returns its second operand on ties, so values at or
+            # above the level (and -0.0 at level 0) keep the recurrence's bits
+            new_row = np.maximum(level, new_row)
         height = float(np.sqrt(max(level, 0.0))) if squared else level
         merges.append(Merge(best_key[0], best_key[1], height, na + nb))
         new_row = np.where(active, new_row, np.inf)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from umtk.hierarchy import minmax_path_closure
-from umtk.matrices import DissimilarityMatrix
+from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 
 _ACCEPTANCE: dict[str, str] = {}
 
@@ -33,6 +33,17 @@ def random_ultrametric(rng: np.random.Generator, n: int) -> DissimilarityMatrix:
     """Random ultrametric: min-max path closure of a random dissimilarity."""
     u = minmax_path_closure(random_dissimilarity(rng, n))
     return DissimilarityMatrix(u.values, list(u.labels))
+
+
+def decimal_grid(seed: int, decimals: int, scale: float) -> DissimilarityMatrix:
+    """Distances of 4 to 69 seeded 3-d points at a random scale, rounded to
+    `decimals` places and multiplied by `scale`: tied values that the
+    linkage recurrences round differently."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(4, 70)
+    points = rng.normal(size=(n, 3)) * 10 ** rng.uniform(-3, 3)
+    d = euclidean_distances(CoordinateMatrix(points)).values
+    return DissimilarityMatrix(np.round(d, decimals) * scale)
 
 
 def random_points(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -438,6 +438,7 @@ def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, flo
 
     Merges (left, right, height, size) under umtk's tie rule: at the
     minimal value, the pair with the least (lower node id, higher node id).
+    Rows of the inversion-free criteria are floored at the merge level.
     """
     n = values.shape[0]
     squared = criterion in ("ward", "centroid", "median")
@@ -478,6 +479,8 @@ def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, flo
             new_row = (na * row_a + nb * row_b) / nab - (na * nb * d_ab) / nab ** 2
         else:  # median
             new_row = 0.5 * row_a + 0.5 * row_b - 0.25 * d_ab
+        if criterion not in ("centroid", "median"):
+            new_row = np.maximum(level, new_row)  # the floor linkage applies
         height = float(np.sqrt(max(level, 0.0))) if squared else level
         merges.append((best_key[0], best_key[1], height, na + nb))
         new_row = np.where(active, new_row, np.inf)

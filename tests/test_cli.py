@@ -16,7 +16,7 @@ from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_dista
 from umtk.triplets import triplet_count
 from umtk.ultrametricity import DEFAULT_EPSILON, scan_triplet_verdicts
 
-from .conftest import row_tuples
+from .conftest import decimal_grid, row_tuples
 from .oracles import write_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,6 +140,30 @@ def test_hclust_outputs_match_library(tmp_path):
     ]
     assert merge_rows[0] == ["left", "right", "height", "size"]
     assert len(merge_rows) == 1 + len(h.merges)
+
+
+def test_hclust_and_consensus_on_a_decimal_grid(tmp_path):
+    """Unfloored, average linkage put a merge one ulp below its child here:
+    hclust wrote a topology-only tree and warned, and consensus warned."""
+    d = decimal_grid(1330, 1, 0.1)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", d)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "umtk", *args, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=source_env(), cwd=tmp_path)
+
+    result = run("hclust", "--input", "d.csv", "--criterion", "average")
+    assert (result.returncode, result.stderr) == (0, "")
+    rows = [line.split(",") for line in read_lines(tmp_path / "hclust_average_merges.csv")
+            if not line.startswith("#")][1:]
+    heights = [float(row[2]) for row in rows]
+    assert len(heights) == d.n - 1 and heights == sorted(heights)
+    newick = [line for line in read_lines(tmp_path / "hclust_average.nwk")
+              if not line.startswith("#")]
+    assert newick == [export_newick(linkage(d, "average"))]
+    assert newick[0].count(":") == 2 * d.n - 2  # a branch length on every edge
+    result = run("consensus", "--input", "d.csv", "--criteria", "average,ward,single,complete")
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_coeffs_requires_exactly_one_input(tmp_path, capsys):

@@ -9,7 +9,6 @@ from umtk import consensus, triplets
 
 from umtk.component import ultrametric_component
 from umtk.consensus import (
-    DEFAULT_TIE_TOLERANCE,
     SHAPE_EQUILATERAL,
     SHAPE_ISOSCELES,
     SHAPE_TIE_OTHER,
@@ -20,9 +19,7 @@ from umtk.consensus import (
 )
 from umtk.hierarchy import (
     INVERSION_FREE_CRITERIA,
-    Dendrogram,
     cophenetic,
-    detect_inversions,
     linkage,
     minmax_path_closure,
 )
@@ -272,7 +269,8 @@ def test_consensus_table_shape_and_diagonal(rng):
 
 def tied_distances(n, seed, kind, rounding=1):
     """Distances of seeded 3-d points: Gaussian, with duplicated points,
-    integer-rounded, or an integer-rounded ultrametric (multifurcating)."""
+    integer-rounded, an integer-rounded ultrametric (multifurcating), or
+    on a grid of tenths (decimal)."""
     gen = np.random.default_rng(seed)
     pts = gen.normal(size=(n, 3))
     if kind == "duplicates":
@@ -283,6 +281,8 @@ def tied_distances(n, seed, kind, rounding=1):
         d = minmax_path_closure(d)
     if kind in ("integer", "multifurcating"):
         return DissimilarityMatrix(np.rint(rounding * d.values))
+    if kind == "decimal":
+        return DissimilarityMatrix(np.rint(rounding * d.values) * 0.1)
     return DissimilarityMatrix(d.values)
 
 
@@ -290,7 +290,7 @@ def tied_distances(n, seed, kind, rounding=1):
 @given(
     n=st.integers(3, 40),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(("gaussian", "duplicates", "integer", "multifurcating")),
+    kind=st.sampled_from(("gaussian", "duplicates", "integer", "multifurcating", "decimal")),
     rounding=st.integers(1, 4),
     tol=st.one_of(st.sampled_from((0.0, 1e-9, 0.05, 0.3)), st.floats(0.0, 0.3)),
 )
@@ -306,57 +306,15 @@ def test_consensus_table_reads_tied_trees_without_the_scan(monkeypatch):
 
     # the oracle scans through triplets.scan, which stays in place
     monkeypatch.setattr(consensus, "scan", no_scan)
-    for kind in ("duplicates", "integer", "multifurcating"):
-        d = tied_distances(40, 7, kind)
+    # the decimal input's unfloored average linkage had an inversion
+    for kind, seed in [("duplicates", 7), ("integer", 7), ("multifurcating", 7), ("decimal", 160)]:
+        d = tied_distances(40, seed, kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = consensus_table(d, list(INVERSION_FREE_CRITERIA), 0.05)
         np.testing.assert_array_equal(
             table.counts, consensus_table_scan(table.ultrametrics, 0.05)
         )
-
-
-def test_consensus_table_falls_back_to_the_scan_on_an_inversion(monkeypatch):
-    d = tied_distances(24, 3, "integer")
-    n = d.n
-
-    def one_ulp_inversion(d, criterion):
-        h = linkage(d, criterion)
-        if criterion != "single":
-            return h
-        merges = list(h.merges)
-        # a merge at the height of its internal child drops one ulp below it
-        s = next(s for s, m in enumerate(merges)
-                 if m.right >= n and m.height == merges[m.right - n].height > 0)
-        merges[s] = merges[s]._replace(height=float(np.nextafter(merges[s].height, 0.0)))
-        return Dendrogram(n, merges, list(h.labels))
-
-    assert detect_inversions(one_ulp_inversion(d, "single"))
-    monkeypatch.setattr(consensus, "linkage", one_ulp_inversion)
-    criteria = ["ward", "single", "average"]
-    with pytest.warns(UserWarning, match="single") as caught:
-        table = consensus_table(d, criteria)
-    assert len(caught) == 1
-    np.testing.assert_array_equal(
-        table.counts, consensus_table_scan(table.ultrametrics, DEFAULT_TIE_TOLERANCE)
-    )
-
-
-def test_consensus_table_falls_back_on_a_non_monotone_tie_test(monkeypatch):
-    d = tied_distances(24, 5, "integer")
-    tied = consensus._tied
-    high = float(np.median(d.values))
-
-    def ties_every_high_level(a, b, tol):
-        return tied(a, b, tol) | (np.maximum(a, b) >= high)
-
-    # the scans, the oracle's included, see the same tie test
-    monkeypatch.setattr(consensus, "_tied", ties_every_high_level)
-    with pytest.warns(UserWarning, match="breaks the tree rule"):
-        table = consensus_table(d, ["ward", "average"])
-    np.testing.assert_array_equal(
-        table.counts, consensus_table_scan(table.ultrametrics, DEFAULT_TIE_TOLERANCE)
-    )
 
 
 def test_consensus_table_rejects_bad_criteria(rng):

@@ -19,7 +19,7 @@ from umtk.hierarchy import (
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.transforms import check_ultrametric
 
-from .conftest import random_dissimilarity, random_ultrametric
+from .conftest import decimal_grid, random_dissimilarity, random_ultrametric
 from .oracles import (
     closure_bruteforce,
     closure_floyd_warshall,
@@ -112,14 +112,34 @@ def test_all_criteria_match_scipy_on_untied_inputs(rng):
             np.testing.assert_allclose(ours, theirs, rtol=1e-8, atol=1e-10)
 
 
+def assert_monotone_heights(d):
+    for crit in INVERSION_FREE_CRITERIA:
+        h = linkage(d, crit)
+        assert detect_inversions(h) == [], crit
+        heights = [m.height for m in h.merges]
+        assert heights == sorted(heights), crit
+
+
+@st.composite
+def decimal_dissimilarities(draw):
+    """decimal_grid inputs: 0 to 3 decimals, times 0.1, 0.3 or 1."""
+    return decimal_grid(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3)),
+                        draw(st.sampled_from((0.1, 0.3, 1.0))))
+
+
 def test_inversion_free_criteria_produce_monotone_heights(rng):
     for _ in range(5):
-        d = random_dissimilarity(rng, 10)
-        for crit in INVERSION_FREE_CRITERIA:
-            h = linkage(d, crit)
-            assert detect_inversions(h) == []
-            heights = [m.height for m in h.merges]
-            assert heights == sorted(heights)
+        assert_monotone_heights(random_dissimilarity(rng, 10))
+    # the recurrences once rounded a merge one ulp below its child on these:
+    # average on the first (n=10), ward on the second (n=14)
+    assert_monotone_heights(decimal_grid(1330, 1, 0.1))
+    assert_monotone_heights(decimal_grid(1421, 2, 0.3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(decimal_dissimilarities())
+def test_inversion_free_criteria_stay_monotone_on_decimal_grids(d):
+    assert_monotone_heights(d)
 
 
 def test_centroid_inversion_on_equilateral():
@@ -314,6 +334,11 @@ def test_dendrogram_validation():
             [Merge(0, 1, -1.0, 2), Merge(2, 3, 2.0, 3)],
             ["a", "b", "c"],
         )
+    for step, bad in [(0, np.nan), (1, np.inf), (0, -np.inf)]:
+        merges = [Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 3)]
+        merges[step] = merges[step]._replace(height=bad)
+        with pytest.raises(ValueError, match=f"^merge {step} has non-finite height {bad!r}$"):
+            Dendrogram(3, merges, ["a", "b", "c"])
     with pytest.raises(ValueError, match="size"):
         Dendrogram(
             3,
@@ -466,6 +491,12 @@ def tie_heavy_dissimilarities(draw):
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_dissimilarities())
 def test_linkage_matches_loop_on_tie_heavy_inputs(d):
+    assert_linkage_matches_loop(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decimal_dissimilarities())
+def test_linkage_matches_loop_on_decimal_grids(d):
     assert_linkage_matches_loop(d)
 
 
