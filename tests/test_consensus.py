@@ -296,7 +296,9 @@ def tied_distances(n, seed, kind, rounding=1):
 )
 def test_consensus_table_matches_the_triplet_scan(n, seed, kind, rounding, tol):
     d = tied_distances(n, seed, kind, rounding)
-    table = consensus_table(d, list(INVERSION_FREE_CRITERIA), tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = consensus_table(d, list(INVERSION_FREE_CRITERIA), tol)
     np.testing.assert_array_equal(table.counts, consensus_table_scan(table.ultrametrics, tol))
 
 
