@@ -20,9 +20,9 @@ pair ab joins at node J(a, b) and its apex c at an ancestor x: levels
 h(J), h(x), h(x). With top(v) the highest ancestor of v whose level ties
 h(v), ab|c is resolved exactly when c is outside C(top(J(a, b))), the
 leaves under it, so entry (p, q) sums n - |C_p| - |C_q| + |C_p & C_q| over
-pairs a < b. linkage floors the inversion-free criteria's heights, so
-they never fall up a chain, every node's untied ancestors form a suffix
-of its chain, and the rule is exact: no table entry is scanned.
+pairs a < b. The rule is exact (no entry is scanned) because heights never
+fall up a chain, as linkage floors them, and _tied rounds monotonically in
+its upper level, so every node's untied ancestors form a suffix of its chain.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ class ConsensusTable(_ArrayFieldsEq):
 
 
 def _check_tie_tolerance(tol: float) -> None:
-    # from 1 up every two nonnegative levels tie; NaN or below 0, none do
+    # from 1 up every two nonnegative levels tie; below 0 only zeros, NaN none
     if not 0 <= tol < 1:
         raise ValueError(f"tie_tolerance must be in [0, 1), got {tol!r}")
 
 
-def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Elementwise tie test, tolerance relative to the larger magnitude."""
-    return np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b))
+def _tied(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """hi - lo <= tol * hi for levels 0 <= lo <= hi, monotone in hi after rounding."""
+    return lo >= (1 - tol) * hi
 
 
 def _signature_arrays(
@@ -248,10 +248,9 @@ def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray:
     node = np.arange(n, 2 * n - 2)  # every node a pair can join at, but the root
     up = parent[node]
     while node.size:
-        # levels rise up a chain, so with 0 <= h(v) <= x <= y a tie means
-        # (1 - tol) x <= h(v): a node untied from one ancestor is untied
-        # from every higher one, and it leaves the walk (in exact arithmetic;
-        # for tol above 0.5 the rounded test can break this within a few ulps)
+        # levels never fall up a chain and _tied rounds monotonically in
+        # its upper level, so a node untied from one ancestor is untied
+        # from every higher one, and it leaves the walk
         tied = _tied(heights[node], heights[up], tol)
         node, up = node[tied], up[tied]
         top[node] = up

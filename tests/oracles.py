@@ -19,16 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from umtk.consensus import _signature_arrays
+from umtk.consensus import _signature_arrays, _tied
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
 from umtk import triplets
 from umtk.triplets import scan
-
-
-def _tied(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    return np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b))
 
 
 def sorted_pair_values(

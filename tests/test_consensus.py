@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umtk import consensus, triplets
 
@@ -292,7 +292,9 @@ def tied_distances(n, seed, kind, rounding=1):
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(("gaussian", "duplicates", "integer", "multifurcating", "decimal")),
     rounding=st.integers(1, 4),
-    tol=st.one_of(st.sampled_from((0.0, 1e-9, 0.05, 0.3)), st.floats(0.0, 0.3)),
+    tol=st.one_of(
+        st.sampled_from((0.0, 1e-9, 0.05, 0.3, 0.7)), st.floats(0.0, 1.0, exclude_max=True)
+    ),
 )
 def test_consensus_table_matches_the_triplet_scan(n, seed, kind, rounding, tol):
     d = tied_distances(n, seed, kind, rounding)
@@ -300,6 +302,44 @@ def test_consensus_table_matches_the_triplet_scan(n, seed, kind, rounding, tol):
         warnings.simplefilter("error")
         table = consensus_table(d, list(INVERSION_FREE_CRITERIA), tol)
     np.testing.assert_array_equal(table.counts, consensus_table_scan(table.ultrametrics, tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(0.0, 1e6),
+    b=st.floats(0.0, 1e6),
+    ulps=st.integers(0, 4),
+    tol=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(a=1.05, b=3.5, ulps=1, tol=0.7)
+@example(a=6.2, b=15.5, ulps=1, tol=0.6)
+def test_tie_test_is_monotone_in_the_upper_level(a, b, ulps, tol):
+    h, x = sorted((a, b))
+    y = x
+    for _ in range(ulps):
+        y = np.nextafter(y, np.inf)
+    assert consensus._tied(h, x, tol) or not consensus._tied(h, y, tol)
+
+
+def test_consensus_table_matches_the_scan_at_a_high_tolerance():
+    # 1.05 is untied from 3.5 at 0.7, and a tie test on the rounded
+    # difference ties it to the next float up, so the scan would skip ab|e
+    # while the tree, whose walk stops at 3.5, would count it
+    far = np.nextafter(3.5, np.inf)
+    d = DissimilarityMatrix(
+        np.array(
+            [
+                [0.0, 1.05, 3.5, far],
+                [1.05, 0.0, 3.5, far],
+                [3.5, 3.5, 0.0, far],
+                [far, far, far, 0.0],
+            ]
+        )
+    )
+    table = consensus_table(d, list(INVERSION_FREE_CRITERIA), 0.7)
+    np.testing.assert_array_equal(table.counts, consensus_table_scan(table.ultrametrics, 0.7))
+    single = table.criteria.index("single")
+    assert table.counts[single, single] == 2  # ab|c, ab|e; ace and bce are equilateral
 
 
 def test_consensus_table_reads_tied_trees_without_the_scan(monkeypatch):
