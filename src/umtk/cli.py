@@ -35,15 +35,8 @@ from .hierarchy import (
 )
 from .matrices import euclidean_distances
 from .spectral import correspondence_analysis, pcoa
-from .transforms import cailliez_additive, power_shrink
-from .ultrametricity import (
-    DEFAULT_EPSILON,
-    alpha_epsilon,
-    lerman_h,
-    rammal_index,
-    scan_triplet_verdicts,
-    treves_hartmann_points,
-)
+from .transforms import cailliez_additive, metric_repairs, power_shrink
+from .ultrametricity import DEFAULT_EPSILON, coefficient_scan, rammal_index
 
 
 class CliError(Exception):
@@ -233,44 +226,43 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     if args.per_triplet and args.coords is None:
         raise CliError("--per-triplet requires --coords")
     seed = args.seed if args.sample is not None else None
-    sample_kw = dict(sample=args.sample, seed=seed)
     params = {"epsilon": args.epsilon, "sample": args.sample, "seed": seed}
-    report: dict[str, object] = {}
     if args.coords is not None:
         params["coords"] = _basename(args.coords)
-        coords = matrixio.read_coordinates(args.coords)
-        d = euclidean_distances(coords)
-        alpha = alpha_epsilon(coords, args.epsilon, **sample_kw)
-        report.update({
-            "alpha": alpha.alpha,
-            "alpha_counted": alpha.counted,
-            "alpha_excluded_degenerate": alpha.excluded_degenerate,
-        })
+        d = euclidean_distances(matrixio.read_coordinates(args.coords))
     else:
         params["distances"] = _basename(args.distances)
         d = matrixio.read_dissimilarity(args.distances)
-        report["alpha"] = "unavailable (requires coordinates)"
     headers = _headers(args, params)
+    # all-zero distances fail before any table is opened; a point cloud's
+    # own errors (too few points, all triplets degenerate) come first
+    rammal = rammal_index(d) if args.coords is None else None
+
+    def stream(name: str, header: list[str]):
+        return matrixio.table_stream(_out_path(args, name), header, headers)
+
+    coeffs = coefficient_scan(
+        d, stream("treves_hartmann.csv", ["min_over_max", "med_over_max", "max_minus_med"]),
+        None if args.coords is None else args.epsilon, args.sample, seed,
+        stream("coeffs_triplets.csv", ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"])
+        if args.per_triplet else None)
+    alpha = coeffs.alpha
+    report: dict[str, object] = {"alpha": "unavailable (requires coordinates)"}
+    if alpha is not None:
+        report = {"alpha": alpha.alpha, "alpha_counted": alpha.counted,
+                  "alpha_excluded_degenerate": alpha.excluded_degenerate}
     report.update({
         "epsilon": args.epsilon,
         "sampled": args.sample is not None,
         "sample": args.sample,
         "seed": seed,
-        "rammal": rammal_index(d),
-        "lerman_h": lerman_h(d, **sample_kw),
+        "rammal": rammal_index(d) if rammal is None else rammal,
+        "lerman_h": coeffs.lerman_h,
         "lerman_h_definition": "mean((rank(max)-rank(med))/(pairs-1)) over triplets",
+        "treves_hartmann_points": coeffs.treves_hartmann_points,
+        "treves_hartmann_skipped_zero_max": coeffs.treves_hartmann_skipped_zero_max,
     })
-    th = treves_hartmann_points(d, **sample_kw)
-    report["treves_hartmann_points"] = th.points.shape[0]
-    report["treves_hartmann_skipped_zero_max"] = th.skipped_zero_max
     matrixio.write_key_values(_out_path(args, "coeffs_report.txt"), report, headers)
-    matrixio.write_table(_out_path(args, "treves_hartmann.csv"),
-                         ["min_over_max", "med_over_max", "max_minus_med"],
-                         list(th.points.T), headers)
-    if args.per_triplet:
-        matrixio.write_table(_out_path(args, "coeffs_triplets.csv"),
-                             ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"],
-                             scan_triplet_verdicts(coords, args.epsilon, **sample_kw), headers)
     return 0
 
 
@@ -330,23 +322,24 @@ def _cmd_uca(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     d = matrixio.read_dissimilarity(args.input)
     base = {"input": _basename(args.input), "method": args.method}
-    if args.method in ("cailliez", "both"):
-        repaired, constant = cailliez_additive(d)
-        headers = _headers(args, base | {"additive_constant": constant})
-        matrixio.write_dissimilarity(_out_path(args, "transform_cailliez.csv"),
-                                     repaired, headers)
-    if args.method in ("power", "both"):
+    cailliez = power = None
+    if args.method == "both":
         try:
-            shrunk, exponent = power_shrink(d)
+            cailliez, power = metric_repairs(d)
         except ValueError as exc:
-            if args.method == "power":
-                raise
             print(f"umtk: skipping power repair: {exc}", file=sys.stderr)
-            return 0
-        headers = _headers(args, base | {"exponent": exponent,
-                                        "r_tolerance": 1e-6})
-        matrixio.write_dissimilarity(_out_path(args, "transform_power.csv"),
-                                     shrunk, headers)
+            cailliez = cailliez_additive(d)
+    elif args.method == "cailliez":
+        cailliez = cailliez_additive(d)
+    else:
+        power = power_shrink(d)
+    if cailliez is not None:
+        headers = _headers(args, base | {"additive_constant": cailliez[1]})
+        matrixio.write_dissimilarity(_out_path(args, "transform_cailliez.csv"),
+                                     cailliez[0], headers)
+    if power is not None:
+        headers = _headers(args, base | {"exponent": power[1], "r_tolerance": 1e-6})
+        matrixio.write_dissimilarity(_out_path(args, "transform_power.csv"), power[0], headers)
     return 0
 
 

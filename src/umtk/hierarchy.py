@@ -49,6 +49,8 @@ LINKAGE_CRITERIA = ("single", "complete", "average", "mcquitty", "ward",
 INVERSION_FREE_CRITERIA = ("single", "complete", "average", "mcquitty", "ward")
 
 _SQUARED_CRITERIA = frozenset({"ward", "centroid", "median"})
+#: The largest distance whose square is finite: sqrt of the largest double.
+_SQUARABLE = 1.3407807929942596e154
 
 
 class Merge(NamedTuple):
@@ -135,7 +137,11 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     if n < 2:
         raise ValueError("need at least two items to cluster")
     squared = criterion in _SQUARED_CRITERIA
-    work = d.values ** 2 if squared else d.values.copy()
+    with np.errstate(over="ignore"):
+        work = d.values ** 2 if squared else d.values.copy()
+    if squared and np.isinf(work).any():
+        raise ValueError(f"{criterion} linkage squares the distances, so none may exceed "
+                         f"{_SQUARABLE!r}")
     np.fill_diagonal(work, np.inf)
     active = np.ones(n, dtype=bool)
     node_id = np.arange(n, dtype=np.int64)

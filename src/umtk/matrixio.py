@@ -15,11 +15,14 @@ holds ASCII 0x1c-0x1f (numpy's parser strips them as whitespace, float()
 does not) and a file loadtxt rejects (it rejects '1_0' and non-ASCII
 digits) are converted by float() cell by cell, errors included.
 
-Every table goes through one writer. write_table takes a header and
-equal-length 1-D numpy arrays (one per column); write_labeled_matrix
-passes its matrix as one 2-D block. A column's dtype sets how its cells
-are written, byte for byte as csv.writer(lineterminator="\n") writes
-format_value of each value:
+Every table goes through one writer, table_stream: it writes the header
+on entry and then appends blocks of rows, each given as equal-length
+numpy columns (1-D, or 2-D for several adjacent columns of one dtype), so
+a scan can write each window's rows as it comes. write_table is the
+one-block case; write_labeled_matrix passes its labels and its matrix
+as one 2-D block. A column's dtype sets how its cells are written, byte
+for byte as csv.writer(lineterminator="\n") writes format_value of each
+value:
 
 - integers as %d;
 - floats as %.17g, which round-trips exactly ("nan", "inf", "-0");
@@ -42,6 +45,7 @@ distinct value in a chunk.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -50,7 +54,7 @@ import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -374,46 +378,57 @@ def _data_and_blank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _block_rows(block: list[tuple[np.ndarray, np.ndarray | None]], lo: int, hi: int,
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, blank) of rows lo..hi of a block, each of shape (rows, k).
-
-    A block is one 2-D (data, mask) pair, or one such pair per column.
-    """
-    if block[0][0].ndim == 2:
-        values, mask = block[0]
-        values, blank = values[lo:hi], None if mask is None else mask[lo:hi]
-    else:
-        values = np.stack([v[lo:hi] for v, _ in block], axis=1)
-        blank = None
-        if any(m is not None for _, m in block):
-            blank = np.stack([np.zeros(len(values), dtype=bool) if m is None
-                              else m[lo:hi] for _, m in block], axis=1)
-    return values, np.broadcast_to(False, values.shape) if blank is None else blank
+    """(values, blank) of rows lo..hi of a block of (data, mask) columns, each (rows, k)."""
+    values = np.column_stack([v[lo:hi] for v, _ in block])
+    if all(m is None for _, m in block):
+        return values, np.broadcast_to(False, values.shape)
+    return values, np.column_stack([np.zeros(v[lo:hi].shape, dtype=bool) if m is None
+                                    else m[lo:hi] for v, m in block])
 
 
-def _write_blocks(
+@contextlib.contextmanager
+def table_stream(
     path: str | Path,
     header: Sequence[str],
-    blocks: Sequence[np.ndarray | list[np.ndarray]],
-    header_lines: Sequence[str],
-) -> None:
-    """Write blocks of columns side by side as one CSV table.
+    header_lines: Sequence[str] = (),
+) -> Iterator[Callable[[Sequence[np.ndarray]], None]]:
+    """Open a CSV table whose rows come in blocks; yields write(columns).
 
-    A block is a 2-D array or a list of 1-D arrays of one dtype, masked
-    or not. The table is encoded and written CHUNK_CELLS cells at a time.
+    write(columns) appends one block: equal-length arrays, each one column
+    (1-D) or several of one dtype (2-D), written as the module docstring
+    says. The bytes do not depend on how the rows are split into blocks.
+    If the body raises, the file is closed and removed.
     """
-    pairs = [[_data_and_blank(c) for c in (b if isinstance(b, list) else [b])]
-             for b in blocks]
-    for block in pairs:
-        if block[0][0].dtype.kind not in _ENCODERS:
-            raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
-    n_rows = len(pairs[0][0][0])
+    header = [str(h) for h in header]
+    if not header:
+        raise ValueError("a table needs at least one column")
     step = max(1, CHUNK_CELLS // len(header))
-    head = np.array(list(header), dtype=object)[None, :]
+
+    def write(columns: Sequence[np.ndarray]) -> None:
+        columns = [np.asanyarray(c) for c in columns]
+        widths = [c.shape[1] if c.ndim == 2 else 1 for c in columns]
+        if sum(widths) != len(header):
+            raise ValueError(f"{len(header)} header cells for {sum(widths)} columns")
+        if any(c.ndim not in (1, 2) for c in columns) or len({len(c) for c in columns}) != 1:
+            raise ValueError("table columns must be 1-D arrays of equal length")
+        blocks = [[_data_and_blank(c) for c in run]
+                  for _, run in itertools.groupby(columns, key=lambda c: c.dtype)]
+        for block in blocks:
+            if block[0][0].dtype.kind not in _ENCODERS:
+                raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
+        for lo in range(0, len(columns[0]), step):
+            fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in blocks]))
+
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
-        fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
-        for lo in range(0, n_rows, step):
-            fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in pairs]))
+        try:
+            fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
+            head = np.array(header, dtype=object)[None, :]
+            fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
+            yield write
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 def write_table(
@@ -422,23 +437,9 @@ def write_table(
     columns: Sequence[np.ndarray],
     header_lines: Sequence[str] = (),
 ) -> None:
-    """Write equal-length 1-D arrays as the columns of a CSV table.
-
-    The '#' header lines come first, then the header row, then one row
-    per array index. Each column's dtype sets how its cells are written
-    (see the module docstring); entries masked in a numpy masked array
-    are written as empty cells. Rows are encoded and written about
-    CHUNK_CELLS cells at a time.
-    """
-    columns = [np.asanyarray(c) for c in columns]
-    if not columns:
-        raise ValueError("a table needs at least one column")
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header cells for {len(columns)} columns")
-    if any(c.ndim != 1 for c in columns) or len({c.shape[0] for c in columns}) != 1:
-        raise ValueError("table columns must be 1-D arrays of equal length")
-    blocks = [list(run) for _, run in itertools.groupby(columns, key=lambda c: c.dtype)]
-    _write_blocks(path, [str(h) for h in header], blocks, header_lines)
+    """Write equal-length 1-D arrays as the columns of a CSV table: one table_stream block."""
+    with table_stream(path, header, header_lines) as write:
+        write(columns)
 
 
 def write_labeled_matrix(
@@ -454,8 +455,8 @@ def write_labeled_matrix(
         raise ValueError("a labeled matrix needs a 2-D matrix and one label per row")
     if len(col_labels) != matrix.shape[1]:
         raise ValueError(f"{len(col_labels)} column labels for {matrix.shape[1]} columns")
-    _write_blocks(path, [str(h) for h in ["", *col_labels]],
-                  [labels[:, None], matrix], header_lines)
+    with table_stream(path, ["", *col_labels], header_lines) as write:
+        write([labels, matrix])
 
 
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:

@@ -5,7 +5,9 @@ and report the ones whose worst orientation violates the (strong)
 triangle inequality by more than a tolerance. cailliez_additive and
 power_shrink turn a non-metric dissimilarity into a metric one, either
 by adding the smallest constant that works or by raising the values to
-the largest power in (0, 1] that works.
+the largest power in (0, 1] that works. Each repair scans every triple
+of d once, and later tests re-scan only the triples that scan left open;
+metric_repairs returns both repairs from that one scan.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import DissimilarityMatrix, _ArrayFieldsEq
-from .triplets import DEFAULT_CHUNK, scan, sort3
+from .triplets import DEFAULT_CHUNK, iter_scan, scan, sort3
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
@@ -81,45 +83,94 @@ def check_ultrametric(
     return _scan_violations(d, "strong-triangle", tolerance)
 
 
-#: Most candidate triples power_shrink keeps; with more it scans them all.
-_CANDIDATE_CAP = 1_000_000
+#: Bytes of candidate ids (int32, 12 a triple) a repair keeps; past them it scans all.
+_CANDIDATE_CAP = 24_000_000
 #: Slack, as a share of the largest value, at or below which a triple is
 #: settled; the rounding of ``**`` and two subtractions is under 1e-15.
 _SETTLED_MARGIN = 1e-9
 
 
+def _keep(kept: list | None, ids: tuple, slack: np.ndarray, floor: float) -> list | None:
+    """kept plus the int32 ids whose slack is not at or below floor; None past the cap."""
+    if kept is not None:
+        kept.append(np.stack([x[~(slack <= floor)] for x in ids], dtype=np.int32))
+        if sum(k.nbytes for k in kept) > _CANDIDATE_CAP:
+            return None
+    return kept
+
+
 def _worst_metric_slack(
-    values: np.ndarray, n: int, ids: np.ndarray | None = None, floor: float | None = None
-) -> tuple[float, np.ndarray | None]:
+    values: np.ndarray, n: int, ids: np.ndarray | None = None, floor: float | None = None,
+    near: bool = False,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Largest triangle slack over the (3, m) triple ids, or all triples.
 
-    Given a floor, it also returns the ids of the triples whose slack is
-    not at or below it, or None if there are more than _CANDIDATE_CAP.
+    Given a floor, the int32 ids of the triples whose slack is not at or
+    below it come second. With near, a full scan returns third those
+    above c - _SETTLED_MARGIN * (max + c), c the worst slack clamped at 0
+    (kept against the running worst, filtered at the end). Ids past
+    _CANDIDATE_CAP bytes give None.
     """
-    kept: list[np.ndarray] | None = None if floor is None else []
-    count = 0
 
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
-        nonlocal kept, count
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
         lo, mid, hi = sort3(values[ii, jj], values[ii, kk], values[jj, kk])
-        slack = hi - mid - lo
-        if kept is not None:
-            open_ = ~(slack <= floor)
-            kept.append(np.stack([ii[open_], jj[open_], kk[open_]]))
-            count += kept[-1].shape[1]
-            if count > _CANDIDATE_CAP:
-                kept = None
-        return float(slack.max())
+        return (ii, jj, kk), hi - mid - lo
 
     if ids is None:
-        worsts = scan(n, kernel)
+        windows = iter_scan(n, kernel)
     else:
-        windows = range(0, ids.shape[1], DEFAULT_CHUNK)
-        worsts = [kernel(*ids[:, lo : lo + DEFAULT_CHUNK]) for lo in windows]
-    worst = max([-np.inf, *worsts])
-    if kept is None:
-        return worst, None
-    return worst, np.concatenate([np.zeros((3, 0), np.int64), *kept], axis=1)
+        windows = (kernel(*ids[:, lo : lo + DEFAULT_CHUNK])
+                   for lo in range(0, ids.shape[1], DEFAULT_CHUNK))
+    scale = float(values.max(initial=0.0))
+    worst, kept, close = -np.inf, None if floor is None else [], [] if near else None
+    for triple, slack in windows:
+        worst = max(worst, float(slack.max()))
+        c = max(0.0, worst)
+        kept = _keep(kept, triple, slack, floor)
+        close = _keep(close, triple, slack, c - _SETTLED_MARGIN * (scale + c))
+    kept, close = (None if k is None else np.concatenate([np.zeros((3, 0), np.int32), *k], 1)
+                   for k in (kept, close))
+    if close is not None:
+        c = max(0.0, worst)
+        close = close[:, ~(kernel(*close)[1] <= c - _SETTLED_MARGIN * (scale + c))]
+    return worst, kept, close
+
+
+def _repairs(d: DissimilarityMatrix, cailliez: bool, r_tolerance: float | None) -> tuple:
+    """cailliez_additive's and, given r_tolerance, power_shrink's result from one scan of d.
+
+    Their later tests re-scan only the triples that scan left open. A triple whose slack s is at most c - _SETTLED_MARGIN * (max + c) has
+    a slack in d + c that rounds to at most 0 (three additions and two
+    subtractions err by under 1e-15 * (max + c)), and so at every larger
+    c: each nudge round's residual is the one a scan of all triples gives.
+    """
+    floor = None
+    if r_tolerance is not None:
+        if not r_tolerance > 0:
+            raise ValueError("r_tolerance must be positive")
+        if np.any(d.values[~np.eye(d.n, dtype=bool)] == 0.0):
+            raise ValueError("power repair requires positive off-diagonal dissimilarities")
+        floor = -_SETTLED_MARGIN * float(d.values.max(initial=0.0))
+    worst, ids, near = _worst_metric_slack(d.values, d.n, floor=floor, near=cailliez)
+    return (_cailliez(d, worst, near) if cailliez else None,
+            None if r_tolerance is None else _power(d, r_tolerance, worst, ids))
+
+
+def _cailliez(d: DissimilarityMatrix, worst: float, near: np.ndarray | None,
+              ) -> tuple[DissimilarityMatrix, float]:
+    c = max(0.0, worst)
+    if c == 0.0:
+        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
+    for _ in range(100):
+        shifted = d.values + c
+        np.fill_diagonal(shifted, 0.0)
+        residual = _worst_metric_slack(shifted, d.n, near)[0]
+        if residual <= 0.0:
+            break
+        c += residual
+    else:
+        raise RuntimeError("additive repair failed to converge")
+    return DissimilarityMatrix(shifted, list(d.labels)), c
 
 
 def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:
@@ -131,21 +182,7 @@ def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, floa
     would otherwise leave a residual violation. With fewer than three
     items the input is already metric and the constant is zero.
     """
-    if d.n < 3:
-        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
-    c = max(0.0, _worst_metric_slack(d.values, d.n)[0])
-    if c == 0.0:
-        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
-    for _ in range(100):
-        shifted = d.values + c
-        np.fill_diagonal(shifted, 0.0)
-        residual = _worst_metric_slack(shifted, d.n)[0]
-        if residual <= 0.0:
-            break
-        c += residual
-    else:
-        raise RuntimeError("additive repair failed to converge")
-    return DissimilarityMatrix(shifted, list(d.labels)), c
+    return _repairs(d, True, None)[0]
 
 
 def power_shrink(
@@ -162,18 +199,27 @@ def power_shrink(
     the bisection re-scans only the triples that can still decide it.
     Every test decides as a scan of all triples would.
     """
-    if not r_tolerance > 0:
-        raise ValueError("r_tolerance must be positive")
-    off_diag = ~np.eye(d.n, dtype=bool)
-    if np.any(d.values[off_diag] == 0.0):
-        raise ValueError(
-            "power repair requires positive off-diagonal dissimilarities"
-        )
+    return _repairs(d, False, r_tolerance)[1]
+
+
+def metric_repairs(
+    d: DissimilarityMatrix, r_tolerance: float = 1e-6
+) -> tuple[tuple[DissimilarityMatrix, float], tuple[DissimilarityMatrix, float]]:
+    """(cailliez_additive(d), power_shrink(d, r_tolerance)) from one scan of all triples.
+
+    Both results are bit for bit those of the two functions. The arguments
+    are checked, and errors raised, as power_shrink checks and raises them.
+    """
+    return _repairs(d, True, r_tolerance)
+
+
+def _power(d: DissimilarityMatrix, r_tolerance: float, worst: float, ids: np.ndarray | None,
+           ) -> tuple[DissimilarityMatrix, float]:
 
     def is_metric(values: np.ndarray, ids: np.ndarray | None, keep: bool):
         scale = float(values.max())
         floor = -_SETTLED_MARGIN * scale if keep else None
-        worst, kept = _worst_metric_slack(values, d.n, ids, floor)
+        worst, kept, _ = _worst_metric_slack(values, d.n, ids, floor)
         return worst <= REPAIR_TOLERANCE_FACTOR * scale, kept
 
     def candidate(r: float) -> np.ndarray:
@@ -181,8 +227,7 @@ def power_shrink(
         np.fill_diagonal(out, 0.0)
         return out
 
-    passed, ids = (True, None) if d.n < 3 else is_metric(d.values, None, keep=True)
-    if passed:
+    if worst <= REPAIR_TOLERANCE_FACTOR * float(d.values.max(initial=0.0)):
         return DissimilarityMatrix(d.values.copy(), list(d.labels)), 1.0
     # a failure here leaves hi at 1, so it must not drop triples
     lo = 0.5

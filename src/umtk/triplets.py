@@ -4,11 +4,13 @@ A triplet scan is a sequence of fixed windows of DEFAULT_CHUNK ranks.
 Exhaustive scans rank the n-choose-3 triples in ascending (i, j, k)
 order; triplet_windows builds any window's index arrays from one pair
 table, so the full enumeration never exists at once. Sampling is
-counter-based: draw t depends only on (seed, t). scan is the one driver:
-it runs a per-window kernel over either source, and with workers > 1
-each thread builds the windows it runs. Kernels return integer or
-elementwise-independent results, so serial and threaded scans agree
-exactly.
+counter-based: draw t depends only on (seed, t). iter_scan is the one
+driver: it runs a per-window kernel over either source and yields the
+results in window order, so a caller can reduce them or stream them out
+as they come; scan is list() of it. With workers > 1 each pool thread
+builds the windows it runs, and at most `workers` windows are in flight.
+Kernels return integer or elementwise-independent results, so serial and
+threaded scans agree exactly.
 
 sort3 orders the three values of every triplet (pair values, angles,
 or a draw's ids), and first_smallest reads the apex off the smallest.
@@ -114,18 +116,20 @@ def sample_triplets(n: int, count: int, seed: int, start: int = 0) -> Triples:
     return sort3(*out)
 
 
-def scan(
+def iter_scan(
     n: int,
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], T],
     sample: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-) -> list[T]:
-    """Apply kernel(ii, jj, kk) to every DEFAULT_CHUNK window of a triplet scan.
+) -> Iterator[T]:
+    """Yield kernel(ii, jj, kk) for every DEFAULT_CHUNK window of a triplet scan.
 
     The windows are triplet_windows(n)'s ranks, or with a sample the
-    seeded draws sample_triplets(n, sample, seed). With workers > 1 each
-    pool thread builds the windows it runs. Results come in window order.
+    seeded draws sample_triplets(n, sample, seed); the arguments are
+    checked on the call, before any window is built. Results come in
+    window order. With workers > 1 each pool thread builds the windows it
+    runs, and at most `workers` windows are in flight ahead of the caller.
     """
     if sample is None:
         count, window = triplet_windows(n)
@@ -140,10 +144,18 @@ def scan(
     def run(lo: int) -> T:
         return kernel(*window(lo, min(lo + chunk, count)))
 
-    if workers > 1:
+    def pooled() -> Iterator[T]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(0, count, chunk)))
-    return [run(lo) for lo in range(0, count, chunk)]
+            for i in range(0, len(starts), workers):
+                yield from pool.map(run, starts[i : i + workers])
+
+    starts = range(0, count, chunk)
+    return pooled() if workers > 1 else map(run, starts)
+
+
+def scan(n: int, kernel: Callable[..., T], *args, **kwargs) -> list[T]:
+    """list(iter_scan(n, kernel, ...)): every window's result, in window order."""
+    return list(iter_scan(n, kernel, *args, **kwargs))
 
 
 def sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

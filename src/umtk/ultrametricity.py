@@ -9,14 +9,23 @@ and lerman_h quantify ultrametricity from the values alone, without
 coordinates, and treves_hartmann_points emits per-triplet shape records
 for external plotting.
 
-Every triplet scan is a per-chunk kernel run by triplets.scan, which
-owns the chunking, the seeded sampling and the optional thread pool.
+All four triplet coefficients read the same triplets through one kernel,
+run window by window by triplets.iter_scan (which owns the windows, the
+seeded sampling and the optional thread pool). A window gathers its three
+pair values once and computes only what its caller asked for: the angle
+verdicts, the Lerman rank gaps, the Treves-Hartmann records. Counts and
+sums are added in window order, and per-triplet columns go out as each
+window comes. coefficient_scan asks for all of them in one scan, and
+hands the columns to open writers; the four public functions ask for
+one each and keep their own results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from .matrices import (
     _ArrayFieldsEq,
     euclidean_distances,
 )
-from .triplets import first_smallest, scan, sort3
+from .triplets import first_smallest, iter_scan, sort3
 
 #: Default tolerance on the difference between base angles, in radians
 #: (two degrees).
@@ -162,8 +171,7 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
     """
     if g.degenerate or g.angles is None:
         raise ValueError("cannot classify a degenerate triangle")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     verts, angles = zip(*sorted(zip((g.i, g.j, g.k), g.angles), key=lambda va: va[0]))
     apex, diff, ultra = _classify_angles(angles, verts, epsilon)
     apex_id = int(apex)
@@ -179,12 +187,77 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
 
 
 def _classify_chunk(
-    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, epsilon: float
+    sides: tuple, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized verdicts: (apex ids, base angle diffs, ultra, degenerate)."""
-    *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
+    """Vectorized verdicts from the sides opposite i, j, k: (apex, diff, ultra, degenerate)."""
+    *angles, degen = _angles_from_sides(*sides)
     apex, diff, ultra = _classify_angles(angles, (ii, jj, kk), epsilon)
     return apex, diff, ultra & ~degen, degen
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+
+
+def _coefficients(
+    d: DissimilarityMatrix, sample: int | None, seed: int | None, workers: int = 1,
+    epsilon: float | None = None, lerman: bool = False, points: Callable | None = None,
+    verdicts: Callable | None = None,
+) -> tuple[int, int, int, float | None, int]:
+    """One triplet scan of d: (examined, ultrametric, degenerate, Lerman H, points).
+
+    With epsilon, each window's verdict columns go to verdicts (d then
+    holds Euclidean distances); with lerman, its rank gaps are summed;
+    with points, its Treves-Hartmann columns go to points.
+    """
+    values, n = d.values, d.n
+    if lerman:
+        ranks = np.zeros((n, n))
+        ranks[np.triu_indices(n, k=1)] = _average_ranks(d.condensed())
+        ranks = ranks + ranks.T
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
+        ij, ik, jk = values[ii, jj], values[ii, kk], values[jj, kk]
+        counts, gap, shape, rows = (0, 0), 0.0, None, None
+        if epsilon is not None:
+            apex, diff, ultra, degen = _classify_chunk((jk, ik, ij), ii, jj, kk, epsilon)
+            counts = int(ultra.sum()), int(degen.sum())
+            if verdicts is not None:
+                rows = [ii, jj, kk, np.ma.array(apex, mask=degen),
+                        np.ma.array(diff, mask=degen), ultra]
+        if lerman:
+            _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
+            gap = float((hi - mid).sum())
+        if points is not None:
+            lo, mid, hi = sort3(ij, ik, jk)
+            ok = hi > 0.0
+            lo, mid, hi = lo[ok], mid[ok], hi[ok]
+            shape = [lo / hi, mid / hi, hi - mid]
+        return ii.size, *counts, gap, shape, rows
+
+    examined = ultrametric = degenerate = kept = 0
+    gaps = 0.0
+    for size, ultra, degen, gap, shape, rows in iter_scan(n, kernel, sample, seed, workers):
+        examined, ultrametric, degenerate, gaps = (
+            examined + size, ultrametric + ultra, degenerate + degen, gaps + gap)
+        if shape is not None:
+            points(shape)
+            kept += shape[0].size
+        if rows is not None:
+            verdicts(rows)
+        del shape, rows  # before the next window is built
+    h = gaps / (examined * (n * (n - 1) // 2 - 1)) if lerman else None
+    return examined, ultrametric, degenerate, h, kept
+
+
+def _alpha_report(sums: tuple, epsilon: float, sample: int | None, seed) -> UltrametricityReport:
+    examined, ultrametric, degenerate = sums[:3]
+    if examined == degenerate:
+        raise ValueError("every examined triplet was degenerate")
+    counted, sampled = examined - degenerate, sample is not None
+    return UltrametricityReport(ultrametric / counted, counted, degenerate, epsilon, sampled,
+                                seed if sampled else None)
 
 
 def alpha_epsilon(
@@ -203,27 +276,9 @@ def alpha_epsilon(
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    values = euclidean_distances(coords).values
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[int, int, int]:
-        _, _, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
-        return int(ultra.sum()), int(degen.sum()), ii.shape[0]
-
-    results = scan(coords.n, kernel, sample, seed, workers)
-    ultra_total, degen_total, examined = (sum(col) for col in zip(*results))
-    counted = examined - degen_total
-    if counted == 0:
-        raise ValueError("every examined triplet was degenerate")
-    return UltrametricityReport(
-        alpha=ultra_total / counted,
-        counted=counted,
-        excluded_degenerate=degen_total,
-        epsilon=epsilon,
-        sampled=sample is not None,
-        seed=seed if sample is not None else None,
-    )
+    _check_epsilon(epsilon)
+    sums = _coefficients(euclidean_distances(coords), sample, seed, workers, epsilon)
+    return _alpha_report(sums, epsilon, sample, seed)
 
 
 def scan_triplet_verdicts(
@@ -241,18 +296,13 @@ def scan_triplet_verdicts(
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    values = euclidean_distances(coords).values
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, ...]:
-        apex, diff, ultra, degen = _classify_chunk(values, ii, jj, kk, epsilon)
-        return ii, jj, kk, apex, diff, ultra, degen
-
-    ii, jj, kk, apex, diff, ultra, degen = (
-        np.concatenate(col) for col in zip(*scan(coords.n, kernel, sample, seed))
-    )
-    return ii, jj, kk, np.ma.array(apex, mask=degen), np.ma.array(diff, mask=degen), ultra
+    _check_epsilon(epsilon)
+    blocks: list = []
+    _coefficients(euclidean_distances(coords), sample, seed, epsilon=epsilon,
+                  verdicts=blocks.append)
+    ii, jj, kk, apex, diff, ultra = zip(*blocks)
+    return (*map(np.concatenate, (ii, jj, kk)), np.ma.concatenate(apex),
+            np.ma.concatenate(diff), np.concatenate(ultra))
 
 
 def rammal_index(d: DissimilarityMatrix) -> float:
@@ -288,22 +338,9 @@ def lerman_h(
     each triplet contributes (rank of max - rank of median) / (P - 1).
     Zero exactly when every triplet's two largest values tie.
     """
-    n = d.n
-    if n < 3:
+    if d.n < 3:
         raise ValueError("need at least three items")
-    pair_count = n * (n - 1) // 2
-    ranks_condensed = _average_ranks(d.condensed())
-    rank_matrix = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    rank_matrix[iu] = ranks_condensed
-    rank_matrix = rank_matrix + rank_matrix.T
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[float, int]:
-        _, mid, hi = sort3(rank_matrix[ii, jj], rank_matrix[ii, kk], rank_matrix[jj, kk])
-        return float((hi - mid).sum()), ii.shape[0]
-
-    total, count = (sum(col) for col in zip(*scan(n, kernel, sample, seed)))
-    return total / (count * (pair_count - 1))
+    return _coefficients(d, sample, seed, lerman=True)[3]
 
 
 def treves_hartmann_points(
@@ -318,12 +355,45 @@ def treves_hartmann_points(
     """
     if d.n < 3:
         raise ValueError("need at least three items")
+    blocks: list = []
+    examined, *_, kept = _coefficients(d, sample, seed, points=blocks.append)
+    points = np.column_stack([np.concatenate(col) for col in zip(*blocks)])
+    return TrevesHartmannResult(points, examined - kept)
 
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple[np.ndarray, int]:
-        lo, mid, hi = sort3(d.values[ii, jj], d.values[ii, kk], d.values[jj, kk])
-        ok = hi > 0.0
-        lo, mid, hi = lo[ok], mid[ok], hi[ok]
-        return np.column_stack([lo / hi, mid / hi, hi - mid]), int((~ok).sum())
 
-    blocks, skipped = zip(*scan(d.n, kernel, sample, seed))
-    return TrevesHartmannResult(np.concatenate(blocks), sum(skipped))
+@dataclass
+class CoefficientReport:
+    """What coefficient_scan reduces its triplets to; alpha is None without epsilon."""
+
+    alpha: UltrametricityReport | None
+    lerman_h: float
+    treves_hartmann_points: int
+    treves_hartmann_skipped_zero_max: int
+
+
+def coefficient_scan(
+    d: DissimilarityMatrix,
+    points: ContextManager[Callable],
+    epsilon: float | None = None,
+    sample: int | None = None,
+    seed: int | None = None,
+    verdicts: ContextManager[Callable] | None = None,
+) -> CoefficientReport:
+    """Lerman H, the Treves-Hartmann records and, with epsilon, alpha, from one triplet scan.
+
+    With epsilon, d must be the euclidean_distances of the points. points
+    and verdicts are context managers, such as matrixio.table_stream,
+    entered once epsilon is checked; their values take each window's
+    records and verdict columns, as treves_hartmann_points and
+    scan_triplet_verdicts return them, in scan order. A scan that fails (a
+    bad sample, or every triplet degenerate) raises inside them. Results
+    equal those functions', lerman_h's and alpha_epsilon's.
+    """
+    if d.n < 3:
+        raise ValueError(f"need at least three {'items' if epsilon is None else 'points'}")
+    if epsilon is not None:
+        _check_epsilon(epsilon)
+    with points as to_points, verdicts or contextlib.nullcontext() as to_verdicts:
+        sums = _coefficients(d, sample, seed, 1, epsilon, True, to_points, to_verdicts)
+        alpha = None if epsilon is None else _alpha_report(sums, epsilon, sample, seed)
+    return CoefficientReport(alpha, sums[3], sums[4], sums[0] - sums[4])

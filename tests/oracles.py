@@ -4,7 +4,8 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the consensus table's triplet scan, the power repair's full bisection, the csv matrix reader, the
+scan, the consensus table's triplet scan, the power repair's full
+bisection, the additive repair's full scans, the csv matrix reader, the
 np.sort and argsort orderings of a triplet's three values, the buffered
 per-row enumeration of triplet chunks), kept so the replacement can be
 checked bit for bit.
@@ -585,6 +586,37 @@ def read_labeled_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:
     return values, row_labels, col_labels
 
 
+def worst_metric_slack(values: np.ndarray, n: int) -> float:
+    """Largest triangle slack max - mid - min over all C(n,3) triples, -inf if none."""
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
+        s = sorted_pair_values(values, ii, jj, kk)
+        return float((s[2] - s[1] - s[0]).max())
+
+    return max([-np.inf, *scan(n, kernel)])
+
+
+def cailliez_full_scan(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:
+    """cailliez_additive as it was before its shifted scans kept to the near triples.
+
+    The first scan and every nudge round's scan of d + c cover all C(n,3)
+    triples.
+    """
+    c = max(0.0, worst_metric_slack(d.values, d.n))
+    if c == 0.0:
+        return DissimilarityMatrix(d.values.copy(), list(d.labels)), 0.0
+    for _ in range(100):
+        shifted = d.values + c
+        np.fill_diagonal(shifted, 0.0)
+        residual = worst_metric_slack(shifted, d.n)
+        if residual <= 0.0:
+            break
+        c += residual
+    else:
+        raise RuntimeError("additive repair failed to converge")
+    return DissimilarityMatrix(shifted, list(d.labels)), c
+
+
 def power_shrink_full_bisection(
     d: DissimilarityMatrix, r_tolerance: float = 1e-6
 ) -> tuple[DissimilarityMatrix, float]:
@@ -592,13 +624,6 @@ def power_shrink_full_bisection(
 
     Every test of the bisection scans all C(n,3) triples of d ** r.
     """
-
-    def worst_metric_slack(values: np.ndarray, n: int) -> float:
-        def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> float:
-            s = sorted_pair_values(values, ii, jj, kk)
-            return float((s[2] - s[1] - s[0]).max())
-
-        return max([-np.inf, *scan(n, kernel)])
 
     def is_metric(values: np.ndarray, n: int) -> bool:
         worst = worst_metric_slack(values, n)

@@ -7,14 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umtk import __version__, matrixio, triplets
+from umtk import __version__, cli, matrixio, triplets
 from umtk.cli import main
 from umtk.consensus import consensus_count
 from umtk.corpus import random_mirror
 from umtk.hierarchy import cophenetic, export_newick, linkage
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.triplets import triplet_count
-from umtk.ultrametricity import DEFAULT_EPSILON, scan_triplet_verdicts
+from umtk.ultrametricity import (
+    DEFAULT_EPSILON,
+    alpha_epsilon,
+    lerman_h,
+    rammal_index,
+    scan_triplet_verdicts,
+    treves_hartmann_points,
+)
 
 from .conftest import decimal_grid, row_tuples
 from .oracles import write_rows
@@ -237,6 +244,146 @@ def test_coeffs_sampled_rerun_is_byte_identical(tmp_path):
             (out / "treves_hartmann.csv").read_bytes(),
         ))
     assert runs[0] == runs[1]
+
+
+def coeffs_by_functions(out, headers, coords, d, epsilon, sample, seed, per_triplet):
+    """The coeffs files from the four public functions and whole-column writes."""
+    kw = {"sample": sample, "seed": seed}
+    report = {"alpha": "unavailable (requires coordinates)"}
+    if coords is not None:
+        alpha = alpha_epsilon(coords, epsilon, **kw)
+        report = {"alpha": alpha.alpha, "alpha_counted": alpha.counted,
+                  "alpha_excluded_degenerate": alpha.excluded_degenerate}
+    th = treves_hartmann_points(d, **kw)
+    report.update({
+        "epsilon": epsilon, "sampled": sample is not None, "sample": sample, "seed": seed,
+        "rammal": rammal_index(d), "lerman_h": lerman_h(d, **kw),
+        "lerman_h_definition": "mean((rank(max)-rank(med))/(pairs-1)) over triplets",
+        "treves_hartmann_points": th.points.shape[0],
+        "treves_hartmann_skipped_zero_max": th.skipped_zero_max,
+    })
+    out.mkdir()
+    matrixio.write_key_values(out / "coeffs_report.txt", report, headers)
+    matrixio.write_table(out / "treves_hartmann.csv",
+                         ["min_over_max", "med_over_max", "max_minus_med"],
+                         list(th.points.T), headers)
+    if per_triplet:
+        matrixio.write_table(out / "coeffs_triplets.csv",
+                             ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"],
+                             scan_triplet_verdicts(coords, epsilon, **kw), headers)
+
+
+def gaussian_coords():
+    return CoordinateMatrix(np.random.default_rng(8).normal(size=(16, 3)))
+
+
+# awkward_coords repeats one point three times: degenerate and zero-max triplets
+@pytest.mark.parametrize("cloud", [awkward_coords, gaussian_coords])
+@pytest.mark.parametrize("source", ["coords", "coords-per-triplet", "distances"])
+@pytest.mark.parametrize("sample", [None, 700])
+def test_coeffs_files_match_the_public_functions(tmp_path, monkeypatch, cloud, source, sample):
+    coords = cloud()
+    path = tmp_path / "in.csv"
+    d = euclidean_distances(coords)
+    if source == "distances":
+        matrixio.write_dissimilarity(path, d)
+    else:
+        matrixio.write_coordinates(path, coords)
+    # small windows, so every file is written in several blocks
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 97)
+    argv = ["coeffs", "--" + source.split("-")[0], str(path), "--epsilon", "0.05"]
+    argv += ["--per-triplet"] if source.endswith("per-triplet") else []
+    argv += ["--sample", str(sample), "--seed", "4"] if sample else []
+    assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    headers = header_lines_of(tmp_path / "cli" / "coeffs_report.txt")
+    coeffs_by_functions(tmp_path / "functions", headers,
+                        None if source == "distances" else coords, d, 0.05, sample,
+                        4 if sample else None, source.endswith("per-triplet"))
+    names = sorted(p.name for p in (tmp_path / "functions").iterdir())
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    assert len(names) == (3 if source.endswith("per-triplet") else 2)
+    for name in names:
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "functions" / name).read_bytes()), name
+    skipped = [line for line in read_lines(tmp_path / "cli" / "coeffs_report.txt")
+               if line.startswith("treves_hartmann_skipped_zero_max: ")]
+    assert (skipped != ["treves_hartmann_skipped_zero_max: 0"]) == (cloud is awkward_coords)
+
+
+_LINE = np.column_stack([np.arange(9.0), 2 * np.arange(9.0), -np.arange(9.0)])
+
+
+@pytest.mark.parametrize("points, extra, message", [
+    (_LINE, [], "every examined triplet was degenerate"),
+    (np.ones((5, 2)), [], "every examined triplet was degenerate"),
+    (np.ones((5, 2)), ["--sample", "0"], "sample count must be positive"),
+    (np.zeros((1, 2)), [], "need at least three points"),
+])
+def test_coeffs_failing_cloud_leaves_no_table(tmp_path, capsys, points, extra, message):
+    path = tmp_path / "pts.csv"
+    matrixio.write_coordinates(path, CoordinateMatrix(points))
+    out = tmp_path / "out"
+    assert main(["coeffs", "--coords", str(path), "--per-triplet", *extra,
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_coeffs_and_transform_enumerate_once(tmp_path, monkeypatch):
+    built = {"ranks": 0, "draws": 0, "distances": 0}
+    original_windows, original_sample = triplets.triplet_windows, triplets.sample_triplets
+    original_distances = cli.euclidean_distances
+
+    def counting_windows(n):
+        count, window = original_windows(n)
+
+        def counted(lo, hi):
+            built["ranks"] += hi - lo
+            return window(lo, hi)
+
+        return count, counted
+
+    def counting_sample(n, count, seed, start=0):
+        built["draws"] += count
+        return original_sample(n, count, seed, start)
+
+    def counting_distances(coords):
+        built["distances"] += 1
+        return original_distances(coords)
+
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 50)
+    monkeypatch.setattr(triplets, "triplet_windows", counting_windows)
+    monkeypatch.setattr(triplets, "sample_triplets", counting_sample)
+    monkeypatch.setattr(cli, "euclidean_distances", counting_distances)
+    coords = write_example_coords(tmp_path / "pts.csv", n=12)
+    assert main(["coeffs", "--coords", str(tmp_path / "pts.csv"), "--per-triplet",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert built == {"ranks": triplet_count(12), "draws": 0, "distances": 1}
+    assert main(["coeffs", "--coords", str(tmp_path / "pts.csv"), "--per-triplet",
+                 "--sample", "333", "--out", str(tmp_path / "b")]) == 0
+    assert built == {"ranks": triplet_count(12), "draws": 333, "distances": 2}
+    squared = DissimilarityMatrix(euclidean_distances(coords).values ** 2)
+    matrixio.write_dissimilarity(tmp_path / "sq.csv", squared)
+    assert main(["transform", "--input", str(tmp_path / "sq.csv"),
+                 "--out", str(tmp_path / "c")]) == 0
+    assert built["ranks"] == 2 * triplet_count(12)
+
+
+def test_transform_both_matches_separate_methods(tmp_path):
+    gen = np.random.default_rng(12)
+    points = gen.uniform(-10.0, 10.0, size=(30, 2))
+    squared = DissimilarityMatrix(euclidean_distances(CoordinateMatrix(points)).values ** 2)
+    matrixio.write_dissimilarity(tmp_path / "sq.csv", squared)
+    for method in ("both", "cailliez", "power"):
+        assert main(["transform", "--input", str(tmp_path / "sq.csv"), "--method", method,
+                     "--out", str(tmp_path / method)]) == 0
+
+    def without_method(path):
+        return [line for line in read_lines(path) if not line.startswith("# method: ")]
+
+    for name, method in (("transform_cailliez.csv", "cailliez"), ("transform_power.csv", "power")):
+        assert without_method(tmp_path / "both" / name) == without_method(tmp_path / method / name)
+    assert not (tmp_path / "cailliez" / "transform_power.csv").exists()
 
 
 def test_consensus_outputs(tmp_path):

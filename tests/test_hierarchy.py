@@ -64,6 +64,21 @@ def test_linkage_rejects_bad_input():
         linkage(DissimilarityMatrix(np.zeros((1, 1))), "single")
 
 
+def test_squared_criteria_reject_distances_whose_squares_overflow():
+    big = DissimilarityMatrix(np.array([[0.0, 1e200, 2e200],
+                                        [1e200, 0.0, 3e200],
+                                        [2e200, 3e200, 0.0]]))
+    with np.errstate(all="raise"):  # and no RuntimeWarning on the way
+        for criterion in ("ward", "centroid", "median"):
+            with pytest.raises(ValueError, match=f"{criterion} linkage squares.*1.34078"):
+                linkage(big, criterion)
+        assert merge_tuples(linkage(big, "average")) == [(0, 1, 1e200, 2),
+                                                         (2, 3, (2e200 + 3e200) / 2, 3)]
+    top = 1.3407807929942596e154  # the largest double whose square is finite
+    at_limit = DissimilarityMatrix(np.array([[0.0, top], [top, 0.0]]))
+    assert merge_tuples(linkage(at_limit, "ward")) == [(0, 1, top, 2)]
+
+
 def test_cophenetic_frozen_examples():
     u_single = cophenetic(linkage(THREE, "single"))
     np.testing.assert_array_equal(

@@ -476,6 +476,32 @@ def test_write_table_rejects_malformed_columns(tmp_path):
         matrixio.write_table(path, ["z"], [np.zeros(2, dtype=complex)])
 
 
+@settings(max_examples=40, deadline=None)
+@given(_tables(), st.lists(st.integers(0, 40), max_size=4))
+def test_table_stream_blocks_match_one_write(tmp_path_factory, table, cuts):
+    header, columns, _ = table
+    out = tmp_path_factory.mktemp("stream")
+    matrixio.write_table(out / "once.csv", header, columns, ["h: 1"])
+    bounds = [0, *sorted(min(c, len(columns[0])) for c in cuts), len(columns[0])]
+    with matrixio.table_stream(out / "blocks.csv", header, ["h: 1"]) as write:
+        for lo, hi in zip(bounds, bounds[1:]):
+            write([c[lo:hi] for c in columns])
+    assert (out / "blocks.csv").read_bytes() == (out / "once.csv").read_bytes()
+
+
+def test_table_stream_removes_its_file_when_the_body_raises(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="scan failed"):
+        with matrixio.table_stream(path, ["a", "b"]) as write:
+            write([np.arange(3), np.ones(3)])
+            raise RuntimeError("scan failed")
+    assert not path.exists()
+    with pytest.raises(ValueError, match="header"):
+        with matrixio.table_stream(path, ["a", "b"]) as write:
+            write([np.arange(3)])
+    assert not path.exists()
+
+
 def _single_column_lines(path, column):
     matrixio.write_table(path, ["v"], [column])
     lines = path.read_bytes().split(b"\n")

@@ -9,6 +9,7 @@ from umtk import rng, triplets
 from umtk.consensus import DEFAULT_TIE_TOLERANCE, _signature_arrays
 from umtk.triplets import (
     DEFAULT_CHUNK,
+    iter_scan,
     iter_triplet_chunks,
     sample_triplets,
     scan,
@@ -320,8 +321,9 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
         _assert_same(g, w)
 
     # angles of real triangles: NaN angles of degenerate ones may differ under the mask
-    *tri_angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
-    apex, diff, ultra, mask = _classify_chunk(values, ii, jj, kk, epsilon)
+    sides = values[jj, kk], values[ii, kk], values[ii, jj]
+    *tri_angles, degen = _angles_from_sides(*sides)
+    apex, diff, ultra, mask = _classify_chunk(sides, ii, jj, kk, epsilon)
     w_apex, w_diff, w_ultra = classify_angles_argsort(
         np.stack(tri_angles), np.stack(verts), epsilon
     )
@@ -329,3 +331,20 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
     assert np.array_equal(ultra, w_ultra & ~mask)
     _assert_same(apex[~mask], w_apex[~mask])
     _assert_same(diff[~mask], w_diff[~mask])
+
+
+@pytest.mark.parametrize("sample, seed, match", [(0, 1, "positive"), (5, None, "seed")])
+def test_iter_scan_checks_its_arguments_on_the_call(sample, seed, match):
+    with pytest.raises(ValueError, match=match):
+        iter_scan(10, lambda *chunk: None, sample=sample, seed=seed)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_iter_scan_yields_each_window_as_the_caller_pulls(monkeypatch, workers):
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
+    ran = []
+    results = iter_scan(8, lambda ii, jj, kk: ran.append(ii.size) or ii.size, workers=workers)
+    assert ran == []
+    assert next(results) == 7
+    assert len(ran) <= workers  # windows in flight ahead of the caller
+    assert list(results) == [7] * 7 and ran == [7] * 8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umtk import transforms
+from umtk import transforms, triplets
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.transforms import (
@@ -13,6 +13,7 @@ from umtk.transforms import (
     cailliez_additive,
     check_metric,
     check_ultrametric,
+    metric_repairs,
     power_shrink,
 )
 from umtk.triplets import DEFAULT_CHUNK, triplet_count
@@ -21,7 +22,9 @@ from .conftest import random_dissimilarity, random_ultrametric, row_tuples
 from .oracles import (
     brute_strong_violations,
     brute_triangle_violations,
+    cailliez_full_scan,
     power_shrink_full_bisection,
+    worst_metric_slack,
 )
 
 
@@ -237,6 +240,72 @@ def test_power_matches_full_bisection_across_chunks(rng, monkeypatch):
     floor = -transforms._SETTLED_MARGIN * float(d.values.max())
     assert transforms._worst_metric_slack(d.values, d.n, floor=floor)[1] is None
     assert_power_matches_full_bisection(d)
+
+
+def assert_repairs_match_full_scans(d):
+    expected, expected_c = cailliez_full_scan(d)
+    out, c = cailliez_additive(d)
+    assert c == expected_c
+    assert out.values.tobytes() == expected.values.tobytes()
+    try:
+        expected_power = power_shrink(d)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            metric_repairs(d)
+        return
+    (both_out, both_c), (power_out, r) = metric_repairs(d)
+    assert (both_c, r) == (c, expected_power[1])
+    assert both_out.values.tobytes() == out.values.tobytes()
+    assert power_out.values.tobytes() == expected_power[0].values.tobytes()
+
+
+@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 3], ids=["default-cap", "cap-3"])
+@settings(max_examples=80, deadline=None)
+@given(d=power_inputs())
+def test_cailliez_and_both_repairs_match_full_scans(cap, d):
+    # squared inputs often need a nudge: rounding in d + c leaves a residual
+    with mock.patch.object(transforms, "_CANDIDATE_CAP", cap):
+        assert_repairs_match_full_scans(d)
+
+
+def test_cailliez_nudges_match_full_scans():
+    nudged = 0
+    for seed in range(60):
+        gen = np.random.default_rng(seed)
+        points = gen.uniform(-10.0, 10.0, size=(int(gen.integers(3, 8)), 2))
+        d = DissimilarityMatrix(euclidean_distances(CoordinateMatrix(points)).values ** 2)
+        assert_repairs_match_full_scans(d)
+        nudged += cailliez_full_scan(d)[1] != max(0.0, worst_metric_slack(d.values, d.n))
+    assert nudged >= 5
+
+
+def test_repairs_across_chunks_scan_d_once(rng, monkeypatch):
+    centres = rng.normal(scale=6.0, size=(8, 5))
+    points = centres[np.arange(130) % 8] + rng.normal(size=(130, 5))
+    d = DissimilarityMatrix(euclidean_distances(CoordinateMatrix(points)).values ** 2)
+    windows = []
+    original = triplets.triplet_windows
+
+    def counting_windows(n):
+        count, window = original(n)
+        windows.append(count)
+        return count, window
+
+    monkeypatch.setattr(triplets, "triplet_windows", counting_windows)
+    (_, c), (_, r) = metric_repairs(d)
+    assert windows == [triplet_count(d.n)]  # one full scan, then candidate ids only
+    assert (c, r) == (cailliez_full_scan(d)[1], power_shrink_full_bisection(d)[1])
+
+
+def test_candidate_ids_are_int32_and_capped_in_bytes(monkeypatch):
+    d = DissimilarityMatrix(np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+    worst, kept, near = transforms._worst_metric_slack(d.values, d.n, floor=0.0, near=True)
+    assert worst == 3.0 and kept.dtype == near.dtype == np.int32
+    assert kept.tolist() == near.tolist() == [[0], [1], [2]]
+    monkeypatch.setattr(transforms, "_CANDIDATE_CAP", 12)  # one triple's three int32 ids
+    assert transforms._worst_metric_slack(d.values, d.n, floor=0.0)[1].shape == (3, 1)
+    monkeypatch.setattr(transforms, "_CANDIDATE_CAP", 11)
+    assert transforms._worst_metric_slack(d.values, d.n, floor=0.0)[1] is None
 
 
 def test_power_rejects_off_diagonal_zero():
