@@ -140,6 +140,7 @@ def iter_scan(
     else:
         count, window = sample, lambda lo, hi: sample_triplets(n, hi - lo, seed, start=lo)
     chunk = DEFAULT_CHUNK
+    starts = range(0, count, chunk)
 
     def run(lo: int) -> T:
         return kernel(*window(lo, min(lo + chunk, count)))
@@ -149,7 +150,6 @@ def iter_scan(
             for i in range(0, len(starts), workers):
                 yield from pool.map(run, starts[i : i + workers])
 
-    starts = range(0, count, chunk)
     return pooled() if workers > 1 else map(run, starts)
 
 
