@@ -260,6 +260,9 @@ def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
     with pytest.raises(ValueError, match=match):
         scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
     assert calls == []
+    with pytest.raises(ValueError, match=match):  # checked on the call, before iteration
+        iter_scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
+    assert calls == []
 
 
 def _tie_heavy(gen: np.random.Generator, kind: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,12 +334,6 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
     assert np.array_equal(ultra, w_ultra & ~mask)
     _assert_same(apex[~mask], w_apex[~mask])
     _assert_same(diff[~mask], w_diff[~mask])
-
-
-@pytest.mark.parametrize("sample, seed, match", [(0, 1, "positive"), (5, None, "seed")])
-def test_iter_scan_checks_its_arguments_on_the_call(sample, seed, match):
-    with pytest.raises(ValueError, match=match):
-        iter_scan(10, lambda *chunk: None, sample=sample, seed=seed)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
