@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -234,19 +235,23 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         params["distances"] = _basename(args.distances)
         d = matrixio.read_dissimilarity(args.distances)
     headers = _headers(args, params)
-    # all-zero distances fail before any table is opened; a point cloud's
-    # own errors (too few points, all triplets degenerate) come first
-    rammal = rammal_index(d) if args.coords is None else None
+    epsilon = None if args.coords is None else args.epsilon
 
-    def stream(name: str, header: list[str]):
+    def stream(name: str, *header: str):
         return matrixio.table_stream(_out_path(args, name), header, headers)
 
-    coeffs = coefficient_scan(
-        d, stream("treves_hartmann.csv", ["min_over_max", "med_over_max", "max_minus_med"]),
-        None if args.coords is None else args.epsilon, args.sample, seed,
-        stream("coeffs_triplets.csv", ["i", "j", "k", "apex", "base_angle_diff", "ultrametric"])
-        if args.per_triplet else None)
-    alpha = coeffs.alpha
+    # the scan checks its arguments before a table is opened; a later failure removes them
+    with contextlib.ExitStack() as tables:
+        points = tables.enter_context(
+            stream("treves_hartmann.csv", "min_over_max", "med_over_max", "max_minus_med"))
+        verdicts = tables.enter_context(stream(
+            "coeffs_triplets.csv", "i", "j", "k", "apex", "base_angle_diff", "ultrametric",
+        )) if args.per_triplet else None
+        alpha, lerman, kept, skipped = coefficient_scan(
+            d, epsilon, args.sample, seed, points=points, verdicts=verdicts)
+        if epsilon is not None and alpha is None:
+            raise CliError("every examined triplet was degenerate")
+        rammal = rammal_index(d)
     report: dict[str, object] = {"alpha": "unavailable (requires coordinates)"}
     if alpha is not None:
         report = {"alpha": alpha.alpha, "alpha_counted": alpha.counted,
@@ -256,11 +261,11 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         "sampled": args.sample is not None,
         "sample": args.sample,
         "seed": seed,
-        "rammal": rammal_index(d) if rammal is None else rammal,
-        "lerman_h": coeffs.lerman_h,
+        "rammal": rammal,
+        "lerman_h": lerman,
         "lerman_h_definition": "mean((rank(max)-rank(med))/(pairs-1)) over triplets",
-        "treves_hartmann_points": coeffs.treves_hartmann_points,
-        "treves_hartmann_skipped_zero_max": coeffs.treves_hartmann_skipped_zero_max,
+        "treves_hartmann_points": kept,
+        "treves_hartmann_skipped_zero_max": skipped,
     })
     matrixio.write_key_values(_out_path(args, "coeffs_report.txt"), report, headers)
     return 0

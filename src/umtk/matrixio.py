@@ -397,14 +397,19 @@ def table_stream(
     write(columns) appends one block: equal-length arrays, each one column
     (1-D) or several of one dtype (2-D), written as the module docstring
     says. The bytes do not depend on how the rows are split into blocks.
-    If the body raises, the file is closed and removed.
+    The file is opened at the first block (or on exit, for a table of no
+    rows), so a body that raises before then leaves the path untouched;
+    one that raises later has the file closed and removed.
     """
     header = [str(h) for h in header]
     if not header:
         raise ValueError("a table needs at least one column")
     step = max(1, CHUNK_CELLS // len(header))
+    head = np.array(header, dtype=object)[None, :]
+    fh = None
 
     def write(columns: Sequence[np.ndarray]) -> None:
+        nonlocal fh
         columns = [np.asanyarray(c) for c in columns]
         widths = [c.shape[1] if c.ndim == 2 else 1 for c in columns]
         if sum(widths) != len(header):
@@ -416,19 +421,22 @@ def table_stream(
         for block in blocks:
             if block[0][0].dtype.kind not in _ENCODERS:
                 raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
+        if fh is None:
+            fh = open(path, "wb")
+            fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
+            fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
         for lo in range(0, len(columns[0]), step):
             fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in blocks]))
 
-    with open(path, "wb") as fh:
-        try:
-            fh.write("".join(f"# {line}\n" for line in header_lines).encode("utf-8"))
-            head = np.array(header, dtype=object)[None, :]
-            fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
-            yield write
-        except BaseException:
+    try:
+        yield write
+        write([np.zeros((0, len(header)))])  # opens a table that got no rows
+    except BaseException:
+        if fh is not None:
             fh.close()
             Path(path).unlink(missing_ok=True)
-            raise
+        raise
+    fh.close()
 
 
 def write_table(

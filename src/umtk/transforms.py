@@ -5,9 +5,8 @@ and report the ones whose worst orientation violates the (strong)
 triangle inequality by more than a tolerance. cailliez_additive and
 power_shrink turn a non-metric dissimilarity into a metric one, either
 by adding the smallest constant that works or by raising the values to
-the largest power in (0, 1] that works. Each repair scans every triple
-of d once, and later tests re-scan only the triples that scan left open;
-metric_repairs returns both repairs from that one scan.
+the largest power in (0, 1] that works; metric_repairs gives both from
+one scan of all triples, after which they re-scan only open triples.
 """
 
 from __future__ import annotations
@@ -105,11 +104,10 @@ def _worst_metric_slack(
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Largest triangle slack over the (3, m) triple ids, or all triples.
 
-    Given a floor, the int32 ids of the triples whose slack is not at or
-    below it come second. With near, a full scan returns third those
-    above c - _SETTLED_MARGIN * (max + c), c the worst slack clamped at 0
-    (kept against the running worst, filtered at the end). Ids past
-    _CANDIDATE_CAP bytes give None.
+    Second, given a floor: the int32 ids of the triples whose slack is
+    not at or below it. Third, with near: those above c - _SETTLED_MARGIN
+    * (max + c), c the final worst clamped at 0. Past _CANDIDATE_CAP
+    bytes, ids are None.
     """
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
@@ -128,21 +126,18 @@ def _worst_metric_slack(
         c = max(0.0, worst)
         kept = _keep(kept, triple, slack, floor)
         close = _keep(close, triple, slack, c - _SETTLED_MARGIN * (scale + c))
-    kept, close = (None if k is None else np.concatenate([np.zeros((3, 0), np.int32), *k], 1)
-                   for k in (kept, close))
-    if close is not None:
-        c = max(0.0, worst)
-        close = close[:, ~(kernel(*close)[1] <= c - _SETTLED_MARGIN * (scale + c))]
-    return worst, kept, close
+    if close is not None:  # against the final c, one window's ids at a time
+        close = [k[:, ~(kernel(*k)[1] <= c - _SETTLED_MARGIN * (scale + c))] for k in close]
+    return worst, *(None if k is None else np.concatenate([np.zeros((3, 0), np.int32), *k], 1)
+                    for k in (kept, close))
 
 
 def _repairs(d: DissimilarityMatrix, cailliez: bool, r_tolerance: float | None) -> tuple:
     """cailliez_additive's and, given r_tolerance, power_shrink's result from one scan of d.
 
-    Their later tests re-scan only the triples that scan left open. A triple whose slack s is at most c - _SETTLED_MARGIN * (max + c) has
-    a slack in d + c that rounds to at most 0 (three additions and two
-    subtractions err by under 1e-15 * (max + c)), and so at every larger
-    c: each nudge round's residual is the one a scan of all triples gives.
+    A triple whose slack is at most c - _SETTLED_MARGIN * (max + c) has a
+    slack in d + c, and at every larger c, that rounds to at most 0, so
+    each nudge round's residual over the rest is a full scan's.
     """
     floor = None
     if r_tolerance is not None:
@@ -203,14 +198,14 @@ def power_shrink(
 
 
 def metric_repairs(
-    d: DissimilarityMatrix, r_tolerance: float = 1e-6
+    d: DissimilarityMatrix,
 ) -> tuple[tuple[DissimilarityMatrix, float], tuple[DissimilarityMatrix, float]]:
-    """(cailliez_additive(d), power_shrink(d, r_tolerance)) from one scan of all triples.
+    """(cailliez_additive(d), power_shrink(d)) from one scan of all triples.
 
-    Both results are bit for bit those of the two functions. The arguments
-    are checked, and errors raised, as power_shrink checks and raises them.
+    Both results are bit for bit those of the two functions; d is checked,
+    and errors raised, as power_shrink checks and raises them.
     """
-    return _repairs(d, True, r_tolerance)
+    return _repairs(d, True, 1e-6)
 
 
 def _power(d: DissimilarityMatrix, r_tolerance: float, worst: float, ids: np.ndarray | None,

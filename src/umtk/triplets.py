@@ -5,12 +5,10 @@ Exhaustive scans rank the n-choose-3 triples in ascending (i, j, k)
 order; triplet_windows builds any window's index arrays from one pair
 table, so the full enumeration never exists at once. Sampling is
 counter-based: draw t depends only on (seed, t). iter_scan is the one
-driver: it runs a per-window kernel over either source and yields the
-results in window order, so a caller can reduce them or stream them out
-as they come; scan is list() of it. With workers > 1 each pool thread
-builds the windows it runs, and at most `workers` windows are in flight.
-Kernels return integer or elementwise-independent results, so serial and
-threaded scans agree exactly.
+driver: it yields a per-window kernel's results over either source in
+window order (scan is list() of it); with workers > 1 each pool thread
+builds the windows it runs. Kernels return integer or
+elementwise-independent results, so serial and threaded scans agree.
 
 sort3 orders the three values of every triplet (pair values, angles,
 or a draw's ids), and first_smallest reads the apex off the smallest.
@@ -18,7 +16,9 @@ or a draw's ids), and first_smallest reads the apex off the smallest.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -146,9 +146,12 @@ def iter_scan(
         return kernel(*window(lo, min(lo + chunk, count)))
 
     def pooled() -> Iterator[T]:
+        pending = iter(starts)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i in range(0, len(starts), workers):
-                yield from pool.map(run, starts[i : i + workers])
+            ahead = deque(pool.submit(run, lo) for lo in islice(pending, workers))
+            while ahead:  # each result handed out frees a slot for the next window
+                yield ahead.popleft().result()
+                ahead.extend(pool.submit(run, lo) for lo in islice(pending, 1))
 
     return pooled() if workers > 1 else map(run, starts)
 

@@ -9,23 +9,17 @@ and lerman_h quantify ultrametricity from the values alone, without
 coordinates, and treves_hartmann_points emits per-triplet shape records
 for external plotting.
 
-All four triplet coefficients read the same triplets through one kernel,
-run window by window by triplets.iter_scan (which owns the windows, the
-seeded sampling and the optional thread pool). A window gathers its three
-pair values once and computes only what its caller asked for: the angle
-verdicts, the Lerman rank gaps, the Treves-Hartmann records. Counts and
-sums are added in window order, and per-triplet columns go out as each
-window comes. coefficient_scan asks for all of them in one scan, and
-hands the columns to open writers; the four public functions ask for
-one each and keep their own results.
+Every triplet coefficient is one kernel run by triplets.iter_scan: each
+window gathers its pair values once and computes what its caller asks
+for, adding counts in window order and handing per-triplet columns on as
+they come. coefficient_scan asks for all of them in one scan.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, ContextManager
+from typing import Callable
 
 import numpy as np
 
@@ -171,7 +165,8 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
     """
     if g.degenerate or g.angles is None:
         raise ValueError("cannot classify a degenerate triangle")
-    _check_epsilon(epsilon)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     verts, angles = zip(*sorted(zip((g.i, g.j, g.k), g.angles), key=lambda va: va[0]))
     apex, diff, ultra = _classify_angles(angles, verts, epsilon)
     apex_id = int(apex)
@@ -186,32 +181,29 @@ def classify_triplet(g: TripletGeometry, epsilon: float = DEFAULT_EPSILON) -> Tr
     )
 
 
-def _classify_chunk(
-    sides: tuple, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized verdicts from the sides opposite i, j, k: (apex, diff, ultra, degenerate)."""
-    *angles, degen = _angles_from_sides(*sides)
-    apex, diff, ultra = _classify_angles(angles, (ii, jj, kk), epsilon)
-    return apex, diff, ultra & ~degen, degen
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-
-
-def _coefficients(
-    d: DissimilarityMatrix, sample: int | None, seed: int | None, workers: int = 1,
-    epsilon: float | None = None, lerman: bool = False, points: Callable | None = None,
+def coefficient_scan(
+    d: DissimilarityMatrix,
+    epsilon: float | None = None,
+    sample: int | None = None,
+    seed: int | None = None,
+    workers: int = 1,
+    lerman: bool = True,
+    points: Callable | None = None,
     verdicts: Callable | None = None,
-) -> tuple[int, int, int, float | None, int]:
-    """One triplet scan of d: (examined, ultrametric, degenerate, Lerman H, points).
+) -> tuple[UltrametricityReport | None, float | None, int, int]:
+    """(alpha, Lerman H, Treves-Hartmann records, triplets without one) from one scan of d.
 
-    With epsilon, each window's verdict columns go to verdicts (d then
-    holds Euclidean distances); with lerman, its rank gaps are summed;
-    with points, its Treves-Hartmann columns go to points.
+    With epsilon, d holds the points' euclidean_distances: alpha is
+    alpha_epsilon's (None if every triplet is degenerate), and verdicts
+    takes each window's scan_triplet_verdicts columns. With lerman, H is
+    lerman_h's; points takes each window's treves_hartmann_points records.
+    Columns go out in scan order as each window comes.
     """
     values, n = d.values, d.n
+    if n < 3:
+        raise ValueError(f"need at least three {'items' if epsilon is None else 'points'}")
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     if lerman:
         ranks = np.zeros((n, n))
         ranks[np.triu_indices(n, k=1)] = _average_ranks(d.condensed())
@@ -220,20 +212,23 @@ def _coefficients(
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
         ij, ik, jk = values[ii, jj], values[ii, kk], values[jj, kk]
         counts, gap, shape, rows = (0, 0), 0.0, None, None
-        if epsilon is not None:
-            apex, diff, ultra, degen = _classify_chunk((jk, ik, ij), ii, jj, kk, epsilon)
-            counts = int(ultra.sum()), int(degen.sum())
-            if verdicts is not None:
-                rows = [ii, jj, kk, np.ma.array(apex, mask=degen),
-                        np.ma.array(diff, mask=degen), ultra]
-        if lerman:
-            _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
-            gap = float((hi - mid).sum())
         if points is not None:
             lo, mid, hi = sort3(ij, ik, jk)
             ok = hi > 0.0
             lo, mid, hi = lo[ok], mid[ok], hi[ok]
             shape = [lo / hi, mid / hi, hi - mid]
+        if lerman:
+            _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
+            gap = float((hi - mid).sum())
+        if epsilon is not None:
+            *angles, degen = _angles_from_sides(jk, ik, ij)
+            del ij, ik, jk  # their memory serves the verdicts' temporaries
+            apex, diff, ultra = _classify_angles(angles, (ii, jj, kk), epsilon)
+            ultra &= ~degen
+            counts = int(ultra.sum()), int(degen.sum())
+            if verdicts is not None:
+                rows = [ii, jj, kk, np.ma.array(apex, mask=degen),
+                        np.ma.array(diff, mask=degen), ultra]
         return ii.size, *counts, gap, shape, rows
 
     examined = ultrametric = degenerate = kept = 0
@@ -247,17 +242,12 @@ def _coefficients(
         if rows is not None:
             verdicts(rows)
         del shape, rows  # before the next window is built
+    alpha, counted, sampled = None, examined - degenerate, sample is not None
+    if epsilon is not None and counted:
+        alpha = UltrametricityReport(ultrametric / counted, counted, degenerate, epsilon,
+                                     sampled, seed if sampled else None)
     h = gaps / (examined * (n * (n - 1) // 2 - 1)) if lerman else None
-    return examined, ultrametric, degenerate, h, kept
-
-
-def _alpha_report(sums: tuple, epsilon: float, sample: int | None, seed) -> UltrametricityReport:
-    examined, ultrametric, degenerate = sums[:3]
-    if examined == degenerate:
-        raise ValueError("every examined triplet was degenerate")
-    counted, sampled = examined - degenerate, sample is not None
-    return UltrametricityReport(ultrametric / counted, counted, degenerate, epsilon, sampled,
-                                seed if sampled else None)
+    return alpha, h, kept, examined - kept
 
 
 def alpha_epsilon(
@@ -274,11 +264,11 @@ def alpha_epsilon(
     from the denominator but reported. workers > 1 splits the chunked
     scan across threads without changing any count.
     """
-    if coords.n < 3:
-        raise ValueError("need at least three points")
-    _check_epsilon(epsilon)
-    sums = _coefficients(euclidean_distances(coords), sample, seed, workers, epsilon)
-    return _alpha_report(sums, epsilon, sample, seed)
+    report = coefficient_scan(euclidean_distances(coords), epsilon, sample, seed, workers,
+                              lerman=False)[0]
+    if report is None:
+        raise ValueError("every examined triplet was degenerate")
+    return report
 
 
 def scan_triplet_verdicts(
@@ -294,12 +284,9 @@ def scan_triplet_verdicts(
     is False there. Intended for report export; use alpha_epsilon for
     the aggregate.
     """
-    if coords.n < 3:
-        raise ValueError("need at least three points")
-    _check_epsilon(epsilon)
     blocks: list = []
-    _coefficients(euclidean_distances(coords), sample, seed, epsilon=epsilon,
-                  verdicts=blocks.append)
+    coefficient_scan(euclidean_distances(coords), epsilon, sample, seed, lerman=False,
+                     verdicts=blocks.append)
     ii, jj, kk, apex, diff, ultra = zip(*blocks)
     return (*map(np.concatenate, (ii, jj, kk)), np.ma.concatenate(apex),
             np.ma.concatenate(diff), np.concatenate(ultra))
@@ -338,9 +325,7 @@ def lerman_h(
     each triplet contributes (rank of max - rank of median) / (P - 1).
     Zero exactly when every triplet's two largest values tie.
     """
-    if d.n < 3:
-        raise ValueError("need at least three items")
-    return _coefficients(d, sample, seed, lerman=True)[3]
+    return coefficient_scan(d, sample=sample, seed=seed)[1]
 
 
 def treves_hartmann_points(
@@ -353,47 +338,8 @@ def treves_hartmann_points(
     Triplets whose largest value is zero have no defined shape; they are
     skipped and counted. Records appear in scan order.
     """
-    if d.n < 3:
-        raise ValueError("need at least three items")
     blocks: list = []
-    examined, *_, kept = _coefficients(d, sample, seed, points=blocks.append)
-    points = np.column_stack([np.concatenate(col) for col in zip(*blocks)])
-    return TrevesHartmannResult(points, examined - kept)
-
-
-@dataclass
-class CoefficientReport:
-    """What coefficient_scan reduces its triplets to; alpha is None without epsilon."""
-
-    alpha: UltrametricityReport | None
-    lerman_h: float
-    treves_hartmann_points: int
-    treves_hartmann_skipped_zero_max: int
-
-
-def coefficient_scan(
-    d: DissimilarityMatrix,
-    points: ContextManager[Callable],
-    epsilon: float | None = None,
-    sample: int | None = None,
-    seed: int | None = None,
-    verdicts: ContextManager[Callable] | None = None,
-) -> CoefficientReport:
-    """Lerman H, the Treves-Hartmann records and, with epsilon, alpha, from one triplet scan.
-
-    With epsilon, d must be the euclidean_distances of the points. points
-    and verdicts are context managers, such as matrixio.table_stream,
-    entered once epsilon is checked; their values take each window's
-    records and verdict columns, as treves_hartmann_points and
-    scan_triplet_verdicts return them, in scan order. A scan that fails (a
-    bad sample, or every triplet degenerate) raises inside them. Results
-    equal those functions', lerman_h's and alpha_epsilon's.
-    """
-    if d.n < 3:
-        raise ValueError(f"need at least three {'items' if epsilon is None else 'points'}")
-    if epsilon is not None:
-        _check_epsilon(epsilon)
-    with points as to_points, verdicts or contextlib.nullcontext() as to_verdicts:
-        sums = _coefficients(d, sample, seed, 1, epsilon, True, to_points, to_verdicts)
-        alpha = None if epsilon is None else _alpha_report(sums, epsilon, sample, seed)
-    return CoefficientReport(alpha, sums[3], sums[4], sums[0] - sums[4])
+    skipped = coefficient_scan(d, sample=sample, seed=seed, lerman=False,
+                               points=blocks.append)[3]
+    return TrevesHartmannResult(np.column_stack([np.concatenate(c) for c in zip(*blocks)]),
+                                skipped)

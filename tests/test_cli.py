@@ -329,6 +329,24 @@ def test_coeffs_failing_cloud_leaves_no_table(tmp_path, capsys, points, extra, m
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--epsilon", "0"], "epsilon must be positive"),
+    (["--sample", "0"], "sample count must be positive"),
+])
+def test_coeffs_checks_its_arguments_before_opening_a_table(tmp_path, capsys, extra, message):
+    path = tmp_path / "pts.csv"
+    matrixio.write_coordinates(path, CoordinateMatrix(np.random.default_rng(3).normal(size=(6, 2))))
+    out = tmp_path / "out"
+    out.mkdir()
+    names = ("treves_hartmann.csv", "coeffs_triplets.csv")
+    for name in names:
+        (out / name).write_text("earlier run\n")
+    assert main(["coeffs", "--coords", str(path), "--per-triplet", *extra,
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert [(out / name).read_text() for name in names] == ["earlier run\n"] * 2
+
+
 def test_coeffs_and_transform_enumerate_once(tmp_path, monkeypatch):
     built = {"ranks": 0, "draws": 0, "distances": 0}
     original_windows, original_sample = triplets.triplet_windows, triplets.sample_triplets

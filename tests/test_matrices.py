@@ -502,6 +502,20 @@ def test_table_stream_removes_its_file_when_the_body_raises(tmp_path):
     assert not path.exists()
 
 
+def test_table_stream_opens_its_file_at_the_first_block(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"earlier run\n")
+    for body in (lambda write: write([np.arange(3)]), lambda write: 1 / 0):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            with matrixio.table_stream(path, ["a", "b"]) as write:
+                body(write)
+        assert path.read_bytes() == b"earlier run\n"
+    with matrixio.table_stream(path, ["a", "b"], ["h: 1"]):
+        pass
+    matrixio.write_table(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), np.zeros(0)], ["h: 1"])
+    assert path.read_bytes() == (tmp_path / "empty.csv").read_bytes() == b"# h: 1\na,b\n"
+
+
 def _single_column_lines(path, column):
     matrixio.write_table(path, ["v"], [column])
     lines = path.read_bytes().split(b"\n")

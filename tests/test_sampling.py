@@ -17,7 +17,7 @@ from umtk.triplets import (
     triplet_count,
     triplet_windows,
 )
-from umtk.ultrametricity import _angles_from_sides, _classify_angles, _classify_chunk
+from umtk.ultrametricity import _angles_from_sides, _classify_angles
 
 from .oracles import (
     classify_angles_argsort,
@@ -324,14 +324,12 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
         _assert_same(g, w)
 
     # angles of real triangles: NaN angles of degenerate ones may differ under the mask
-    sides = values[jj, kk], values[ii, kk], values[ii, jj]
-    *tri_angles, degen = _angles_from_sides(*sides)
-    apex, diff, ultra, mask = _classify_chunk(sides, ii, jj, kk, epsilon)
+    *tri_angles, mask = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
+    apex, diff, ultra = _classify_angles(tri_angles, verts, epsilon)
     w_apex, w_diff, w_ultra = classify_angles_argsort(
         np.stack(tri_angles), np.stack(verts), epsilon
     )
-    assert np.array_equal(mask, degen)
-    assert np.array_equal(ultra, w_ultra & ~mask)
+    assert np.array_equal(ultra & ~mask, w_ultra & ~mask)
     _assert_same(apex[~mask], w_apex[~mask])
     _assert_same(diff[~mask], w_diff[~mask])
 

@@ -221,7 +221,8 @@ def test_power_frozen_example_after_halving():
     assert not check_metric(out, tolerance=REPAIR_TOLERANCE_FACTOR * float(out.values.max()))
 
 
-@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 3], ids=["default-cap", "cap-3"])
+# the cap counts bytes: 36 holds three triples' int32 ids
+@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 36], ids=["default-cap", "cap-3"])
 @settings(max_examples=80, deadline=None)
 @given(d=power_inputs())
 def test_power_matches_full_bisection(cap, d):
@@ -235,11 +236,29 @@ def test_power_matches_full_bisection_across_chunks(rng, monkeypatch):
     d = DissimilarityMatrix(euclidean_distances(CoordinateMatrix(points)).values ** 2)
     assert triplet_count(d.n) > DEFAULT_CHUNK
     assert_power_matches_full_bisection(d)
-    # above the cap the first tests scan every triple
-    monkeypatch.setattr(transforms, "_CANDIDATE_CAP", 5)
+    # above the cap (five triples' int32 ids) the first tests scan every triple
+    monkeypatch.setattr(transforms, "_CANDIDATE_CAP", 60)
     floor = -transforms._SETTLED_MARGIN * float(d.values.max())
     assert transforms._worst_metric_slack(d.values, d.n, floor=floor)[1] is None
+    handed = record_hand_offs(monkeypatch)
     assert_power_matches_full_bisection(d)
+    # failed full scans overflowed the cap, then one handed on a non-empty set
+    assert handed[0] is None and any(handed)
+
+
+def record_hand_offs(monkeypatch) -> list:
+    """Patch in a log of what each failed full-scan power test hands on: ids count, or None."""
+    handed, original = [], transforms._worst_metric_slack
+
+    def recording(values, n, ids=None, floor=None, near=False):
+        worst, kept, close = original(values, n, ids, floor, near)
+        if ids is None and floor is not None and not (
+                worst <= REPAIR_TOLERANCE_FACTOR * float(values.max())):
+            handed.append(None if kept is None else kept.shape[1])
+        return worst, kept, close
+
+    monkeypatch.setattr(transforms, "_worst_metric_slack", recording)
+    return handed
 
 
 def assert_repairs_match_full_scans(d):
@@ -259,7 +278,8 @@ def assert_repairs_match_full_scans(d):
     assert power_out.values.tobytes() == expected_power[0].values.tobytes()
 
 
-@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 3], ids=["default-cap", "cap-3"])
+# the cap counts bytes: 36 holds three triples' int32 ids
+@pytest.mark.parametrize("cap", [transforms._CANDIDATE_CAP, 36], ids=["default-cap", "cap-3"])
 @settings(max_examples=80, deadline=None)
 @given(d=power_inputs())
 def test_cailliez_and_both_repairs_match_full_scans(cap, d):
