@@ -212,23 +212,25 @@ def coefficient_scan(
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
         ij, ik, jk = values[ii, jj], values[ii, kk], values[jj, kk]
         counts, gap, shape, rows = (0, 0), 0.0, None, None
-        if points is not None:
-            lo, mid, hi = sort3(ij, ik, jk)
-            ok = hi > 0.0
-            lo, mid, hi = lo[ok], mid[ok], hi[ok]
-            shape = [lo / hi, mid / hi, hi - mid]
-        if lerman:
-            _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
-            gap = float((hi - mid).sum())
         if epsilon is not None:
             *angles, degen = _angles_from_sides(jk, ik, ij)
-            del ij, ik, jk  # their memory serves the verdicts' temporaries
+            if points is None:  # the verdicts' temporaries reuse the sides' memory
+                del ij, ik, jk
             apex, diff, ultra = _classify_angles(angles, (ii, jj, kk), epsilon)
+            del angles  # and the later parts reuse the angles'
             ultra &= ~degen
             counts = int(ultra.sum()), int(degen.sum())
             if verdicts is not None:
                 rows = [ii, jj, kk, np.ma.array(apex, mask=degen),
                         np.ma.array(diff, mask=degen), ultra]
+        if lerman:
+            _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
+            gap = float((hi - mid).sum())
+        if points is not None:
+            lo, mid, hi = sort3(ij, ik, jk)
+            ok = hi > 0.0
+            lo, mid, hi = lo[ok], mid[ok], hi[ok]
+            shape = [lo / hi, mid / hi, hi - mid]
         return ii.size, *counts, gap, shape, rows
 
     examined = ultrametric = degenerate = kept = 0
