@@ -16,9 +16,9 @@ does not) and a file loadtxt rejects (it rejects '1_0' and non-ASCII
 digits) are converted by float() cell by cell, errors included.
 
 Every table goes through one writer, table_stream: it writes the header
-on entry and then appends blocks of rows, each given as equal-length
-numpy columns (1-D, or 2-D for several adjacent columns of one dtype), so
-a scan can write each window's rows as it comes. write_table is the
+with the first block of rows and then appends blocks, each given as
+equal-length numpy columns (1-D, or 2-D for several adjacent columns of
+one dtype), so a scan can write each window's rows as it comes. write_table is the
 one-block case; write_labeled_matrix passes its labels and its matrix
 as one 2-D block. A column's dtype sets how its cells are written, byte
 for byte as csv.writer(lineterminator="\n") writes format_value of each
