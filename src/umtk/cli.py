@@ -36,7 +36,7 @@ from .hierarchy import (
 )
 from .matrices import euclidean_distances
 from .spectral import correspondence_analysis, pcoa
-from .transforms import cailliez_additive, metric_repairs, power_shrink
+from .transforms import POWER_R_TOLERANCE, cailliez_additive, metric_repairs, power_shrink
 from .ultrametricity import DEFAULT_EPSILON, coefficient_scan, rammal_index
 
 
@@ -226,6 +226,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         raise CliError("coeffs needs exactly one of --coords or --distances")
     if args.per_triplet and args.coords is None:
         raise CliError("--per-triplet requires --coords")
+    if not args.epsilon > 0:
+        raise CliError("epsilon must be positive")
     seed = args.seed if args.sample is not None else None
     params = {"epsilon": args.epsilon, "sample": args.sample, "seed": seed}
     if args.coords is not None:
@@ -343,7 +345,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         matrixio.write_dissimilarity(_out_path(args, "transform_cailliez.csv"),
                                      cailliez[0], headers)
     if power is not None:
-        headers = _headers(args, base | {"exponent": power[1], "r_tolerance": 1e-6})
+        headers = _headers(args, base | {"exponent": power[1], "r_tolerance": POWER_R_TOLERANCE})
         matrixio.write_dissimilarity(_out_path(args, "transform_power.csv"), power[0], headers)
     return 0
 

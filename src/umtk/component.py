@@ -20,7 +20,7 @@ import numpy as np
 from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, _matched_rows
 from .hierarchy import cophenetic, linkage
 from .matrices import CoordinateMatrix, _ArrayFieldsEq, euclidean_distances
-from .triplets import scan
+from .triplets import iter_scan
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
 
 
@@ -78,8 +78,8 @@ def ultrametric_component(
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
     # consensus_count's kernel without the ultrametric; the chunk list goes early
-    rows = scan(coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])
-    rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows])
+    rows = np.concatenate(list(iter_scan(
+        coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])))
     ii, jj, kk, b_lo, b_hi, apex = rows.T
     values = d.values
     *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])

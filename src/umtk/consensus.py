@@ -42,7 +42,7 @@ from .hierarchy import (
 )
 from .matrices import DissimilarityMatrix, UltrametricMatrix, _ArrayFieldsEq
 from .transforms import check_ultrametric
-from .triplets import first_smallest, scan, sort3, triplet_count
+from .triplets import first_smallest, iter_scan, sort3, triplet_count
 
 #: Default relative tolerance for treating two levels as tied.
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -216,7 +216,7 @@ def consensus_count(
                 np.minimum.at(cand, pair, smallest)
         return rows, int((~both_iso).sum())
 
-    results = scan(n, kernel, workers=workers)
+    results = list(iter_scan(n, kernel, workers=workers))
     rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *(r for r, _ in results)])
     cand = cand.reshape(n, n)
     merged = DissimilarityMatrix(np.minimum(cand, cand.T), list(u1.labels))

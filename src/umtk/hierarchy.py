@@ -165,23 +165,29 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
         d_ab = work[a, b]
         row_a = work[a, :]
         row_b = work[b, :]
-        if criterion == "single":
-            new_row = np.minimum(row_a, row_b)
-        elif criterion == "complete":
-            new_row = np.maximum(row_a, row_b)
-        elif criterion == "average":
-            new_row = (na * row_a + nb * row_b) / (na + nb)
-        elif criterion == "mcquitty":
-            new_row = 0.5 * (row_a + row_b)
-        elif criterion == "ward":
-            nc = size
-            tot = na + nb + nc
-            new_row = ((na + nc) * row_a + (nb + nc) * row_b - nc * d_ab) / tot
-        elif criterion == "centroid":
-            nab = na + nb
-            new_row = (na * row_a + nb * row_b) / nab - (na * nb * d_ab) / nab ** 2
-        else:  # median
-            new_row = 0.5 * row_a + 0.5 * row_b - 0.25 * d_ab
+        # inactive slots may overflow harmlessly; a live one may not
+        with np.errstate(over="ignore", invalid="ignore"):
+            if criterion == "single":
+                new_row = np.minimum(row_a, row_b)
+            elif criterion == "complete":
+                new_row = np.maximum(row_a, row_b)
+            elif criterion == "average":
+                new_row = (na * row_a + nb * row_b) / (na + nb)
+            elif criterion == "mcquitty":
+                new_row = 0.5 * (row_a + row_b)
+            elif criterion == "ward":
+                nc = size
+                tot = na + nb + nc
+                new_row = ((na + nc) * row_a + (nb + nc) * row_b - nc * d_ab) / tot
+            elif criterion == "centroid":
+                nab = na + nb
+                new_row = (na * row_a + nb * row_b) / nab - (na * nb * d_ab) / nab ** 2
+            else:  # median
+                new_row = 0.5 * row_a + 0.5 * row_b - 0.25 * d_ab
+        rest = by_id[(by_id != a) & (by_id != b)]  # the live slots besides a and b
+        if not np.isfinite(new_row[rest]).all():
+            raise ValueError(f"{criterion} linkage overflows on distances this large; "
+                             "scale the input down")
         if criterion in INVERSION_FREE_CRITERIA:
             # np.maximum returns its second operand on ties, so values at or
             # above the level (and -0.0 at level 0) keep the recurrence's bits
@@ -205,7 +211,7 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
         stale = np.flatnonzero(active & ~closer & ((best_col == a) | (best_col == b)))
         best_val[closer] = new_row[closer]
         best_col[closer] = a
-        by_id = np.append(by_id[(by_id != a) & (by_id != b)], a)
+        by_id = np.append(rest, a)
         best_val[stale], best_col[stale] = _row_minima(work, stale, by_id)
     return Dendrogram(n, merges, list(d.labels))
 

@@ -66,10 +66,6 @@ from .matrices import (
 )
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -78,7 +74,7 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format_float(v)
+        return format(float(v), ".17g")
     return str(v)
 
 

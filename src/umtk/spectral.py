@@ -77,15 +77,10 @@ class CaResult(_ArrayFieldsEq):
     singular_values: np.ndarray
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        idx = int(np.argmax(np.abs(v)))
-        if v[idx] < 0:
-            out[:, col] = -v
-    return out
+def _signs(vectors: np.ndarray) -> np.ndarray:
+    """Each column's +-1.0 that makes its largest-magnitude entry positive."""
+    peak = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(peak < 0, -1.0, 1.0)
 
 
 def gram_from_distances(d: DissimilarityMatrix) -> np.ndarray:
@@ -106,7 +101,8 @@ def gram_from_distances(d: DissimilarityMatrix) -> np.ndarray:
 def _spectrum(a: np.ndarray) -> SpectralResult:
     w, v = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
-    return SpectralResult(w[order], _fix_signs(v[:, order]))
+    v = v[:, order]
+    return SpectralResult(w[order], v * _signs(v))
 
 
 def _metricity(eigenvalues: np.ndarray, tolerance: float) -> MetricityReport:
@@ -203,13 +199,9 @@ def correspondence_analysis(
         keep = 0
     keep = min(keep, max_axes)
     # sign convention is decided on U and applied to the (u, v) pair
-    u = u[:, :keep]
-    v = vt[:keep, :].T
-    for col in range(keep):
-        idx = int(np.argmax(np.abs(u[:, col])))
-        if u[idx, col] < 0:
-            u[:, col] = -u[:, col]
-            v[:, col] = -v[:, col]
+    signs = _signs(u[:, :keep])
+    u = u[:, :keep] * signs
+    v = vt[:keep, :].T * signs
     sigma = sigma[:keep]
     row_coords = inv_sqrt_r[:, None] * u * sigma[None, :]
     col_coords = inv_sqrt_c[:, None] * v * sigma[None, :]

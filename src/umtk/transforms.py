@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import DissimilarityMatrix, _ArrayFieldsEq
-from .triplets import DEFAULT_CHUNK, iter_scan, scan, sort3
+from .triplets import DEFAULT_CHUNK, iter_scan, sort3
 
 #: Relative factor used to derive the default check tolerance for repairs.
 REPAIR_TOLERANCE_FACTOR = 1e-12
+#: Width of the exponent bracket at which power_shrink's bisection stops.
+POWER_R_TOLERANCE = 1e-6
 
 
 @dataclass(eq=False)
@@ -52,7 +54,7 @@ def _scan_violations(
         bad = slack > tolerance
         return np.column_stack([ii[bad], jj[bad], kk[bad]]), slack[bad]
 
-    results = scan(d.n, kernel)
+    results = list(iter_scan(d.n, kernel))
     return ViolationReport(
         kind,
         np.concatenate([np.zeros((0, 3), dtype=np.int64), *(t for t, _ in results)]),
@@ -181,7 +183,7 @@ def cailliez_additive(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, floa
 
 
 def power_shrink(
-    d: DissimilarityMatrix, r_tolerance: float = 1e-6
+    d: DissimilarityMatrix, r_tolerance: float = POWER_R_TOLERANCE
 ) -> tuple[DissimilarityMatrix, float]:
     """Raise dissimilarities to the largest power in (0, 1] giving a metric.
 
@@ -205,7 +207,7 @@ def metric_repairs(
     Both results are bit for bit those of the two functions; d is checked,
     and errors raised, as power_shrink checks and raises them.
     """
-    return _repairs(d, True, 1e-6)
+    return _repairs(d, True, POWER_R_TOLERANCE)
 
 
 def _power(d: DissimilarityMatrix, r_tolerance: float, worst: float, ids: np.ndarray | None,

@@ -6,9 +6,9 @@ order; triplet_windows builds any window's index arrays from one pair
 table, so the full enumeration never exists at once. Sampling is
 counter-based: draw t depends only on (seed, t). iter_scan is the one
 driver: it yields a per-window kernel's results over either source in
-window order (scan is list() of it); with workers > 1 each pool thread
-builds the windows it runs. Kernels return integer or
-elementwise-independent results, so serial and threaded scans agree.
+window order; with workers > 1 each pool thread builds the windows it
+runs. Kernels return integer or elementwise-independent results, so
+serial and threaded scans agree.
 
 sort3 orders the three values of every triplet (pair values, angles,
 or a draw's ids), and first_smallest reads the apex off the smallest.
@@ -64,20 +64,6 @@ def triplet_windows(n: int) -> tuple[int, Callable[[int, int], Triples]]:
         return np.repeat(ids[a:b], sizes), pair_j[pos], pair_k[pos]
 
     return triplet_count(n), window
-
-
-def iter_triplet_chunks(n: int, chunk_size: int | None = None) -> Iterator[Triples]:
-    """Yield (ii, jj, kk) index arrays covering all triples i < j < k.
-
-    The chunks are consecutive windows of chunk_size ranks (None:
-    DEFAULT_CHUNK as it is at call time), in ascending lexicographic order.
-    """
-    chunk_size = DEFAULT_CHUNK if chunk_size is None else chunk_size
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    count, window = triplet_windows(n)
-    for lo in range(0, count, chunk_size):
-        yield window(lo, min(lo + chunk_size, count))
 
 
 def sample_triplets(n: int, count: int, seed: int, start: int = 0) -> Triples:
@@ -154,11 +140,6 @@ def iter_scan(
                 ahead.extend(pool.submit(run, lo) for lo in islice(pending, 1))
 
     return pooled() if workers > 1 else map(run, starts)
-
-
-def scan(n: int, kernel: Callable[..., T], *args, **kwargs) -> list[T]:
-    """list(iter_scan(n, kernel, ...)): every window's result, in window order."""
-    return list(iter_scan(n, kernel, *args, **kwargs))
 
 
 def sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

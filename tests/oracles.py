@@ -25,7 +25,7 @@ from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
 from umtk import triplets
-from umtk.triplets import scan
+from umtk.triplets import iter_scan
 
 
 def sorted_pair_values(
@@ -307,7 +307,7 @@ def consensus_ultrametric_two_branch(
             for a, b in pairs:
                 np.minimum.at(cand, (a[t], b[t]), six)
 
-    scan(n, kernel)
+    list(iter_scan(n, kernel))
     cand = np.minimum(cand, cand.T)
     return minmax_path_closure(DissimilarityMatrix(cand, list(u1.labels)))
 
@@ -329,7 +329,7 @@ def consensus_table_scan(ultrams: list[UltrametricMatrix], tie_tolerance: float)
                 chunk[p, q] = chunk[q, p] = (iso_p & iso_q & (apex_p == apex_q)).sum()
         return chunk
 
-    return sum(scan(ultrams[0].n, kernel), np.zeros((m, m), dtype=np.int64))
+    return sum(iter_scan(ultrams[0].n, kernel), np.zeros((m, m), dtype=np.int64))
 
 
 def brute_component(points: np.ndarray, matched, epsilon: float):
@@ -593,7 +593,7 @@ def worst_metric_slack(values: np.ndarray, n: int) -> float:
         s = sorted_pair_values(values, ii, jj, kk)
         return float((s[2] - s[1] - s[0]).max())
 
-    return max([-np.inf, *scan(n, kernel)])
+    return max([-np.inf, *iter_scan(n, kernel)])
 
 
 def cailliez_full_scan(d: DissimilarityMatrix) -> tuple[DissimilarityMatrix, float]:

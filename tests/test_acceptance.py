@@ -23,7 +23,7 @@ from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_dista
 from umtk.matrixio import write_frequency
 from umtk.spectral import correspondence_analysis, pcoa, select_columns
 from umtk.transforms import cailliez_additive, check_metric
-from umtk.triplets import iter_triplet_chunks, triplet_count
+from umtk.triplets import iter_scan, triplet_count
 from umtk.ultrametricity import DEFAULT_EPSILON, alpha_epsilon, rammal_index
 from umtk.cli import main as cli_main
 
@@ -56,7 +56,7 @@ def mst_path_maxima(d: np.ndarray) -> np.ndarray:
 
 def test_criterion_01_exhaustive_triplet_count():
     start = time.perf_counter()
-    enumerated = sum(ii.size for ii, _, _ in iter_triplet_chunks(30))
+    enumerated = sum(iter_scan(30, lambda ii, jj, kk: ii.size))
     elapsed = time.perf_counter() - start
     assert triplet_count(30) == 4060
     assert enumerated == 4060

@@ -347,6 +347,19 @@ def test_coeffs_checks_its_arguments_before_opening_a_table(tmp_path, capsys, ex
     assert [(out / name).read_text() for name in names] == ["earlier run\n"] * 2
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
+def test_coeffs_with_distances_rejects_a_bad_epsilon_before_reading(tmp_path, capsys, epsilon):
+    path = tmp_path / "d.csv"
+    points = CoordinateMatrix(np.random.default_rng(5).normal(size=(5, 2)))
+    matrixio.write_dissimilarity(path, euclidean_distances(points))
+    out = tmp_path / "out"
+    for source in (path, tmp_path / "missing.csv"):  # exit 1, not the I/O error's 2
+        assert main(["coeffs", "--distances", str(source), f"--epsilon={epsilon}",
+                     "--out", str(out)]) == 1
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_coeffs_and_transform_enumerate_once(tmp_path, monkeypatch):
     built = {"ranks": 0, "draws": 0, "distances": 0}
     original_windows, original_sample = triplets.triplet_windows, triplets.sample_triplets

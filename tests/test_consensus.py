@@ -346,8 +346,8 @@ def test_consensus_table_reads_tied_trees_without_the_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("consensus_table scanned triplets")
 
-    # the oracle scans through triplets.scan, which stays in place
-    monkeypatch.setattr(consensus, "scan", no_scan)
+    # the oracle scans through triplets.iter_scan, which stays in place
+    monkeypatch.setattr(consensus, "iter_scan", no_scan)
     # the decimal input's unfloored average linkage had an inversion
     for kind, seed in [("duplicates", 7), ("integer", 7), ("multifurcating", 7), ("decimal", 160)]:
         d = tied_distances(40, seed, kind)

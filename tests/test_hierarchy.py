@@ -79,6 +79,20 @@ def test_squared_criteria_reject_distances_whose_squares_overflow():
     assert merge_tuples(linkage(at_limit, "ward")) == [(0, 1, top, 2)]
 
 
+def test_linkage_names_the_criterion_when_its_recurrence_overflows():
+    # the squares fit, but ward's and centroid's weighted sums of them do not
+    d = DissimilarityMatrix(1.3e154 * np.array([[0.0, 1.0, 0.9, 0.8],
+                                                [1.0, 0.0, 0.85, 0.95],
+                                                [0.9, 0.85, 0.0, 0.82],
+                                                [0.8, 0.95, 0.82, 0.0]]))
+    with np.errstate(all="raise"):  # and no RuntimeWarning on the way
+        for criterion in ("ward", "centroid"):
+            with pytest.raises(ValueError, match=f"{criterion} linkage overflows"):
+                linkage(d, criterion)
+        median = linkage(d, "median")  # halves, so it stays finite
+    assert merge_tuples(median) == linkage_loop(d.values, "median")
+
+
 def test_cophenetic_frozen_examples():
     u_single = cophenetic(linkage(THREE, "single"))
     np.testing.assert_array_equal(

@@ -10,9 +10,7 @@ from umtk.consensus import DEFAULT_TIE_TOLERANCE, _signature_arrays
 from umtk.triplets import (
     DEFAULT_CHUNK,
     iter_scan,
-    iter_triplet_chunks,
     sample_triplets,
-    scan,
     sort3,
     triplet_count,
     triplet_windows,
@@ -81,19 +79,22 @@ def test_triplet_count_values():
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_chunks_cover_combinations_in_order(n, chunk):
+def test_chunks_cover_combinations_in_order(monkeypatch, n, chunk):
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", chunk)
     expected = list(itertools.combinations(range(n), 3))
     got = []
-    for ii, jj, kk in iter_triplet_chunks(n, chunk_size=chunk):
+    for ii, jj, kk in iter_scan(n, lambda *triples: triples):
         assert ii.shape[0] <= chunk
         got.extend(zip(ii.tolist(), jj.tolist(), kk.tolist()))
     assert got == expected
 
 
 def test_chunks_empty_for_tiny_n():
-    assert list(iter_triplet_chunks(2)) == []
-    with pytest.raises(ValueError):
-        list(iter_triplet_chunks(5, chunk_size=0))
+    calls = []
+    for n in (0, 1, 2):
+        assert list(iter_scan(n, lambda *triples: calls.append(triples))) == []
+        assert triplet_windows(n)[0] == 0
+    assert calls == []
 
 
 def _assert_same_int64(got, want):
@@ -116,7 +117,7 @@ def test_windows_match_the_buffered_generator(n, data):
         ),
         label="chunk",
     )
-    got = list(iter_triplet_chunks(n, chunk))
+    got = [window(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     want = list(iter_triplet_chunks_buffered(n, chunk))
     assert [c[0].size for c in got] == [c[0].size for c in want]
     assert {a.dtype for c in got + want for a in c} <= {np.dtype(np.int64)}
@@ -161,11 +162,11 @@ def test_threaded_scan_holds_at_most_one_built_window_per_worker(monkeypatch, sa
     monkeypatch.setattr(
         triplets, "sample_triplets", lambda *a, **kw: built(original_sample(*a, **kw))
     )
-    threaded = scan(8, kernel, sample, seed, workers=workers)
+    threaded = list(iter_scan(8, kernel, sample, seed, workers=workers))
     assert state["built"] == len(threaded) >= 8
     assert state["open"] == 0
     assert state["peak"] <= workers
-    assert scan(8, kernel, sample, seed) == threaded
+    assert list(iter_scan(8, kernel, sample, seed)) == threaded
 
 
 def test_sample_triplets_deterministic_and_splittable():
@@ -222,22 +223,22 @@ def _stacked(chunks):
 def test_scan_exhaustive_is_chunk_enumeration_in_order():
     # n = 110 gives two chunks of DEFAULT_CHUNK or fewer
     n = 110
-    got = scan(n, lambda ii, jj, kk: (ii, jj, kk))
+    got = list(iter_scan(n, lambda ii, jj, kk: (ii, jj, kk)))
     assert len(got) == 2 and got[0][0].size == DEFAULT_CHUNK
-    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks(n)))
+    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks_buffered(n)))
 
 
 def test_exhaustive_scan_reads_default_chunk_at_call_time(monkeypatch):
     # C(8, 3) = 56 triples in chunks of the patched size, in the same order
     monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
-    got = scan(8, lambda ii, jj, kk: (ii, jj, kk))
+    got = list(iter_scan(8, lambda ii, jj, kk: (ii, jj, kk)))
     assert [c[0].size for c in got] == [7] * 8
-    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks(8, 56)))
+    np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks_buffered(8, 56)))
 
 
 def test_scan_sampled_is_seeded_draws_in_order():
     sample = DEFAULT_CHUNK + 1234
-    got = scan(30, lambda ii, jj, kk: (ii, jj, kk), sample=sample, seed=9)
+    got = list(iter_scan(30, lambda ii, jj, kk: (ii, jj, kk), sample=sample, seed=9))
     assert [c[0].size for c in got] == [DEFAULT_CHUNK, 1234]
     np.testing.assert_array_equal(
         _stacked(got), np.stack(sample_triplets(30, sample, seed=9))
@@ -249,17 +250,14 @@ def test_scan_threaded_equals_serial(sample, seed):
     def kernel(ii, jj, kk):
         return int(ii.sum()), int((jj * kk).sum()), ii.size
 
-    serial = scan(110, kernel, sample, seed, workers=1)
+    serial = list(iter_scan(110, kernel, sample, seed, workers=1))
     assert len(serial) >= 2
-    assert scan(110, kernel, sample, seed, workers=4) == serial
+    assert list(iter_scan(110, kernel, sample, seed, workers=4)) == serial
 
 
 @pytest.mark.parametrize("sample, seed, match", [(0, 1, "positive"), (5, None, "seed")])
 def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
     calls = []
-    with pytest.raises(ValueError, match=match):
-        scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
-    assert calls == []
     with pytest.raises(ValueError, match=match):  # checked on the call, before iteration
         iter_scan(10, lambda *chunk: calls.append(chunk), sample=sample, seed=seed)
     assert calls == []
@@ -299,7 +297,7 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
     gen = np.random.default_rng(seed)
     values = _tie_heavy(gen, kind, (n, n))
     # n = 40 gives 9880 triplets, well past numpy's SIMD block sizes
-    ii, jj, kk = np.concatenate([np.stack(c) for c in iter_triplet_chunks(n)], axis=1)
+    ii, jj, kk = _stacked(iter_scan(n, lambda *triples: triples))
     pairs = values[ii, jj], values[ii, kk], values[jj, kk]
     for got, want in zip(sort3(*pairs), sorted_pair_values(values, ii, jj, kk)):
         _assert_same(got, want)
