@@ -30,6 +30,7 @@ from .corpus import build_term_doc, random_mirror, read_corpus_dir, read_corpus_
 from .hierarchy import (
     LINKAGE_CRITERIA,
     Dendrogram,
+    Merge,
     cophenetic,
     export_newick,
     linkage,
@@ -145,17 +146,12 @@ def _basename(path: str | None) -> str | None:
     return Path(path).name if path else None
 
 
-_MERGE_DTYPE = np.dtype([("left", np.int64), ("right", np.int64),
-                         ("height", np.float64), ("size", np.int64)])
-
-
 def _write_dendrogram(
     args: argparse.Namespace, h: Dendrogram, stem: str, headers: list[str]
 ) -> None:
     label_line = "labels: " + ",".join(map(matrixio._quote_cell, h.labels))
-    merges = np.array(h.merges, dtype=_MERGE_DTYPE)
-    matrixio.write_table(_out_path(args, f"{stem}_merges.csv"), _MERGE_DTYPE.names,
-                         [merges[f] for f in _MERGE_DTYPE.names], headers + [label_line])
+    matrixio.write_table(_out_path(args, f"{stem}_merges.csv"), Merge._fields,
+                         [np.array(c) for c in zip(*h.merges)], headers + [label_line])
     matrixio.write_lines(_out_path(args, f"{stem}.nwk"), [export_newick(h)], headers)
 
 

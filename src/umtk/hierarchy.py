@@ -360,7 +360,7 @@ def cophenetic_correlation(d: DissimilarityMatrix, u: _SymmetricMatrix) -> float
 
 
 def _quote_label(label: str) -> str:
-    if any(ch in label for ch in "(),:;'\" \t\n[]"):
+    if any(ch in label for ch in "(),:;'\" \t\r\n[]"):
         return "'" + label.replace("'", "''") + "'"
     return label
 

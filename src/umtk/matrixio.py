@@ -5,8 +5,8 @@ row, then one row per record. Only that leading block is comments: a
 data row may start with '#'. A labeled matrix has an empty leading
 header cell followed by the column labels, and each row starts with its
 label. UTF-8 throughout; the writers use LF line endings, and every
-header line stays on its one '#' line: _comment_block escapes its
-backslashes, CRs and LFs as \\\\, \\r and \\n.
+header line and key-value line stays on its one line: backslashes, CRs
+and LFs in it are escaped as \\\\, \\r and \\n.
 
 read_labeled_matrix skips a byte order mark, the leading '#' block and
 empty lines, and checks each row's width against the header's before it
@@ -23,13 +23,13 @@ equal-length numpy columns (1-D, or 2-D for several adjacent columns of
 one dtype), so a scan can write each window's rows as it comes. write_table is the
 one-block case; write_labeled_matrix passes its labels and its matrix
 as one 2-D block. A column's dtype sets how its cells are written, byte
-for byte as csv.writer(lineterminator="\n") writes format_value of each
-value:
+for byte as format_value and then _quote_cell write each value:
 
 - integers as %d;
 - floats as %.17g, which round-trips exactly ("nan", "inf", "-0");
 - booleans as true / false;
-- strings as they are, quoted the way csv.writer quotes them;
+- strings as they are, but quoted with their quotes doubled if they hold
+  ',', '"', CR or LF (CR too: the reader takes it as a line end);
 - entries masked in a numpy masked array as empty cells.
 
 The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
@@ -50,9 +50,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import itertools
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -69,7 +67,7 @@ from .matrices import (
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if v is None:
         return ""
@@ -85,9 +83,7 @@ def format_value(v) -> str:
 #: call costs some 100 us of numpy calls, so much smaller chunks cost time.
 CHUNK_CELLS = 8192
 
-#: A cell containing one of these may need quotes; csv.writer decides.
-_QUOTE_CANDIDATE = re.compile(r'[,"\r\n]')
-#: Header lines escape these so that each stays on its one '#' line.
+#: Header and key-value lines escape these so that each stays on one line.
 _HEADER_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
 #: numpy's float parser strips these as whitespace, float() does not.
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
@@ -113,10 +109,10 @@ def _comment_block(lines: Sequence[str]) -> bytes:
 
 
 def _quote_cell(text: str) -> str:
-    """text as csv.writer(lineterminator="\n") writes it beside another cell."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    """A CSV cell: quoted, its quotes doubled, if it holds ',', '"', CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @functools.cache
@@ -312,7 +308,7 @@ def _bool_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _text_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte slots and keep mask of text cells, quoted as csv.writer quotes them.
+    """Byte slots and keep mask of text cells, each as _quote_cell writes it.
 
     Each distinct text is quoted and encoded once; code len(distinct)
     is the blank cell.
@@ -321,8 +317,7 @@ def _text_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarra
     codes = dict.fromkeys(texts)
     for code, text in enumerate(codes):
         codes[text] = code
-    cells = [(_quote_cell(s) if _QUOTE_CANDIDATE.search(s) else s).encode("utf-8")
-             for s in codes]
+    cells = [_quote_cell(s).encode("utf-8") for s in codes]
     width = max(map(len, cells), default=0)
     table = np.zeros((len(cells) + 1, max(width, 2) + 1), dtype=np.uint8)
     table_keep = np.zeros(table.shape, dtype=bool)
@@ -362,7 +357,7 @@ def _encode_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
     keep = np.concatenate([k.reshape(rows, -1) for _, k in parts], axis=1)
     buf[:, -1] = ord("\n")
     if sum(values.shape[1] for values, _ in blocks) == 1:
-        # csv.writer writes a row whose only cell is empty as ""
+        # a row whose only cell is empty is written "", not as an empty line
         empty = ~keep[:, :-1].any(axis=1)
         buf[empty, :2] = ord('"')
         keep[empty, :2] = True
@@ -564,4 +559,6 @@ def write_key_values(
     items: Mapping[str, object],
     header_lines: Sequence[str] = (),
 ) -> None:
-    write_lines(path, [f"{key}: {format_value(v)}" for key, v in items.items()], header_lines)
+    """Write one 'key: value' line per item, escaped as header lines are."""
+    write_lines(path, [f"{key}: {format_value(v)}".translate(_HEADER_ESCAPES)
+                       for key, v in items.items()], header_lines)

@@ -14,6 +14,7 @@ checked bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from typing import Iterator
@@ -550,16 +551,21 @@ def write_rows(path, rows, header_lines=()) -> None:
     """The row-at-a-time CSV writer the library used before write_table.
 
     Every cell goes through matrixio.format_value and csv.writer; the
-    differential tests compare write_table with it byte for byte.
+    differential tests compare write_table with it byte for byte. The
+    writer ends rows with CR LF, so that it quotes a cell holding CR as
+    it quotes one holding LF; that terminator is then written as LF.
+    Header lines have their backslashes, CRs and LFs escaped.
     """
     from umtk.matrixio import format_value
 
+    escapes = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+            fh.write(f"# {line.translate(escapes)}\n")
         for row in rows:
-            writer.writerow([format_value(v) for v in row])
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow([format_value(v) for v in row])
+            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def read_labeled_matrix_csv(path) -> tuple[np.ndarray, list[str], list[str]]:

@@ -59,7 +59,8 @@ def read_lines(path):
 
 
 def header_lines_of(path):
-    return [line[2:] for line in read_lines(path) if line.startswith("# ")]
+    """The '#' lines of a written file, with their escapes undone."""
+    return [unescape_header(line[2:]) for line in read_lines(path) if line.startswith("# ")]
 
 
 def awkward_coords(n=14, seed=3):
@@ -160,6 +161,7 @@ def unescape_header(line):
     ["a\nb", "c", "d"],
     ["Smith, J.", "c", "d"],
     ["back\\slash\r\nx", 'say "hi"', "d"],
+    ["x\ry", "c\r", "d"],
 ])
 def test_hclust_header_lines_stay_one_line_each(tmp_path, labels):
     d = DissimilarityMatrix(np.array([[0.0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]), labels)
@@ -633,6 +635,22 @@ def test_ingest_corpus_directory(tmp_path):
     assert table.col_labels == ["the", "sat", "cat"]  # the:3, sat:2, then ties a-z
     header = (out / "termdoc.csv").read_text(encoding="utf-8")
     assert "# top_k: 3" in header
+
+
+def test_ingest_then_ca_keeps_a_cr_in_a_document_id(tmp_path):
+    corpus_dir = tmp_path / "docs"
+    corpus_dir.mkdir()
+    texts = {"ch1\rdraft": "the cat sat on the mat", "ch2": "the dog sat on a log",
+             "ch3": "a cat and a dog ran"}
+    try:
+        for doc_id, text in texts.items():
+            (corpus_dir / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+    except OSError:
+        pytest.skip("the file system refuses a CR in a file name")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(corpus_dir), "--top-k", "6", "--out", str(out)]) == 0
+    assert main(["ca", "--input", str(out / "termdoc.csv"), "--out", str(out)]) == 0
+    assert matrixio.read_coordinates(out / "ca_row_coords.csv").point_labels == sorted(texts)
 
 
 def pyproject_project():

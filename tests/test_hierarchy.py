@@ -333,6 +333,11 @@ def test_newick_quotes_awkward_labels():
     assert "'b:c'" in text
 
 
+def test_newick_quotes_a_cr_as_it_quotes_an_lf():
+    d = DissimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), ["a\rb", "e\nf"])
+    assert export_newick(linkage(d, "single")) == "('a\rb':1,'e\nf':1);"
+
+
 def test_newick_topology_only_on_inversion():
     vals = np.full((3, 3), 2.0)
     np.fill_diagonal(vals, 0.0)

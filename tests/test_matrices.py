@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from umtk import matrices
@@ -404,6 +404,17 @@ def test_key_value_formatting(tmp_path):
     assert "note: \n" in text
 
 
+def test_format_value_writes_numpy_bools_as_table_cells():
+    assert matrixio.format_value(np.True_) == "true"
+    assert matrixio.format_value(np.False_) == "false"
+
+
+def test_key_value_lines_are_escaped_like_header_lines(tmp_path):
+    path = tmp_path / "kv.txt"
+    matrixio.write_key_values(path, {"note": "two\nlines", "path": "a\\b\rc"}, ["h: x\ny"])
+    assert path.read_bytes() == b"# h: x\\ny\nnote: two\\nlines\npath: a\\\\b\\rc\n"
+
+
 _INTS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0, -1])
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([
     -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
@@ -451,9 +462,34 @@ def _tables(draw):
     return header, columns, [list(row) for row in zip(*cells)]
 
 
+_LABELS = st.lists(_TEXT | st.text(st.sampled_from([",", '"', "\r", "\n", "\t", "#", "a", "é"]),
+                                   max_size=5), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LABELS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(["x\ry", "\r\n", '#"q",', "\t é\n"], 2, 0)
+def test_every_labeled_matrix_reads_back(tmp_path_factory, labels, dim, seed):
+    """Labels holding ',', '"', CR, LF, tabs or a leading '#' survive each writer/reader pair."""
+    out = tmp_path_factory.mktemp("labels")
+    gen = np.random.default_rng(seed)
+    coords = CoordinateMatrix(gen.normal(size=(len(labels), dim)), labels)
+    d = euclidean_distances(coords)
+    f = FrequencyMatrix(gen.random((len(labels), len(labels))) + 0.5, labels, labels[::-1])
+    matrixio.write_dissimilarity(out / "d.csv", d)
+    matrixio.write_coordinates(out / "x.csv", coords)
+    matrixio.write_frequency(out / "f.csv", f)
+    got_d = matrixio.read_dissimilarity(out / "d.csv")
+    got_x = matrixio.read_coordinates(out / "x.csv")
+    got_f = matrixio.read_frequency(out / "f.csv")
+    assert got_d.labels == labels and np.array_equal(got_d.values, d.values)
+    assert got_x.point_labels == labels and np.array_equal(got_x.coords, coords.coords)
+    assert (got_f.row_labels, got_f.col_labels) == (labels, labels[::-1])
+    assert np.array_equal(got_f.values, f.values)
+
+
 @settings(max_examples=80, deadline=None)
-@given(_tables(), st.lists(_TEXT.filter(lambda t: "\n" not in t and "\r" not in t),
-                           max_size=2))
+@given(_tables(), st.lists(_TEXT, max_size=2))
 def test_write_table_matches_row_writer(tmp_path_factory, table, header_lines):
     header, columns, rows = table
     out = tmp_path_factory.mktemp("table")
