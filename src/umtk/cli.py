@@ -22,8 +22,8 @@ from . import __version__, matrixio
 from .component import ultrametric_component
 from .consensus import (
     DEFAULT_TIE_TOLERANCE,
-    consensus_count,
     consensus_dendrogram,
+    consensus_scan,
     consensus_table,
 )
 from .corpus import build_term_doc, random_mirror, read_corpus_dir, read_corpus_file
@@ -163,7 +163,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "input": _basename(args.input),
         "top_k": args.top_k,
         "tokenizer": "lowercase; alphabetic runs; word-internal apostrophes",
-        "dropped_docs": ",".join(td.dropped_docs),
+        "dropped_docs": ",".join(map(matrixio._quote_cell, td.dropped_docs)),
     })
     matrixio.write_frequency(_out_path(args, "termdoc.csv"), td.matrix, headers)
     return 0
@@ -290,14 +290,16 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
                                   headers)
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
-    report = consensus_count(table.ultrametrics[0], table.ultrametrics[1])
-    matrixio.write_table(_out_path(args, "consensus_matched.csv"),
-                         ["i", "j", "k", "base_i", "base_j", "apex"],
-                         list(report.matched_set.T),
-                         pair_headers + [f"skipped_ties: {report.skipped_ties}"])
+    # the skips are known after the scan: rows stream to a part file first
+    matched = _out_path(args, "consensus_matched.csv")
+    part = matched.with_name(matched.name + ".part")
+    with matrixio.table_stream(part, ["i", "j", "k", "base_i", "base_j", "apex"]) as write:
+        skipped, ultrametric = consensus_scan(table.ultrametrics[0], table.ultrametrics[1],
+                                              write)
+    matrixio.prepend_comments(part, matched, pair_headers + [f"skipped_ties: {skipped}"])
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
-                                 report.ultrametric, pair_headers)
-    tree = consensus_dendrogram(report.ultrametric)
+                                 ultrametric, pair_headers)
+    tree = consensus_dendrogram(ultrametric)
     _write_dendrogram(args, tree, "consensus", pair_headers)
     return 0
 

@@ -67,7 +67,8 @@ def ultrametric_component(
     exact ties left in ascending triplet order; base1 is the base vertex
     whose label sorts first. The profile records the base-angle
     difference of every consensus-matched triplet so the threshold can
-    be re-examined without repeating the scan.
+    be re-examined without repeating the scan. Both stages run window by
+    window in one scan; only the differences and retained rows outlive it.
     """
     if coords.n < 3:
         raise ValueError("need at least three points")
@@ -77,33 +78,36 @@ def ultrametric_component(
     d = euclidean_distances(coords)
     u_a = cophenetic(linkage(d, criterion_a))
     u_b = cophenetic(linkage(d, criterion_b))
-    # consensus_count's kernel without the ultrametric; the chunk list goes early
-    rows = np.concatenate(list(iter_scan(
-        coords.n, lambda *ids: _matched_rows(u_a, u_b, tie_tolerance, *ids)[0])))
-    ii, jj, kk, b_lo, b_hi, apex = rows.T
     values = d.values
-    *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 
-    def angle_of(vertex: np.ndarray) -> np.ndarray:
-        return np.where(vertex == ii, angles[0], np.where(vertex == jj, angles[1], angles[2]))
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
+        # stage 1, then stage 2 on the window's matched rows only
+        rows = _matched_rows(u_a, u_b, tie_tolerance, ii, jj, kk)[0]
+        ii, jj, kk, b_lo, b_hi, apex = rows.T
+        *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 
-    a_apex, a_lo, a_hi = angle_of(apex), angle_of(b_lo), angle_of(b_hi)
-    diff = np.abs(a_lo - a_hi)
-    ok = ~degen
-    keep = np.flatnonzero(
-        ok
-        & (a_apex <= np.minimum(a_lo, a_hi) + ANGLE_SLACK)
-        & (a_apex <= math.pi / 3.0 + ANGLE_SLACK)
-        & (diff <= epsilon)
-    )
+        def angle_of(vertex: np.ndarray) -> np.ndarray:
+            return np.where(vertex == ii, angles[0], np.where(vertex == jj, angles[1], angles[2]))
+
+        a_apex, a_lo, a_hi = angle_of(apex), angle_of(b_lo), angle_of(b_hi)
+        diff = np.abs(a_lo - a_hi)
+        keep = ~degen & (a_apex <= np.minimum(a_lo, a_hi) + ANGLE_SLACK) & (diff <= epsilon)
+        keep &= a_apex <= math.pi / 3.0 + ANGLE_SLACK
+        return diff[~degen], rows[keep], diff[keep]
+
+    diffs, kept, kept_diffs = zip(*iter_scan(coords.n, kernel))
+    sorted_diffs = np.concatenate(diffs)
+    del diffs  # the windows' copies, before the sort
+    sorted_diffs.sort()
+    ii, jj, kk, b_lo, b_hi, apex = np.concatenate(kept).T
+    diff = np.concatenate(kept_diffs)
     _, rank = np.unique(np.array(coords.point_labels, dtype=object), return_inverse=True)
     swap = rank[b_lo] > rank[b_hi]
     base1, base2 = np.where(swap, b_hi, b_lo), np.where(swap, b_lo, b_hi)
-    keep = keep[np.lexsort((rank[apex[keep]], rank[base2[keep]], rank[base1[keep]], diff[keep]))]
-    retained = np.empty(keep.size, dtype=RETAINED_DTYPE)
+    order = np.lexsort((rank[apex], rank[base2], rank[base1], diff))
+    retained = np.empty(order.size, dtype=RETAINED_DTYPE)
     for name, col in zip(RETAINED_DTYPE.names, (ii, jj, kk, base1, base2, apex, diff)):
-        retained[name] = col[keep]
-    sorted_diffs = np.sort(diff[ok])
+        retained[name] = col[order]
     profile = EpsilonProfile(
         sorted_diffs=sorted_diffs,
         threshold=epsilon,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -173,6 +174,44 @@ def _matched_rows(u1: UltrametricMatrix, u2: UltrametricMatrix, tol: float, ii, 
     return np.column_stack([mi, mj, mk, base_lo, base_hi, ma]), matched, both_iso
 
 
+def consensus_scan(
+    u1: UltrametricMatrix,
+    u2: UltrametricMatrix,
+    write: Callable[[list[np.ndarray]], None],
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+    workers: int = 1,
+) -> tuple[int, UltrametricMatrix]:
+    """consensus_count's scan: (skipped_ties, ultrametric), the matched rows streamed.
+
+    write([rows]) takes each window's (m, 6) int64 block of matched rows
+    as the scan reaches it, so no more than one window of them is held.
+    """
+    _check_tie_tolerance(tie_tolerance)
+    _check_same_items(u1, u2)
+    n = u1.n
+    # flat views: 1-D indices make np.minimum.at about 2.5 times faster
+    low = np.minimum(u1.values, u2.values).reshape(-1)
+    cand = low.copy()
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
+        rows, matched, both_iso = _matched_rows(u1, u2, tie_tolerance, ii, jj, kk)
+        ti, tj, tk = ii[~matched], jj[~matched], kk[~matched]
+        pairs = (ti * n + tj, ti * n + tk, tj * n + tk)
+        smallest = np.minimum(np.minimum(low[pairs[0]], low[pairs[1]]), low[pairs[2]])
+        return rows, int((~both_iso).sum()), pairs, smallest
+
+    skipped = 0
+    for rows, skips, pairs, smallest in iter_scan(n, kernel, workers=workers):
+        write([rows])
+        skipped += skips
+        for pair in pairs:
+            np.minimum.at(cand, pair, smallest)
+        del rows, pairs, smallest  # before the next window is built
+    cand = cand.reshape(n, n)
+    merged = DissimilarityMatrix(np.minimum(cand, cand.T), list(u1.labels))
+    return skipped, minmax_path_closure(merged)
+
+
 def consensus_count(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
@@ -193,36 +232,13 @@ def consensus_count(
     involves (a matched triplet would propose the elementwise minimum
     itself). The candidates are then replaced by their min-max path
     closure, so the result is a valid ultrametric, symmetric in the
-    arguments.
+    arguments. consensus_scan runs the scan; this collects its rows.
     """
-    _check_tie_tolerance(tie_tolerance)
-    _check_same_items(u1, u2)
-    n = u1.n
-    # flat views: 1-D indices make np.minimum.at about 2.5 times faster
-    low = np.minimum(u1.values, u2.values).reshape(-1)
-    cand = low.copy()
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
-        rows, matched, both_iso = _matched_rows(u1, u2, tie_tolerance, ii, jj, kk)
-        ti, tj, tk = ii[~matched], jj[~matched], kk[~matched]
-        pairs = (ti * n + tj, ti * n + tk, tj * n + tk)
-        smallest = np.minimum(np.minimum(low[pairs[0]], low[pairs[1]]), low[pairs[2]])
-        return rows, int((~both_iso).sum()), pairs, smallest
-
-    blocks, skipped = [np.zeros((0, 6), dtype=np.int64)], 0
-    for rows, skips, pairs, smallest in iter_scan(n, kernel, workers=workers):
-        blocks.append(rows)
-        skipped += skips
-        for pair in pairs:
-            np.minimum.at(cand, pair, smallest)
-        del pairs, smallest  # before the next window is built
+    blocks = [np.zeros((0, 6), dtype=np.int64)]
+    skipped, ultrametric = consensus_scan(
+        u1, u2, lambda columns: blocks.extend(columns), tie_tolerance, workers)
     rows = np.concatenate(blocks)
-    cand = cand.reshape(n, n)
-    merged = DissimilarityMatrix(np.minimum(cand, cand.T), list(u1.labels))
-    return ConsensusReport(
-        triplet_count(n), rows.shape[0], rows, skipped,
-        minmax_path_closure(merged),
-    )
+    return ConsensusReport(triplet_count(u1.n), rows.shape[0], rows, skipped, ultrametric)
 
 
 def _check_consensus_args(criteria: list[str], tie_tolerance: float) -> None:
@@ -323,9 +339,10 @@ def consensus_dendrogram(
     if not tolerance >= 0:
         raise ValueError("tolerance must be nonnegative")
     as_dissimilarity = DissimilarityMatrix(u.values, list(u.labels))
-    # path maxima are selections: every triple's two largest values are equal
-    closed = minmax_path_closure(as_dissimilarity).values.tobytes() == u.values.tobytes()
-    report = None if closed else check_ultrametric(as_dissimilarity, tolerance)
+    # closure(x, z) <= mid on a triple's largest pair (x, z), by the path
+    # through y, so u - closure bounds every slack: only a larger gap scans
+    gap = (u.values - minmax_path_closure(as_dissimilarity).values).max(initial=0.0)
+    report = None if gap <= tolerance else check_ultrametric(as_dissimilarity, tolerance)
     if report:
         i, j, k = report.triples[0]
         raise ValueError(

@@ -1,6 +1,9 @@
 """Enumeration and seeded sampling of index triples {i, j, k}, i < j < k.
 
 A triplet scan is a sequence of fixed windows of DEFAULT_CHUNK ranks.
+32,768 ranks make an int64 id column 256 KB, so a scan that hands each
+window's results on holds one small window of them even at n=100 (161,700
+triples); much smaller windows would cost time in per-window Python.
 Exhaustive scans rank the n-choose-3 triples in ascending (i, j, k)
 order; triplet_windows builds any window's index arrays from one pair
 table, so the full enumeration never exists at once. Sampling is
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import rng
 
-DEFAULT_CHUNK = 200_000
+DEFAULT_CHUNK = 32_768
 
 _MAX_REJECTION_ROUNDS = 10_000
 

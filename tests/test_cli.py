@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umtk import __version__, cli, matrixio, triplets
+from umtk import __version__, cli, consensus, matrixio, triplets
 from umtk.cli import main
 from umtk.consensus import consensus_count
 from umtk.corpus import random_mirror
@@ -521,6 +521,53 @@ def test_consensus_runs_one_triplet_scan(tmp_path, monkeypatch):
     assert started == [12]
 
 
+PAIR_SCAN_FILES = ("consensus_matched.csv", "consensus_ultrametric.csv",
+                   "uca_listing.csv", "uca_profile.csv")
+
+
+def pair_scan_files(tmp_path, out):
+    """Bytes of the files the pair scan writes, for consensus and uca on one cloud."""
+    coords = awkward_coords(n=24)
+    matrixio.write_coordinates(tmp_path / "pts.csv", coords)
+    tied = DissimilarityMatrix(np.rint(euclidean_distances(coords).values), coords.point_labels)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", tied)
+    assert main(["consensus", "--input", str(tmp_path / "d.csv"), "--criteria",
+                 "ward,single,average,complete", "--out", str(out)]) == 0
+    assert main(["uca", "--coords", str(tmp_path / "pts.csv"), "--epsilon", "0.3",
+                 "--out", str(out)]) == 0
+    assert not list(out.glob("*.part"))
+    return {name: (out / name).read_bytes() for name in PAIR_SCAN_FILES}
+
+
+@pytest.mark.parametrize("chunk", [7, 97])
+def test_pair_scan_files_do_not_depend_on_the_window(tmp_path, monkeypatch, chunk):
+    wanted = pair_scan_files(tmp_path, tmp_path / "default")
+    assert wanted["consensus_matched.csv"].count(b"\n") > 200
+    assert wanted["uca_listing.csv"].count(b"\n") > 20
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", chunk)
+    assert pair_scan_files(tmp_path, tmp_path / "small") == wanted
+
+
+def test_consensus_failing_scan_leaves_no_matched_file(tmp_path, monkeypatch):
+    values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", DissimilarityMatrix(values))
+    original, windows = consensus._matched_rows, []
+
+    def failing(*args):
+        windows.append(args[-1].size)
+        if len(windows) == 2:
+            raise RuntimeError("second window fails")
+        return original(*args)
+
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 50)
+    monkeypatch.setattr(consensus, "_matched_rows", failing)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="second window fails"):
+        main(["consensus", "--input", str(tmp_path / "d.csv"), "--out", str(out)])
+    assert len(windows) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["consensus_table.csv"]
+
+
 def test_consensus_criteria_validation(tmp_path, capsys):
     src = tmp_path / "d.csv"
     write_example_distances(src)
@@ -635,6 +682,18 @@ def test_ingest_corpus_directory(tmp_path):
     assert table.col_labels == ["the", "sat", "cat"]  # the:3, sat:2, then ties a-z
     header = (out / "termdoc.csv").read_text(encoding="utf-8")
     assert "# top_k: 3" in header
+
+
+def test_ingest_quotes_a_dropped_document_id_with_a_comma(tmp_path):
+    corpus_dir = tmp_path / "docs"
+    corpus_dir.mkdir()
+    # the three dropped documents hold no token
+    for doc_id, text in {"a,b": "12 34", "c": "", 'say "hi"': "--", "d": "the cat"}.items():
+        (corpus_dir / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(corpus_dir), "--top-k", "3", "--out", str(out)]) == 0
+    line, = [h for h in header_lines_of(out / "termdoc.csv") if h.startswith("dropped_docs: ")]
+    assert next(csv.reader([line[len("dropped_docs: "):]])) == ["a,b", "c", 'say "hi"']
 
 
 def test_ingest_then_ca_keeps_a_cr_in_a_document_id(tmp_path):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 import warnings
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_consensus_symmetric_in_arguments(rng):
     assert a.matched == b.matched
     assert a.skipped_ties == b.skipped_ties
     assert set(row_tuples(*a.matched_set[:, :3].T)) == set(row_tuples(*b.matched_set[:, :3].T))
+
+
+def test_consensus_scan_streams_the_matched_rows_in_windows(rng, monkeypatch):
+    u1 = untied_cophenetic(rng, 12, "ward")
+    u2 = UltrametricMatrix(untied_cophenetic(rng, 12).values, list(u1.labels))
+    report = consensus_count(u1, u2)
+    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 9)
+    for workers in (1, 3):
+        blocks = []
+        skipped, ultrametric = consensus.consensus_scan(u1, u2, blocks.append, workers=workers)
+        assert [b[0].shape[0] <= 9 for b in blocks] == [True] * -(-triplet_count(12) // 9)
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]),
+                                      report.matched_set)
+        assert skipped == report.skipped_ties
+        assert ultrametric == report.ultrametric
 
 
 def test_consensus_parallel_equals_serial(rng):
@@ -500,6 +516,70 @@ def test_consensus_dendrogram_skips_the_check_on_a_closed_ultrametric(rng, monke
         np.testing.assert_array_equal(cophenetic(consensus_dendrogram(u)).values, u.values)
     with pytest.raises(ValueError, match="tolerance must be nonnegative"):
         consensus_dendrogram(u, float("nan"))
+
+
+def dendrogram_or_message(u, tolerance):
+    try:
+        h = consensus_dendrogram(u, tolerance)
+    except ValueError as exc:
+        return str(exc)
+    return [tuple(m) for m in h.merges]
+
+
+# a chain of triples each tied within 1 (slack 1), its ends 2 above their closure
+CHAIN = [[0, 10, 11, 12], [10, 0, 10, 11], [11, 10, 0, 10], [12, 11, 10, 0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("integer", "gaussian")),
+    nudged=st.floats(0.0, 1.0),
+    steps=st.integers(1, 4),
+    tolerance=st.sampled_from((None, 0.0, 1e-9, 0.5, 1.0, 2.0)),
+)
+def test_consensus_dendrogram_accepts_and_rejects_as_the_scan_does(
+    n, seed, kind, nudged, steps, tolerance
+):
+    """The closure gap route gives the scan's verdict and message."""
+    gen = np.random.default_rng(seed)
+    values = euclidean_distances(CoordinateMatrix(gen.normal(size=(n, 3)))).values
+    if kind == "integer":
+        values = np.rint(3 * values)  # tied levels
+    u = cophenetic(linkage(DissimilarityMatrix(values), "ward")).values
+    # near-ultrametric: some pairs moved by whole steps of the default tolerance
+    scale = max(1e-9 * float(u.max()), 1e-300) if tolerance != 1.0 else 0.5
+    moved = np.triu(gen.random((n, n)) < nudged, 1)
+    noise = np.where(moved, gen.integers(-steps, steps + 1, size=(n, n)) * scale, 0.0)
+    u = np.maximum(u + noise + noise.T, 0.0)
+    np.fill_diagonal(u, 0.0)
+    u = UltrametricMatrix(u)
+    got = dendrogram_or_message(u, tolerance)
+
+    def never_closed(d):  # every gap infinite: the check always scans
+        return SimpleNamespace(values=np.full(d.values.shape, -np.inf))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "minmax_path_closure", never_closed)
+        assert got == dendrogram_or_message(u, tolerance)
+
+
+def test_consensus_dendrogram_scans_only_a_gap_above_tolerance(monkeypatch):
+    u = UltrametricMatrix(np.array(CHAIN, dtype=float))
+    windows = []
+    original = triplets.triplet_windows
+
+    def counting(n):
+        windows.append(n)
+        return original(n)
+
+    monkeypatch.setattr(triplets, "triplet_windows", counting)
+    assert isinstance(dendrogram_or_message(u, 2.0), list)  # u is not closed, gap 2
+    assert windows == []
+    assert isinstance(dendrogram_or_message(u, 1.0), list)  # gap 2, every slack 1
+    assert "slack 1 (4 violating triples" in dendrogram_or_message(u, 0.5)
+    assert windows == [4, 4]
 
 
 def test_consensus_dendrogram_rejects_nan_tolerance():

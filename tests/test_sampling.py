@@ -221,10 +221,13 @@ def _stacked(chunks):
 
 
 def test_scan_exhaustive_is_chunk_enumeration_in_order():
-    # n = 110 gives two chunks of DEFAULT_CHUNK or fewer
+    # ceil(C(n, 3) / DEFAULT_CHUNK) windows, every one full but the last
     n = 110
     got = list(iter_scan(n, lambda ii, jj, kk: (ii, jj, kk)))
-    assert len(got) == 2 and got[0][0].size == DEFAULT_CHUNK
+    windows = -(-triplet_count(n) // DEFAULT_CHUNK)
+    assert windows >= 2 and len(got) == windows
+    assert [c[0].size for c in got[:-1]] == [DEFAULT_CHUNK] * (windows - 1)
+    assert 0 < got[-1][0].size <= DEFAULT_CHUNK
     np.testing.assert_array_equal(_stacked(got), _stacked(iter_triplet_chunks_buffered(n)))
 
 
