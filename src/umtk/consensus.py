@@ -235,8 +235,7 @@ def consensus_count(
     arguments. consensus_scan runs the scan; this collects its rows.
     """
     blocks = [np.zeros((0, 6), dtype=np.int64)]
-    skipped, ultrametric = consensus_scan(
-        u1, u2, lambda columns: blocks.extend(columns), tie_tolerance, workers)
+    skipped, ultrametric = consensus_scan(u1, u2, blocks.extend, tie_tolerance, workers)
     rows = np.concatenate(blocks)
     return ConsensusReport(triplet_count(u1.n), rows.shape[0], rows, skipped, ultrametric)
 

@@ -548,7 +548,8 @@ def test_consensus_dendrogram_accepts_and_rejects_as_the_scan_does(
     if kind == "integer":
         values = np.rint(3 * values)  # tied levels
     u = cophenetic(linkage(DissimilarityMatrix(values), "ward")).values
-    # near-ultrametric: some pairs moved by whole steps of the default tolerance
+    # near-ultrametric: some pairs moved by whole steps of the default tolerance,
+    # or of 0.5 against a tolerance of 1
     scale = max(1e-9 * float(u.max()), 1e-300) if tolerance != 1.0 else 0.5
     moved = np.triu(gen.random((n, n)) < nudged, 1)
     noise = np.where(moved, gen.integers(-steps, steps + 1, size=(n, n)) * scale, 0.0)
