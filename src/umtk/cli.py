@@ -321,11 +321,12 @@ def _cmd_uca(args: argparse.Namespace) -> int:
                          ["base1", "base2", "apex", "angle_diff_radians"],
                          [labels[retained["base1"]], labels[retained["base2"]],
                           labels[retained["apex"]], retained["base_angle_diff"]], headers)
-    diffs = profile.sorted_diffs
-    matrixio.write_table(_out_path(args, "uca_profile.csv"),
-                         ["rank", "angle_diff_radians"],
-                         [np.arange(1, diffs.size + 1, dtype=np.int64), diffs],
-                         headers + [f"count_at_threshold: {profile.count_at_threshold}"])
+    diffs, step = profile.sorted_diffs, matrixio.CHUNK_CELLS
+    with matrixio.table_stream(_out_path(args, "uca_profile.csv"), ["rank", "angle_diff_radians"],
+                               headers + [f"count_at_threshold: {profile.count_at_threshold}"]
+                               ) as write:
+        for lo in range(0, diffs.size, step):  # a rank column per block, not per profile
+            write([np.arange(lo + 1, min(lo + step, diffs.size) + 1), diffs[lo:lo + step]])
     return 0
 
 

@@ -33,16 +33,18 @@ for byte as format_value and then _quote_cell write each value:
 - entries masked in a numpy masked array as empty cells.
 
 The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
-of same-dtype columns becomes a uint8 array of fixed-width cell slots
-plus a mask of the bytes each cell keeps, and one np.compress joins the
-slots of a chunk into its CSV bytes. Integers and booleans are encoded
-by numpy alone. A float x is scaled to the 17-digit integer D with an
-error-free double-double product (Dekker 1971), and its digits, point
-and exponent come from lookup tables. A cell whose D could be off by one
-(within 1e-9 of a rounding tie, or at a power of ten), and every |x|
-outside [1e-280, 1e280] (also 0, nan and inf), falls back to
-'%.17g' % x, one cell at a time. Text is quoted and encoded once per
-distinct value in a chunk.
+of same-dtype columns becomes one uint8 array of fixed-width cell slots,
+and every slot byte a cell does not write holds FILL (0xFF, a byte that
+never occurs in UTF-8, so no text cell holds it). A chunk's CSV bytes
+are its joined slots with one bytes.translate that deletes FILL.
+Integers and booleans are encoded by numpy alone. A float x is scaled to
+the 17-digit integer D with an error-free double-double product (Dekker
+1971); its digits, point and exponent come from lookup tables and are
+ORed into a word of FILL bytes that leaves open only the bytes the cell
+writes. A cell whose D could be off by one (within 1e-9 of a rounding
+tie, or at a power of ten), and every |x| outside [1e-280, 1e280] (also
+0, nan and inf), falls back to '%.17g' % x, one cell at a time. Text is
+quoted and encoded once per distinct value in a chunk.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ def format_value(v) -> str:
 #: call costs some 100 us of numpy calls, so much smaller chunks cost time.
 CHUNK_CELLS = 8192
 
+#: The slot byte of every byte a cell does not write; no UTF-8 text holds it.
+FILL = 0xFF
+_FILL_BYTE = bytes([FILL])
+
 #: Header and key-value lines escape these so that each stays on one line.
 _HEADER_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
 #: numpy's float parser strips these as whitespace, float() does not.
@@ -123,10 +129,13 @@ def _tables() -> SimpleNamespace:
     pow10: 10**(16 - e) for e in [_E_MIN, _E_MAX] as an unevaluated sum
     hi + lo of doubles, each correctly rounded from exact integer
     arithmetic, with hi split for Dekker's product. quad: the four ASCII
-    digits of 0..9999 as one uint32 each; quad_digits and zeros: their
-    significant and trailing zero digits (1 and 4 for 0). lead_words,
-    digit_words, exp_words: the words of the float cell by d0, by 4-digit
-    group and by e - _E_MIN. The int cell's words and keep masks.
+    digits of 0..9999 as one uint32 each; top_quad: the same without
+    leading zeros, FILL in their place (0 is all FILL); last_quad: top_quad
+    with 0 written "0"; zeros: the trailing zero digits of 0..9999 (4 for
+    0). lead_words, digit_words, exp_words: the words of the float cell by
+    d0, by 4-digit group and by e - _E_MIN; float_fill: its fill words,
+    float_row: the float_fill row of a 17-digit positive cell by e - _E_MIN.
+    The int cell's sign, fill and separator words.
     """
     hi, lo = [], []
     for e in range(_E_MIN, _E_MAX + 1):
@@ -139,25 +148,29 @@ def _tables() -> SimpleNamespace:
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
     q = np.arange(10000)
-    quad = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    quad = (np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+            + ord("0")).astype(np.uint8)
+    top = np.where(q[:, None] < [1000, 100, 10, 1], FILL, quad)
+    last = np.where(q[:, None] < [1000, 100, 10, 0], FILL, quad)
     zeros = np.zeros(10000, dtype=np.uint8)
     for power in (10, 100, 1000, 10000):
         zeros += q % power == 0
-    digit = np.full((10000, 8), ord("."))
+    digit = np.full((10000, 8), ord("."), dtype=np.uint8)
     digit[:, ::2] = quad
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    cls = np.where((e >= _FIXED_E[0]) & (e <= _FIXED_E[-1]), e - _FIXED_E[0] + 2, np.abs(e) >= 100)
     return SimpleNamespace(
         hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=np.array(lo),
-        quad=_words(quad),
+        quad=_words(quad), top_quad=_words(top), last_quad=_words(last),
         zeros=zeros,
         lead_words=np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64),
         digit_words=_words(digit),
         exp_words=np.frombuffer(b"".join(b"e%+04d\0\0," % e
                                          for e in range(_E_MIN, _E_MAX + 1)), np.uint64),
-        float_keep=_float_keep(),
-        quad_digits=1 + (q >= 10) + (q >= 100) + (q >= 1000),
-        sign_word=np.frombuffer(b"\0\0\0-", np.uint32)[0],
-        separator_word=np.frombuffer(b"\0\0\0,", np.uint32)[0],
-        int_keep=[None] + [_int_keep(n_groups) for n_groups in range(1, 6)],
+        float_fill=_float_fill(), float_row=(cls * 17 + 16) * 2,
+        sign_word=np.frombuffer(b"\xff\xff\xff-", np.uint32)[0],
+        fill_word=np.frombuffer(_FILL_BYTE * 4, np.uint32)[0],
+        separator_word=np.frombuffer(b"\xff\xff\xff,", np.uint32)[0],
     )
 
 
@@ -167,24 +180,15 @@ def _words(chars: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(chars, dtype=np.uint8).view(dtype)[:, 0]
 
 
-def _int_keep(n_groups: int) -> np.ndarray:
-    """Keep masks of the int cell with n_groups digit words, by (digits, negative)."""
-    digits = 4 * n_groups
-    slots = np.arange(digits + 8)
-    shown = np.arange(digits + 1)[:, None, None]
-    keep = (slots >= digits + 4 - shown) & (slots < digits + 4) | (slots == digits + 7)
-    keep = keep | ((slots == 3) & np.array([False, True])[:, None])
-    return keep.reshape(-1, digits + 8)
-
-
-def _float_keep() -> np.ndarray:
-    """Keep masks of the canonical float cell, by (class, digits - 1, negative).
+def _float_fill() -> np.ndarray:
+    """Fill words of the canonical float cell, by (class, digits - 1, negative).
 
     The cell is six 8-byte words: "-0.000", d0, "."; four words
     "d.d.d.d." holding d1..d16, each digit followed by a '.' slot; then
     "e", the exponent sign, three exponent digits, two unused slots and
     the ',' separator. "0.000" are the leading zeros of fixed cells with
-    e < 0.
+    e < 0. A fill word's bytes are 0 where the cell writes the ORed byte
+    and FILL elsewhere; the last row is the blank cell, only the ','.
     """
     keep = np.zeros((2 + len(_FIXED_E), 17, 2, 48), dtype=bool)
     keep[..., -1] = True
@@ -202,11 +206,12 @@ def _float_keep() -> np.ndarray:
             dot = np.where(digits > e + 1, e, -1)
         k[..., 6:39:2] = (np.arange(17) < shown)[:, None, :]
         k[..., 7:38:2] = (np.arange(16) == dot)[:, None, :]
-    return keep.reshape(-1, 48)
+    keep = np.concatenate([keep.reshape(-1, 48), np.arange(48)[None, :] == 47])
+    return np.where(keep, 0, FILL).astype(np.uint8).view(np.uint64)
 
 
-def _float_cells(x: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte slots and keep mask of the %.17g cells of x.
+def _float_cells(x: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """Byte slots of the %.17g cells of x.
 
     x is scaled by 10**(16 - e), e = floor(log10|x|), as a double-double
     (Dekker's exact product plus the low part of the power), and rounded
@@ -246,35 +251,33 @@ def _float_cells(x: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarr
     g4 = lower - g3 * 10**4
     z = t.zeros
     trailing = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
-    fixed = (e >= _FIXED_E[0]) & (e <= _FIXED_E[-1])
-    cls = np.where(fixed, e - _FIXED_E[0] + 2, np.abs(e) >= 100)
-    keep = t.float_keep.take((cls * 17 + 16 - trailing) * 2 + (x < 0), axis=0)
-    words = np.empty(x.shape + (6,), dtype=np.uint64)
-    words[..., 0] = t.lead_words[lead]
+    row = t.float_row[i] - 2 * trailing + (x < 0)
+    row[blank] = len(t.float_fill) - 1
+    words = t.float_fill.take(row, axis=0)
+    words[..., 0] |= t.lead_words[lead]
     for j, group in enumerate((g1, g2, g3, g4), start=1):
-        words[..., j] = t.digit_words[group]
-    words[..., 5] = t.exp_words[i]
+        words[..., j] |= t.digit_words[group]
+    words[..., 5] |= t.exp_words[i]
     buf = words.view(np.uint8)
-    keep[blank, :-1] = False
     if hard.any():
-        _put_bytes(buf, keep, hard, [b"%.17g" % v for v in x[hard].tolist()])
-    return buf, keep
+        _put_bytes(buf, hard, [b"%.17g" % v for v in x[hard].tolist()])
+    return buf
 
 
-def _int_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte slots and keep mask of the %d cells of an integer array.
+def _int_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """Byte slots of the %d cells of an integer array.
 
-    The cell is 4-byte words: the sign at the end of the first, as many
-    4-digit groups as the largest magnitude in v needs, then the ','.
+    The cell is 4-byte words: a sign word if some cell of v is negative,
+    as many 4-digit groups as the largest magnitude in v needs, then the
+    ','. A cell's groups above its highest nonzero one are FILL, and that
+    one is written without leading zeros.
     """
     t = _tables()
-    if v.dtype.kind == "u":
-        negative = np.zeros(v.shape, dtype=bool)
-        u = v.astype(np.uint64)
-    else:
-        v = v.astype(np.int64)
-        negative = v < 0
-        u = v.view(np.uint64)
+    v = v.astype(np.uint64 if v.dtype.kind == "u" else np.int64)
+    negative = v < 0
+    signed = int(negative.any())
+    u = v.view(np.uint64)
+    if signed:
         u = np.where(negative, np.negative(u), u)
     u[blank] = 0
     groups, top = [u], int(u.max(initial=0))
@@ -283,33 +286,33 @@ def _int_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray
         high = groups[-1] // 10**4
         groups[-1] = groups[-1] - high * 10**4
         groups.append(high)
-    shown = t.quad_digits[groups[0]]
-    for j, group in enumerate(groups[1:], start=1):
-        shown = np.where(group > 0, 4 * j + t.quad_digits[group], shown)
-    words = np.empty(v.shape + (len(groups) + 2,), dtype=np.uint32)
-    words[..., 0] = t.sign_word
-    for j, group in enumerate(reversed(groups), start=1):
-        words[..., j] = t.quad[group]
+    words = np.empty(v.shape + (signed + len(groups) + 1,), dtype=np.uint32)
+    if signed:
+        words[..., 0] = np.where(negative, t.sign_word, t.fill_word)
+    high, *lower = reversed(groups)
+    words[..., signed] = (t.top_quad if lower else t.last_quad)[high]
+    started = high > 0
+    for j, group in enumerate(lower, start=signed + 1):
+        first = (t.last_quad if group is lower[-1] else t.top_quad)[group]
+        words[..., j] = np.where(started, t.quad[group], first)
+        started |= group > 0
     words[..., -1] = t.separator_word
-    keep = t.int_keep[len(groups)].take(shown * 2 + negative, axis=0)
-    keep[blank, :-1] = False
-    return words.view(np.uint8), keep
+    words[blank, :-1] = t.fill_word
+    return words.view(np.uint8)
 
 
-_BOOL_CELLS = np.frombuffer(b"false,true,,", np.uint8).reshape(2, 6)
+_BOOL_CELLS = np.frombuffer(b"false,true\xff,", np.uint8).reshape(2, 6)
 
 
-def _bool_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte slots and keep mask of the true/false cells of a bool array."""
+def _bool_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """Byte slots of the true/false cells of a bool array."""
     buf = _BOOL_CELLS[v.astype(np.intp)]
-    keep = buf != ord(",")
-    keep[..., -1] = True
-    keep[blank, :-1] = False
-    return buf, keep
+    buf[blank, :-1] = FILL
+    return buf
 
 
-def _text_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte slots and keep mask of text cells, each as _quote_cell writes it.
+def _text_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """Byte slots of text cells, each as _quote_cell writes it.
 
     Each distinct text is quoted and encoded once; code len(distinct)
     is the blank cell.
@@ -320,25 +323,21 @@ def _text_cells(v: np.ndarray, blank: np.ndarray) -> tuple[np.ndarray, np.ndarra
         codes[text] = code
     cells = [_quote_cell(s).encode("utf-8") for s in codes]
     width = max(map(len, cells), default=0)
-    table = np.zeros((len(cells) + 1, max(width, 2) + 1), dtype=np.uint8)
-    table_keep = np.zeros(table.shape, dtype=bool)
+    table = np.full((len(cells) + 1, max(width, 2) + 1), FILL, dtype=np.uint8)
     table[:, -1] = ord(",")
-    table_keep[:, -1] = True
     if cells:
-        _put_bytes(table[:-1], table_keep[:-1], np.ones(len(cells), dtype=bool), cells)
+        _put_bytes(table[:-1], np.ones(len(cells), dtype=bool), cells)
     index = np.full(v.shape, len(cells))
     index[~blank] = np.fromiter(map(codes.__getitem__, texts), dtype=np.intp,
                                 count=len(texts))
-    return table.take(index, axis=0), table_keep.take(index, axis=0)
+    return table.take(index, axis=0)
 
 
-def _put_bytes(buf: np.ndarray, keep: np.ndarray, where: np.ndarray,
-               cells: list[bytes]) -> None:
-    """Write cells (one per True entry of where) into their slots, unpadded."""
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    width = max(int(lengths.max()), 1)
-    buf[where, :width] = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    keep[where, :-1] = np.arange(buf.shape[-1] - 1) < lengths[:, None]
+def _put_bytes(buf: np.ndarray, where: np.ndarray, cells: list[bytes]) -> None:
+    """Write cells (one per True entry of where) into their slots, FILL-padded."""
+    width = buf.shape[-1] - 1
+    padded = b"".join(cell.ljust(width, _FILL_BYTE) for cell in cells)
+    buf[where, :-1] = np.frombuffer(padded, np.uint8).reshape(-1, width)
 
 
 _ENCODERS = {"i": _int_cells, "u": _int_cells, "f": _float_cells, "b": _bool_cells,
@@ -349,20 +348,20 @@ def _encode_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
     """CSV bytes of rows given as (values, blank) blocks of shape (rows, k).
 
     Each block's encoder returns a fixed-width byte slot array per cell,
-    ending in a ',' separator, and a mask of the bytes to keep; the rows
-    are the kept bytes of the joined slots, with '\n' in the last one.
+    ending in a ',' separator, with FILL in every byte the cell does not
+    write; the rows are the joined slots, with '\n' in the last one, less
+    their FILL bytes.
     """
-    parts = [_ENCODERS[values.dtype.kind](values, blank) for values, blank in blocks]
     rows = blocks[0][0].shape[0]
-    buf = np.concatenate([b.reshape(rows, -1) for b, _ in parts], axis=1)
-    keep = np.concatenate([k.reshape(rows, -1) for _, k in parts], axis=1)
+    parts = [_ENCODERS[values.dtype.kind](values, blank).reshape(rows, -1)
+             for values, blank in blocks]
+    buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # no copy of one
     buf[:, -1] = ord("\n")
     if sum(values.shape[1] for values, _ in blocks) == 1:
         # a row whose only cell is empty is written "", not as an empty line
-        empty = ~keep[:, :-1].any(axis=1)
+        empty = (buf[:, :-1] == FILL).all(axis=1)
         buf[empty, :2] = ord('"')
-        keep[empty, :2] = True
-    return np.compress(keep.reshape(-1), buf.reshape(-1)).tobytes()
+    return buf.tobytes().translate(None, _FILL_BYTE)
 
 
 def _data_and_blank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -548,6 +548,23 @@ def test_pair_scan_files_do_not_depend_on_the_window(tmp_path, monkeypatch, chun
     assert pair_scan_files(tmp_path, tmp_path / "small") == wanted
 
 
+def test_uca_profile_does_not_depend_on_its_blocks(tmp_path, monkeypatch):
+    wanted = pair_scan_files(tmp_path, tmp_path / "default")
+    assert wanted["uca_profile.csv"].count(b"\n") > 20
+    # 5-cell chunks write the profile in 5-row blocks of 2-row chunks
+    monkeypatch.setattr(matrixio, "CHUNK_CELLS", 5)
+    assert pair_scan_files(tmp_path, tmp_path / "small") == wanted
+
+
+def test_uca_writes_an_empty_profile_as_its_header(tmp_path):
+    (tmp_path / "line.csv").write_text(",f1,f2\na,0,0\nb,1,0\nc,2,0\n")
+    out = tmp_path / "out"
+    assert main(["uca", "--coords", str(tmp_path / "line.csv"), "--out", str(out)]) == 0
+    profile = read_lines(out / "uca_profile.csv")
+    assert "# count_at_threshold: 0" in profile
+    assert [line for line in profile if not line.startswith("#")] == ["rank,angle_diff_radians"]
+
+
 def test_consensus_failing_scan_leaves_no_matched_file(tmp_path, monkeypatch):
     values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
     matrixio.write_dissimilarity(tmp_path / "d.csv", DissimilarityMatrix(values))

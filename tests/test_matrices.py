@@ -637,6 +637,50 @@ def test_int_cells_match_percent_d_at_scale(tmp_path, rng):
         assert lines == ["%d" % v for v in values.tolist()], name
 
 
+#: Texts near the filler byte 0xFF: NUL, and the characters whose UTF-8 ends in 0xBF.
+_FILL_NEIGHBOURS = ["\x00", "\u00ff", "\uffff", "\U0010ffff", "a\x00b", "\u00ff,\x00",
+                    '"\uffff"', "x\r\n\U0010ffff", "", "\x00\x00\u00ff\uffff"]
+
+
+def test_text_cells_keep_every_byte_next_to_the_filler(tmp_path):
+    """Text cells are _quote_cell's UTF-8 bytes, in header and body, in every column."""
+    texts, r = _FILL_NEIGHBOURS, np.arange(23)
+    # a str array drops trailing NULs itself, so its cells are read back from it
+    columns = [np.array(texts, dtype=object)[r % 10], r - 3,
+               np.array(texts, dtype=object)[(r + 3) % 10], np.array(texts, dtype=str)[(r + 7) % 10]]
+    header = [texts[0], texts[4], texts[1], texts[3]]
+    matrixio.write_table(tmp_path / "t.csv", header, columns)
+    lines = [header] + [[c if isinstance(c, str) else "%d" % c for c in row]
+                        for row in zip(*(c.tolist() for c in columns))]
+    assert (tmp_path / "t.csv").read_bytes() == b"".join(
+        ",".join(map(matrixio._quote_cell, line)).encode("utf-8") + b"\n" for line in lines)
+    # a single-column row is '""' only when its cell writes no byte
+    matrixio.write_table(tmp_path / "one.csv", ["\x00"], [np.array(texts, dtype=object)])
+    assert (tmp_path / "one.csv").read_bytes() == b"".join(
+        (matrixio._quote_cell(t) or '""').encode("utf-8") + b"\n" for t in ["\x00", *texts])
+
+
+def test_int_chunks_with_and_without_a_negative(tmp_path, rng):
+    """Only a chunk that holds a negative gets a sign word; the bytes do not show it."""
+    step = matrixio.CHUNK_CELLS // 3
+    chunks = [rng.integers(0, 300, (step, 3)), rng.integers(-(10**9), 10**9, (step, 3)),
+              rng.integers(0, 10**8 + 1, (step, 3)), rng.integers(0, 10**4, (step, 3)),
+              rng.integers(-(10**4), 10**4, (step + 5, 3))]
+    chunks[0][5, 1], chunks[2][7, 2], chunks[3][9, 0] = -1, -(10**8), -(2**63)
+    values = np.concatenate(chunks)
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[step * 3 + 9, 0] = True  # chunk 3's only negative is blank
+    columns = [np.ma.array(values[:, 0], mask=mask[:, 0]), values[:, 1], values[:, 2]]
+    matrixio.write_table(tmp_path / "once.csv", ["a", "b", "c"], columns)
+    expected = ["a,b,c"] + [",".join("" if m else "%d" % v for v, m in zip(row, row_mask))
+                            for row, row_mask in zip(values.tolist(), mask.tolist())]
+    assert (tmp_path / "once.csv").read_text().splitlines() == expected
+    with matrixio.table_stream(tmp_path / "blocks.csv", ["a", "b", "c"]) as write:
+        for lo in range(0, len(values), 1000):
+            write([c[lo:lo + 1000] for c in columns])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+
+
 def test_labeled_matrix_matches_row_writer(tmp_path, rng):
     # a float block many chunks long and wider than one column, beside labels
     values = rng.integers(0, 2**64 - 1, (matrixio.CHUNK_CELLS // 5 + 3, 7), dtype=np.uint64,
