@@ -179,7 +179,6 @@ def consensus_scan(
     u2: UltrametricMatrix,
     write: Callable[[list[np.ndarray]], None],
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    workers: int = 1,
 ) -> tuple[int, UltrametricMatrix]:
     """consensus_count's scan: (skipped_ties, ultrametric), the matched rows streamed.
 
@@ -201,7 +200,7 @@ def consensus_scan(
         return rows, int((~both_iso).sum()), pairs, smallest
 
     skipped = 0
-    for rows, skips, pairs, smallest in iter_scan(n, kernel, workers=workers):
+    for rows, skips, pairs, smallest in iter_scan(n, kernel):
         write([rows])
         skipped += skips
         for pair in pairs:
@@ -216,7 +215,6 @@ def consensus_count(
     u1: UltrametricMatrix,
     u2: UltrametricMatrix,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    workers: int = 1,
 ) -> ConsensusReport:
     """Count triplets on which two ultrametrics agree morphologically.
 
@@ -235,7 +233,7 @@ def consensus_count(
     arguments. consensus_scan runs the scan; this collects its rows.
     """
     blocks = [np.zeros((0, 6), dtype=np.int64)]
-    skipped, ultrametric = consensus_scan(u1, u2, blocks.extend, tie_tolerance, workers)
+    skipped, ultrametric = consensus_scan(u1, u2, blocks.extend, tie_tolerance)
     rows = np.concatenate(blocks)
     return ConsensusReport(triplet_count(u1.n), rows.shape[0], rows, skipped, ultrametric)
 

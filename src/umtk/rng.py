@@ -3,7 +3,7 @@
 Every value in the stream is a pure function of (seed, position), so any
 slice of the stream can be generated independently of any other slice.
 That is what makes sampled triplet scans reproducible regardless of how
-the work is chunked or threaded, and it keeps generated matrices
+the work is split into windows, and it keeps generated matrices
 bit-identical across platforms.
 """
 

@@ -9,9 +9,9 @@ order; triplet_windows builds any window's index arrays from one pair
 table, so the full enumeration never exists at once. Sampling is
 counter-based: draw t depends only on (seed, t). iter_scan is the one
 driver: it yields a per-window kernel's results over either source in
-window order; with workers > 1 each pool thread builds the windows it
-runs. Kernels hold no shared state: they return integer or
-elementwise-independent results, so serial and threaded scans agree.
+window order, building each window only when the caller pulls it.
+Kernels hold no shared state: they return their results and the caller
+combines them in window order.
 
 sort3 orders the three values of every triplet (pair values, angles,
 or a draw's ids), and first_smallest reads the apex off the smallest.
@@ -19,9 +19,6 @@ or a draw's ids), and first_smallest reads the apex off the smallest.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -110,18 +107,14 @@ def iter_scan(
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], T],
     sample: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> Iterator[T]:
     """Yield kernel(ii, jj, kk) for every DEFAULT_CHUNK window of a triplet scan.
 
     The windows are triplet_windows(n)'s ranks, or with a sample the
     seeded draws sample_triplets(n, sample, seed); the arguments are
     checked on the call, before any window is built. Results come in
-    window order. With workers > 1 each pool thread builds the windows it
-    runs, and at most `workers` windows are in flight ahead of the caller.
+    window order, and each window is built only when the caller pulls it.
     """
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if sample is None:
         count, window = triplet_windows(n)
     elif sample < 1:
@@ -138,15 +131,7 @@ def iter_scan(
     def run(lo: int) -> T:
         return kernel(*window(lo, min(lo + chunk, count)))
 
-    def pooled() -> Iterator[T]:
-        pending = iter(starts)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ahead = deque(pool.submit(run, lo) for lo in islice(pending, workers))
-            while ahead:  # each result handed out frees a slot for the next window
-                yield ahead.popleft().result()
-                ahead.extend(pool.submit(run, lo) for lo in islice(pending, 1))
-
-    return pooled() if workers > 1 else map(run, starts)
+    return map(run, starts)
 
 
 def sort3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

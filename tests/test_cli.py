@@ -844,8 +844,9 @@ def test_commands_run_without_scipy(tiny_inputs, tmp_path, args):
     assert result.returncode == 0, result.stderr
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, umtk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+@pytest.mark.parametrize("prefix", ["scipy", "concurrent"])
+def test_import_loads_no(prefix):
+    code = f"import sys, umtk.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=source_env())
     assert result.returncode == 0, result.stderr

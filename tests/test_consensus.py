@@ -183,25 +183,12 @@ def test_consensus_scan_streams_the_matched_rows_in_windows(rng, monkeypatch):
     u2 = UltrametricMatrix(untied_cophenetic(rng, 12).values, list(u1.labels))
     report = consensus_count(u1, u2)
     monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 9)
-    for workers in (1, 3):
-        blocks = []
-        skipped, ultrametric = consensus.consensus_scan(u1, u2, blocks.append, workers=workers)
-        assert [b[0].shape[0] <= 9 for b in blocks] == [True] * -(-triplet_count(12) // 9)
-        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]),
-                                      report.matched_set)
-        assert skipped == report.skipped_ties
-        assert ultrametric == report.ultrametric
-
-
-def test_consensus_parallel_equals_serial(rng):
-    u1 = untied_cophenetic(rng, 15, "ward")
-    u2 = UltrametricMatrix(untied_cophenetic(rng, 15).values, list(u1.labels))
-    serial = consensus_count(u1, u2, workers=1)
-    parallel = consensus_count(u1, u2, workers=4)
-    assert (serial.total_triplets, serial.matched, serial.skipped_ties) == (
-        parallel.total_triplets, parallel.matched, parallel.skipped_ties
-    )
-    assert np.array_equal(serial.matched_set, parallel.matched_set)
+    blocks = []
+    skipped, ultrametric = consensus.consensus_scan(u1, u2, blocks.append)
+    assert [b[0].shape[0] <= 9 for b in blocks] == [True] * -(-triplet_count(12) // 9)
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), report.matched_set)
+    assert skipped == report.skipped_ties
+    assert ultrametric == report.ultrametric
 
 
 def test_results_with_array_fields_compare_by_value(rng):
@@ -210,7 +197,6 @@ def test_results_with_array_fields_compare_by_value(rng):
     report = consensus_count(u1, u2)
     assert report.matched > 1
     assert report == consensus_count(u1, u2)
-    assert consensus_count(u1, u2, workers=2) == consensus_count(u1, u2, workers=1)
     changed_row = report.matched_set.copy()
     changed_row[-1, 5] = changed_row[-1, 3]
     assert report != replace(report, matched_set=changed_row)
@@ -445,8 +431,7 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
     ultrams = [cophenetic(linkage(d, crit)) for crit in INVERSION_FREE_CRITERIA]
     pairs = [(u1, u2) for u1 in ultrams for u2 in ultrams]
     wanted = [consensus_ultrametric_two_branch(u1, u2).values.tobytes() for u1, u2 in pairs]
-    # small chunks, so that four workers really do lower the shared
-    # candidate matrix from several chunks at once
+    # small windows, so that several windows lower the candidate matrix in turn
     original = triplets.triplet_windows
     built = []
 
@@ -463,12 +448,11 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
         mp.setattr(triplets, "DEFAULT_CHUNK", triplet_count(n) // 7 + 1)
         mp.setattr(triplets, "triplet_windows", counting)
         for (u1, u2), want in zip(pairs, wanted):
-            for workers in (1, 4):
-                built.clear()
-                got = consensus_count(u1, u2, workers=workers).ultrametric
-                assert got.values.tobytes() == want
-                assert got.labels == u1.labels
-                assert len(built) >= 2 or triplet_count(n) < 2
+            built.clear()
+            got = consensus_count(u1, u2).ultrametric
+            assert got.values.tobytes() == want
+            assert got.labels == u1.labels
+            assert len(built) >= 2 or triplet_count(n) < 2
 
 
 def test_consensus_dendrogram_frozen_example():

@@ -1,5 +1,4 @@
 import itertools
-import threading
 
 import numpy as np
 import pytest
@@ -132,43 +131,6 @@ def test_windows_match_the_buffered_generator(n, data):
         _assert_same_int64(window(lo, hi), tuple(full[:, lo:hi]))
 
 
-@pytest.mark.parametrize("sample, seed", [(None, None), (60, 3)])
-def test_threaded_scan_holds_at_most_one_built_window_per_worker(monkeypatch, sample, seed):
-    # C(8, 3) = 56 triples or 60 draws in windows of 7: 8 or 9 windows
-    workers = 2
-    lock = threading.Lock()
-    state = {"built": 0, "open": 0, "peak": 0}
-
-    def built(triples):
-        with lock:
-            state["built"] += 1
-            state["open"] += 1
-            state["peak"] = max(state["peak"], state["open"])
-        return triples
-
-    def counting_windows(n):
-        count, window = original_windows(n)
-        return count, lambda lo, hi: built(window(lo, hi))
-
-    def kernel(ii, jj, kk):
-        result = int(ii.sum()), int((jj * kk).sum()), ii.size
-        with lock:
-            state["open"] -= 1
-        return result
-
-    original_windows, original_sample = triplets.triplet_windows, triplets.sample_triplets
-    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
-    monkeypatch.setattr(triplets, "triplet_windows", counting_windows)
-    monkeypatch.setattr(
-        triplets, "sample_triplets", lambda *a, **kw: built(original_sample(*a, **kw))
-    )
-    threaded = list(iter_scan(8, kernel, sample, seed, workers=workers))
-    assert state["built"] == len(threaded) >= 8
-    assert state["open"] == 0
-    assert state["peak"] <= workers
-    assert list(iter_scan(8, kernel, sample, seed)) == threaded
-
-
 def test_sample_triplets_deterministic_and_splittable():
     a = sample_triplets(40, 100, seed=7)
     b = sample_triplets(40, 100, seed=7)
@@ -248,16 +210,6 @@ def test_scan_sampled_is_seeded_draws_in_order():
     )
 
 
-@pytest.mark.parametrize("sample, seed", [(None, None), (DEFAULT_CHUNK * 2 + 5, 4)])
-def test_scan_threaded_equals_serial(sample, seed):
-    def kernel(ii, jj, kk):
-        return int(ii.sum()), int((jj * kk).sum()), ii.size
-
-    serial = list(iter_scan(110, kernel, sample, seed, workers=1))
-    assert len(serial) >= 2
-    assert list(iter_scan(110, kernel, sample, seed, workers=4)) == serial
-
-
 @pytest.mark.parametrize("sample, seed, match", [(0, 1, "positive"), (5, None, "seed")])
 def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
     calls = []
@@ -266,21 +218,16 @@ def test_scan_rejects_bad_sampling_before_any_kernel_call(sample, seed, match):
     assert calls == []
 
 
-@pytest.mark.parametrize("n, sample, workers, match", [
-    (2, 5, 1, "at least 3"),
-    (0, 1, 2, "at least 3"),
-    (10, None, 0, "workers"),
-    (10, None, -1, "workers"),
-    (10, 5, 2.5, "workers"),
+@pytest.mark.parametrize("n, sample, match", [
+    (2, 5, "at least 3"),
+    (0, 1, "at least 3"),
 ])
-def test_iter_scan_checks_every_argument_before_building_a_window(
-    monkeypatch, n, sample, workers, match
-):
+def test_iter_scan_checks_every_argument_before_building_a_window(monkeypatch, n, sample, match):
     built = []
     monkeypatch.setattr(triplets, "sample_triplets", lambda *a, **k: built.append(a))
     monkeypatch.setattr(triplets, "triplet_windows", lambda *a: built.append(a))
     with pytest.raises(ValueError, match=match):
-        iter_scan(n, lambda *chunk: chunk, sample=sample, seed=1, workers=workers)
+        iter_scan(n, lambda *chunk: chunk, sample=sample, seed=1)
     assert built == []
 
 
@@ -353,12 +300,11 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
     _assert_same(diff[~mask], w_diff[~mask])
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_iter_scan_yields_each_window_as_the_caller_pulls(monkeypatch, workers):
+def test_iter_scan_yields_each_window_as_the_caller_pulls(monkeypatch):
     monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 7)
     ran = []
-    results = iter_scan(8, lambda ii, jj, kk: ran.append(ii.size) or ii.size, workers=workers)
+    results = iter_scan(8, lambda ii, jj, kk: ran.append(ii.size) or ii.size)
     assert ran == []
     assert next(results) == 7
-    assert len(ran) <= workers  # windows in flight ahead of the caller
+    assert ran == [7]  # no window is built ahead of the caller
     assert list(results) == [7] * 7 and ran == [7] * 8

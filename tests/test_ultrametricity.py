@@ -14,6 +14,7 @@ from umtk.ultrametricity import (
     TripletGeometry,
     alpha_epsilon,
     classify_triplet,
+    coefficient_scan,
     lerman_h,
     rammal_index,
     scan_triplet_verdicts,
@@ -247,13 +248,6 @@ def test_alpha_sampling_determinism(rng):
     assert a.counted + a.excluded_degenerate == 500
 
 
-def test_alpha_parallel_equals_serial(rng):
-    coords = CoordinateMatrix(rng.normal(size=(40, 2)))
-    serial = alpha_epsilon(coords, workers=1)
-    parallel = alpha_epsilon(coords, workers=4)
-    assert serial == parallel
-
-
 def test_alpha_errors(rng):
     with pytest.raises(ValueError, match="three points"):
         alpha_epsilon(CoordinateMatrix(np.zeros((2, 2))))
@@ -263,6 +257,12 @@ def test_alpha_errors(rng):
         alpha_epsilon(EQUILATERAL, sample=10)
     with pytest.raises(ValueError, match="degenerate"):
         alpha_epsilon(COLLINEAR)
+
+
+def test_coefficient_scan_options_are_keyword_only(rng):
+    # a fifth positional argument would otherwise silently set lerman
+    with pytest.raises(TypeError):
+        coefficient_scan(random_dissimilarity(rng, 5), None, None, None, 2)
 
 
 def test_scan_verdicts_agree_with_alpha(rng):
