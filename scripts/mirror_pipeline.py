@@ -16,6 +16,7 @@ a quick look:
 """
 
 import argparse
+import gc
 import sys
 import time
 
@@ -82,4 +83,6 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # import-time objects are never garbage: frozen, no collection walks them, not even at exit
+    gc.freeze()
     main()

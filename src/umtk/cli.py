@@ -7,12 +7,17 @@ byte-for-byte. Input paths are echoed by basename only, to keep outputs
 location-independent.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
+
+entry() (the umtk script, python -m) freezes the import-time heap with
+gc.freeze() before main(); main() does not, so in-process callers keep
+their objects collectable.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from pathlib import Path
 
@@ -379,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # import-time objects are never garbage: frozen, no collection walks them, not even at exit
+    gc.freeze()
     sys.exit(main())
 
 

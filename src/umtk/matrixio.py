@@ -30,7 +30,8 @@ for byte as format_value and then _quote_cell write each value:
 - booleans as true / false;
 - strings as they are, but quoted with their quotes doubled if they hold
   ',', '"', CR or LF (CR too: the reader takes it as a line end);
-- entries masked in a numpy masked array as empty cells.
+- masked entries as empty cells: a column with a mask (a numpy masked
+  array, or any object with .data and .mask) is blank where it is true.
 
 The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
 of same-dtype columns becomes one uint8 array of fixed-width cell slots,
@@ -54,7 +55,6 @@ import csv
 import functools
 import itertools
 import shutil
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -364,16 +364,17 @@ def _encode_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
     return buf.tobytes().translate(None, _FILL_BYTE)
 
 
-def _data_and_blank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The data of an array and its mask, None if no entry is masked.
+def _data_and_blank(column) -> tuple[np.ndarray, np.ndarray | None]:
+    """The data of a column and its mask, None if no entry is masked.
 
-    numpy loads numpy.ma lazily, and a masked array exists only once it
-    is loaded, so writing plain arrays does not import it.
+    A column is masked if it has a .mask, so a (data, mask) pair is
+    written as the masked array would be. numpy loads numpy.ma only on
+    first use, and neither plain arrays nor such pairs import it here.
     """
-    ma = sys.modules.get("numpy.ma")
-    if ma is None or not isinstance(values, ma.MaskedArray):
-        return values, None
-    return values.data, values.mask if ma.is_masked(values) else None
+    mask = getattr(column, "mask", None)
+    if mask is None:
+        return np.asarray(column), None
+    return np.asarray(column.data), np.asarray(mask) if np.any(mask) else None
 
 
 def _block_rows(block: list[tuple[np.ndarray, np.ndarray | None]], lo: int, hi: int,
@@ -410,14 +411,13 @@ def table_stream(
 
     def write(columns: Sequence[np.ndarray]) -> None:
         nonlocal fh
-        columns = [np.asanyarray(c) for c in columns]
-        widths = [c.shape[1] if c.ndim == 2 else 1 for c in columns]
+        columns = [_data_and_blank(c) for c in columns]
+        widths = [v.shape[1] if v.ndim == 2 else 1 for v, _ in columns]
         if sum(widths) != len(header):
             raise ValueError(f"{len(header)} header cells for {sum(widths)} columns")
-        if any(c.ndim not in (1, 2) for c in columns) or len({len(c) for c in columns}) != 1:
+        if any(v.ndim not in (1, 2) for v, _ in columns) or len({len(v) for v, _ in columns}) != 1:
             raise ValueError("table columns must be 1-D arrays of equal length")
-        blocks = [[_data_and_blank(c) for c in run]
-                  for _, run in itertools.groupby(columns, key=lambda c: c.dtype)]
+        blocks = [list(run) for _, run in itertools.groupby(columns, key=lambda c: c[0].dtype)]
         for block in blocks:
             if block[0][0].dtype.kind not in _ENCODERS:
                 raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
@@ -425,7 +425,7 @@ def table_stream(
             fh = open(path, "wb")
             fh.write(_comment_block(header_lines))
             fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
-        for lo in range(0, len(columns[0]), step):
+        for lo in range(0, len(columns[0][0]), step):
             fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in blocks]))
 
     try:

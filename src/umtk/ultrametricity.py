@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,12 @@ COS_TOLERANCE = 1e-12
 #: Absolute slack allowed when comparing the smallest angle to pi/3,
 #: covering one-ulp effects in exactly equilateral configurations.
 ANGLE_SLACK = 1e-12
+
+
+class Masked(NamedTuple):
+    """A masked array's data and mask: matrixio writes both alike, but this needs no numpy.ma."""
+    data: np.ndarray
+    mask: np.ndarray
 
 
 @dataclass
@@ -190,7 +196,8 @@ def coefficient_scan(
 
     With epsilon, d holds the points' euclidean_distances: alpha is
     alpha_epsilon's (None if every triplet is degenerate), and verdicts
-    takes each window's scan_triplet_verdicts columns. With lerman, H is
+    takes each window's scan_triplet_verdicts columns, apex and
+    base_angle_diff as Masked pairs. With lerman, H is
     lerman_h's; points takes each window's treves_hartmann_points records.
     Columns go out in scan order as each window comes.
     """
@@ -216,8 +223,7 @@ def coefficient_scan(
             ultra &= ~degen
             counts = int(ultra.sum()), int(degen.sum())
             if verdicts is not None:
-                rows = [ii, jj, kk, np.ma.array(apex, mask=degen),
-                        np.ma.array(diff, mask=degen), ultra]
+                rows = [ii, jj, kk, Masked(apex, degen), Masked(diff, degen), ultra]
         if lerman:
             _, mid, hi = sort3(ranks[ii, jj], ranks[ii, kk], ranks[jj, kk])
             gap = float((hi - mid).sum())
@@ -282,8 +288,8 @@ def scan_triplet_verdicts(
     coefficient_scan(euclidean_distances(coords), epsilon, sample, seed, lerman=False,
                      verdicts=blocks.append)
     ii, jj, kk, apex, diff, ultra = zip(*blocks)
-    return (*map(np.concatenate, (ii, jj, kk)), np.ma.concatenate(apex),
-            np.ma.concatenate(diff), np.concatenate(ultra))
+    apex, diff = (np.ma.MaskedArray(*map(np.concatenate, zip(*pairs))) for pairs in (apex, diff))
+    return (*map(np.concatenate, (ii, jj, kk)), apex, diff, np.concatenate(ultra))
 
 
 def rammal_index(d: DissimilarityMatrix) -> float:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import os
 import re
 import subprocess
@@ -851,3 +852,33 @@ def test_import_loads_no(prefix):
                             capture_output=True, text=True, env=source_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def run_entry(code_at_exit, args, cwd):
+    """Run entry() on args in a fresh process that prints code_at_exit's value at exit."""
+    code = (f"import atexit, gc, sys; atexit.register(lambda: print({code_at_exit})); "
+            "from umtk.cli import entry; entry()")
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=source_env(), cwd=cwd)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["mirror", "3", "4", "--out", "out"]])
+def test_entry_freezes_the_import_time_heap(tmp_path, args):
+    assert int(run_entry("gc.get_freeze_count()", args, tmp_path)) > 0
+
+
+def test_main_freezes_nothing(tmp_path):
+    """In-process callers keep their own objects collectable."""
+    before = gc.get_freeze_count()
+    assert main(["mirror", "3", "4", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_per_triplet_coeffs_do_not_load_numpy_ma(tmp_path):
+    """Degenerate triangles are written blank without a masked array."""
+    matrixio.write_coordinates(tmp_path / "c.csv", awkward_coords())
+    args = ["coeffs", "--coords", "c.csv", "--per-triplet", "--out", "out"]
+    assert run_entry("'numpy.ma' in sys.modules", args, tmp_path) == "False"
+    assert ",," in (tmp_path / "out" / "coeffs_triplets.csv").read_text(encoding="utf-8")

@@ -15,6 +15,7 @@ from umtk.matrices import (
     euclidean_distances,
 )
 from umtk import matrixio
+from umtk.ultrametricity import Masked
 
 from .oracles import brute_pairwise, read_labeled_matrix_csv, write_rows
 
@@ -679,6 +680,10 @@ def test_int_chunks_with_and_without_a_negative(tmp_path, rng):
         for lo in range(0, len(values), 1000):
             write([c[lo:lo + 1000] for c in columns])
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+    # a (data, mask) pair, as coefficient_scan hands its verdicts, writes as the masked array
+    pair = Masked(values[:, 0], mask[:, 0])
+    matrixio.write_table(tmp_path / "pair.csv", ["a", "b", "c"], [pair, *columns[1:]])
+    assert (tmp_path / "pair.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
 
 
 def test_labeled_matrix_matches_row_writer(tmp_path, rng):
