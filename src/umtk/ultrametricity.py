@@ -48,7 +48,7 @@ ANGLE_SLACK = 1e-12
 
 
 class Masked(NamedTuple):
-    """A masked array's data and mask: matrixio writes both alike, but this needs no numpy.ma."""
+    """A column blank where mask is true; matrixio writes it as a masked array, without numpy.ma."""
     data: np.ndarray
     mask: np.ndarray
 
