@@ -295,13 +295,13 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
                                   headers)
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
-    # the skips are known after the scan: rows stream to a part file first
-    matched = _out_path(args, "consensus_matched.csv")
-    part = matched.with_name(matched.name + ".part")
-    with matrixio.table_stream(part, ["i", "j", "k", "base_i", "base_j", "apex"]) as write:
-        skipped, ultrametric = consensus_scan(table.ultrametrics[0], table.ultrametrics[1],
-                                              write)
-    matrixio.prepend_comments(part, matched, pair_headers + [f"skipped_ties: {skipped}"])
+    skipped, ultrametric, rows = consensus_scan(table.ultrametrics[0], table.ultrametrics[1])
+    with matrixio.table_stream(_out_path(args, "consensus_matched.csv"),
+                               ["i", "j", "k", "base_i", "base_j", "apex"],
+                               pair_headers + [f"skipped_ties: {skipped}"]) as write:
+        for block in rows:
+            write([block])
+            del block  # before the next window is built
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  ultrametric, pair_headers)
     tree = consensus_dendrogram(ultrametric)

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, _matched_rows
-from .hierarchy import cophenetic, linkage
+from .consensus import DEFAULT_TIE_TOLERANCE, _check_consensus_args, _matched_rows, _pair_nodes
+from .hierarchy import linkage
 from .matrices import CoordinateMatrix, _ArrayFieldsEq, euclidean_distances
 from .triplets import iter_scan
 from .ultrametricity import ANGLE_SLACK, DEFAULT_EPSILON, _angles_from_sides
@@ -76,13 +76,12 @@ def ultrametric_component(
         raise ValueError("epsilon must be positive")
     _check_consensus_args([criterion_a, criterion_b], tie_tolerance)
     d = euclidean_distances(coords)
-    u_a = cophenetic(linkage(d, criterion_a))
-    u_b = cophenetic(linkage(d, criterion_b))
+    sides = [_pair_nodes(linkage(d, crit), tie_tolerance) for crit in (criterion_a, criterion_b)]
     values = d.values
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
         # stage 1, then stage 2 on the window's matched rows only
-        rows = _matched_rows(u_a, u_b, tie_tolerance, ii, jj, kk)[0]
+        rows = _matched_rows(sides, ii, jj, kk)
         ii, jj, kk, b_lo, b_hi, apex = rows.T
         *angles, degen = _angles_from_sides(values[jj, kk], values[ii, kk], values[ii, jj])
 

@@ -7,7 +7,7 @@ granularity-free similarity between clusterings of the same items;
 intersecting the agreements yields a consensus ultrametric and hence a
 consensus dendrogram.
 
-A signature orders the triplet's three levels with triplets.sort3 and
+A signature orders the triplet's three levels with a stable sort and
 compares them within a relative tie tolerance. Its apex is the vertex
 opposite the first smallest level in (ij, ik, jk) order.
 
@@ -23,13 +23,23 @@ leaves under it, so entry (p, q) sums n - |C_p| - |C_q| + |C_p & C_q| over
 pairs a < b. The rule is exact (no entry is scanned) because heights never
 fall up a chain, as linkage floors them, and _tied rounds monotonically in
 its upper level, so every node's untied ancestors form a suffix of its chain.
+
+consensus_scan reads a pair off the trees that realize its ultrametrics.
+The tie skips are C(n, 3) less the table's count, less the triplets the
+trees resolve with bases xz and xy. Each is counted at the ordered pair
+(x, z): y is in C_q(w) but not in C_p(top_p(J_p(x, z))), w the highest
+node on x's chain in q whose top is below J_q(x, z). A non-matched
+triplet lowers its pairs to the least of its six levels, so a pair ab
+with top T joins all of C(T) at min(u1, u2)(a, b), and nothing joins more:
+the consensus ultrametric is the closure of the least such level over
+the nodes above each pair's join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +52,7 @@ from .hierarchy import (
 )
 from .matrices import DissimilarityMatrix, UltrametricMatrix, _ArrayFieldsEq
 from .transforms import check_ultrametric
-from .triplets import first_smallest, iter_scan, sort3, triplet_count
+from .triplets import iter_scan, triplet_count
 
 #: Default relative tolerance for treating two levels as tied.
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -110,22 +120,6 @@ def _tied(lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     return lo >= (1 - tol) * hi
 
 
-def _signature_arrays(
-    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized signatures: (isosceles mask, equilateral mask, apex ids).
-
-    The apex id is the vertex opposite the first smallest pair value, in
-    (ij, ik, jk) order; it is meaningful only where the isosceles mask
-    holds.
-    """
-    pairs = values[ii, jj], values[ii, kk], values[jj, kk]
-    lo, mid, hi = sort3(*pairs)
-    equilateral = _tied(lo, hi, tol)
-    isosceles = ~equilateral & _tied(mid, hi, tol) & ~_tied(lo, mid, tol)
-    return isosceles, equilateral, first_smallest(lo, pairs, (kk, jj, ii))
-
-
 def triplet_signature(
     u: UltrametricMatrix,
     i: int,
@@ -141,74 +135,98 @@ def triplet_signature(
         if not 0 <= idx < u.n:
             raise ValueError(f"index {idx} out of range")
     a, b, c = sorted((i, j, k))
-    iso, equi, apex = _signature_arrays(u.values, *np.array([[a], [b], [c]]), tie_tolerance)
-    base_value = float(min(u.values[a, b], u.values[a, c], u.values[b, c]))
-    if bool(equi[0]):
+    pairs = (u.values[a, b], u.values[a, c], u.values[b, c])
+    lo, mid, hi = sorted(pairs)  # stable, as triplets.sort3
+    base_value = float(lo)
+    if _tied(lo, hi, tie_tolerance):
         return TripletSignature((a, b, c), SHAPE_EQUILATERAL, None, None, base_value)
-    if bool(iso[0]):
-        apex_id = int(apex[0])
-        base = tuple(sorted({a, b, c} - {apex_id}))
-        return TripletSignature(
-            (a, b, c), SHAPE_ISOSCELES, (base[0], base[1]), apex_id, base_value
-        )
+    if _tied(mid, hi, tie_tolerance) and not _tied(lo, mid, tie_tolerance):
+        first = pairs.index(lo)  # the first smallest level is the base's
+        return TripletSignature((a, b, c), SHAPE_ISOSCELES, ((a, b), (a, c), (b, c))[first],
+                                (c, b, a)[first], base_value)
     return TripletSignature((a, b, c), SHAPE_TIE_OTHER, None, None, base_value)
 
 
-def _check_same_items(u1: UltrametricMatrix, u2: UltrametricMatrix) -> None:
+def _pair_nodes(h: Dendrogram, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(joins, top): the node id at which each leaf pair joins, and every node's top."""
+    heights, joins = _join_nodes(h)
+    return joins, _tops(h, heights, tol)
+
+
+def _matched_rows(sides: list, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """(i, j, k, base_i, base_j, apex) rows of a window's triplets that both
+    sides, each a _pair_nodes (joins, top), resolve with the same apex."""
+    codes = []  # the apex's position, 0, 1, 2 for i, j, k, or -1 if unresolved
+    for joins, top in sides:
+        ij, ik, jk = joins[ii, jj], joins[ii, kk], joins[jj, kk]  # two are one node, one below
+        codes.append(np.where(ik == jk, 2, np.where(ij == jk, 1, 0)).astype(np.int8))
+        codes[-1][top[np.minimum(np.minimum(ij, ik), jk)] >= np.maximum(ik, jk)] = -1
+    matched = np.flatnonzero((codes[0] == codes[1]) & (codes[0] >= 0))  # one mask pass, not four
+    codes, i, j, k = codes[0][matched], ii[matched], jj[matched], kk[matched]
+    base_i, base_j = np.where(codes == 0, j, i), np.where(codes == 2, j, k)
+    return np.column_stack([i, j, k, base_i, base_j, np.choose(codes, (i, j, k))])
+
+
+def _common(hp: Dendrogram, hq: Dendrogram) -> np.ndarray:
+    """|C_p(u) & C_q(w)| for every node pair; a root holds all n leaves."""
+    leaves_q = _subtree_sums(hq, np.eye(hq.n_leaves, dtype=np.int32))
+    return _subtree_sums(hp, leaves_q.T)
+
+
+def _skipped_ties(trees: list[Dendrogram], sides: list) -> int:
+    """Triplets not resolved by both trees, by the rule in the module docstring."""
+    n = trees[0].n_leaves
+    (jp, top_p), (jq, top_q) = sides
+    common = _common(*trees)
+    twice = 0  # the triplets both trees resolve, each counted twice
+    for x in range(n):
+        tp, tq = top_p[jp[x]], top_q[jq[x]]
+        chain = np.flatnonzero(np.bincount(jq[x]))  # x's ancestors, and leaf 0 from the diagonal
+        chain[0] = x
+        # tops never fall along a chain, so one search finds each w
+        w = chain[np.searchsorted(top_q[chain], jq[x]) - 1]
+        alike = n - common[tp, -1] - common[-1, tq] + common[tp, tq]  # base xz in both, twice
+        shares = alike + 2 * (common[-1, w] - common[tp, w])
+        shares[x] = 0
+        twice += int(shares.sum(dtype=np.int64))
+    return triplet_count(n) - twice // 2
+
+
+def consensus_scan(
+    u1: UltrametricMatrix, u2: UltrametricMatrix, tie_tolerance: float = DEFAULT_TIE_TOLERANCE
+) -> tuple[int, UltrametricMatrix, Iterator[np.ndarray]]:
+    """consensus_count's parts: (skipped_ties, ultrametric, rows), read off the
+    single-linkage trees of u1 and u2 (a ValueError unless each reproduces its input).
+    rows yields each window's (m, 6) int64 block of matched rows as the caller
+    pulls it, so no more than one window of them need be held."""
+    _check_tie_tolerance(tie_tolerance)
     if u1.values.shape != u2.values.shape:
         raise ValueError("ultrametrics must have matching dimensions")
     if u1.labels != u2.labels:
         raise ValueError("ultrametrics must have matching labels")
-
-
-def _matched_rows(u1: UltrametricMatrix, u2: UltrametricMatrix, tol: float, ii, jj, kk):
-    """(i, j, k, base_i, base_j, apex) rows of a window's matched triplets,
-    its matched mask and its mask of triplets isosceles on both sides."""
-    iso1, _, apex1 = _signature_arrays(u1.values, ii, jj, kk, tol)
-    iso2, _, apex2 = _signature_arrays(u2.values, ii, jj, kk, tol)
-    both_iso = iso1 & iso2
-    matched = both_iso & (apex1 == apex2)
-    mi, mj, mk, ma = ii[matched], jj[matched], kk[matched], apex1[matched]
-    base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
-    base_hi = np.where(ma == mk, mj, mk)
-    return np.column_stack([mi, mj, mk, base_lo, base_hi, ma]), matched, both_iso
-
-
-def consensus_scan(
-    u1: UltrametricMatrix,
-    u2: UltrametricMatrix,
-    write: Callable[[list[np.ndarray]], None],
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> tuple[int, UltrametricMatrix]:
-    """consensus_count's scan: (skipped_ties, ultrametric), the matched rows streamed.
-
-    write([rows]) takes each window's (m, 6) int64 block of matched rows
-    as the scan reaches it, so no more than one window of them is held.
-    """
-    _check_tie_tolerance(tie_tolerance)
-    _check_same_items(u1, u2)
-    n = u1.n
-    # flat views: 1-D indices make np.minimum.at about 2.5 times faster
-    low = np.minimum(u1.values, u2.values).reshape(-1)
-    cand = low.copy()
-
-    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
-        rows, matched, both_iso = _matched_rows(u1, u2, tie_tolerance, ii, jj, kk)
-        ti, tj, tk = ii[~matched], jj[~matched], kk[~matched]
-        pairs = (ti * n + tj, ti * n + tk, tj * n + tk)
-        smallest = np.minimum(np.minimum(low[pairs[0]], low[pairs[1]]), low[pairs[2]])
-        return rows, int((~both_iso).sum()), pairs, smallest
-
-    skipped = 0
-    for rows, skips, pairs, smallest in iter_scan(n, kernel):
-        write([rows])
-        skipped += skips
-        for pair in pairs:
-            np.minimum.at(cand, pair, smallest)
-        del rows, pairs, smallest  # before the next window is built
-    cand = cand.reshape(n, n)
-    merged = DissimilarityMatrix(np.minimum(cand, cand.T), list(u1.labels))
-    return skipped, minmax_path_closure(merged)
+    n, low = u1.n, np.minimum(u1.values, u2.values)
+    merged, trees, sides = np.full((n, n), np.inf), [], []
+    for u in (u1, u2):
+        d = DissimilarityMatrix(u.values, list(u.labels))
+        h = linkage(d, "single") if n > 1 else Dendrogram(n, [], d.labels)
+        heights, joins = _join_nodes(h)
+        if not np.array_equal(heights[joins], u.values):
+            raise ValueError("consensus input is not an ultrametric: no tree reproduces it")
+        top = _tops(h, heights, tie_tolerance)
+        # each pair's least low over the tops above its join; the diagonal
+        # sets leaf 0, which no pair joins at, to 0
+        least = np.full(2 * n - 1, np.inf)
+        np.minimum.at(least, top[joins].ravel(), low.ravel())
+        for s in range(n - 2, -1, -1):  # parents first: each node takes its ancestors' least
+            m = h.merges[s]
+            least[[m.left, m.right]] = np.minimum(least[[m.left, m.right]], least[n + s])
+        np.minimum(merged, least[joins], out=merged)
+        trees.append(h)
+        sides.append((joins, top))
+    ultrametric = minmax_path_closure(DissimilarityMatrix(merged, list(u1.labels)))
+    del low, merged
+    skipped = _skipped_ties(trees, sides)
+    return skipped, ultrametric, iter_scan(n, lambda *triples: _matched_rows(sides, *triples))
 
 
 def consensus_count(
@@ -224,17 +242,12 @@ def consensus_count(
     tallied under skipped_ties. The matched set holds
     (i, j, k, base_i, base_j, apex) rows in ascending triplet order.
 
-    The same scan builds the consensus ultrametric. Every pair starts at
-    the elementwise minimum of the two inputs, and each non-matched
-    triplet lowers its three pairs to the smallest of the six values it
-    involves (a matched triplet would propose the elementwise minimum
-    itself). The candidates are then replaced by their min-max path
-    closure, so the result is a valid ultrametric, symmetric in the
-    arguments. consensus_scan runs the scan; this collects its rows.
+    The consensus ultrametric lowers the three pairs of each non-matched
+    triplet from the elementwise minimum to the least of its six values,
+    and takes the min-max path closure (see the module docstring).
     """
-    blocks = [np.zeros((0, 6), dtype=np.int64)]
-    skipped, ultrametric = consensus_scan(u1, u2, blocks.extend, tie_tolerance)
-    rows = np.concatenate(blocks)
+    skipped, ultrametric, rows = consensus_scan(u1, u2, tie_tolerance)
+    rows = np.concatenate([np.zeros((0, 6), dtype=np.int64), *rows])
     return ConsensusReport(triplet_count(u1.n), rows.shape[0], rows, skipped, ultrametric)
 
 
@@ -256,7 +269,7 @@ def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray:
     parent = np.full(2 * n - 1, -1)
     for s, m in enumerate(h.merges):
         parent[[m.left, m.right]] = n + s
-    top = np.arange(2 * n - 1)
+    top = np.arange(2 * n - 1, dtype=np.int32)
     node = np.arange(n, 2 * n - 2)  # every node a pair can join at, but the root
     up = parent[node]
     while node.size:
@@ -313,9 +326,7 @@ def consensus_table(
         if p == q:
             count = (n - np.array([1] * n + [g.size for g in trees[p].merges])[tp]).sum()
         else:
-            # |C_p(u) & C_q(w)| for every node pair; a root holds all n leaves
-            leaves_q = _subtree_sums(trees[q], np.eye(n, dtype=np.int32))
-            common = _subtree_sums(trees[p], leaves_q.T)
+            common = _common(trees[p], trees[q])
             count = (n - common[tp, -1] - common[-1, tq] + common[tp, tq]).sum(dtype=np.int64)
         counts[p, q] = counts[q, p] = count
     return ConsensusTable(list(criteria), counts, ultrams)

@@ -54,7 +54,6 @@ import contextlib
 import csv
 import functools
 import itertools
-import shutil
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -542,20 +541,6 @@ def write_frequency(
     header_lines: Sequence[str] = (),
 ) -> None:
     write_labeled_matrix(path, f.values, f.row_labels, f.col_labels, header_lines)
-
-
-def prepend_comments(part: str | Path, path: str | Path, header_lines: Sequence[str]) -> None:
-    """Write path as the '#' block of header_lines, then part's bytes, and remove
-    part: for header lines known only after the rows. A failure leaves neither."""
-    try:
-        with open(part, "rb") as src, open(path, "wb") as dst:
-            dst.write(_comment_block(header_lines))
-            shutil.copyfileobj(src, dst, 1 << 20)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-    finally:
-        Path(part).unlink(missing_ok=True)
 
 
 def write_lines(

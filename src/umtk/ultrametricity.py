@@ -299,12 +299,12 @@ def rammal_index(d: DissimilarityMatrix) -> float:
     when d already satisfies the strong triangle inequality; invariant
     under scaling of d.
     """
-    total = float(d.condensed().sum())
+    upper = np.triu_indices(d.n, k=1)
+    values = d.values[upper]
+    total = float(values.sum())
     if total <= 0.0:
         raise ValueError("all dissimilarities are zero")
-    closure = minmax_path_closure(d)
-    gap = float((d.condensed() - closure.condensed()).sum())
-    return gap / total
+    return float((values - minmax_path_closure(d).values[upper]).sum()) / total
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the consensus table's triplet scan, the power repair's full
+scan, the float signatures and lowering scan of a consensus pair, the
+consensus table's triplet scan, the power repair's full
 bisection, the additive repair's full scans, the csv matrix reader, the
 np.sort and argsort orderings of a triplet's three values, the buffered
 per-row enumeration of triplet chunks), kept so the replacement can be
@@ -21,12 +22,12 @@ from typing import Iterator
 
 import numpy as np
 
-from umtk.consensus import _signature_arrays, _tied
+from umtk.consensus import _tied
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
 from umtk import triplets
-from umtk.triplets import iter_scan
+from umtk.triplets import first_smallest, iter_scan, sort3
 
 
 def sorted_pair_values(
@@ -85,6 +86,63 @@ def iter_triplet_chunks_buffered(
         yield np.concatenate(buf_i), np.concatenate(buf_j), np.concatenate(buf_k)
 
 
+def signature_arrays(
+    values: np.ndarray, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized float signatures: (isosceles mask, equilateral mask, apex ids).
+
+    The apex id is the vertex opposite the first smallest pair value, in
+    (ij, ik, jk) order; it is meaningful only where the isosceles mask
+    holds.
+    """
+    pairs = values[ii, jj], values[ii, kk], values[jj, kk]
+    lo, mid, hi = sort3(*pairs)
+    equilateral = _tied(lo, hi, tol)
+    isosceles = ~equilateral & _tied(mid, hi, tol) & ~_tied(lo, mid, tol)
+    return isosceles, equilateral, first_smallest(lo, pairs, (kk, jj, ii))
+
+
+def consensus_scan_float(
+    u1: UltrametricMatrix, u2: UltrametricMatrix, tie_tolerance: float = 1e-9
+) -> tuple[np.ndarray, int, UltrametricMatrix]:
+    """(matched rows, skipped ties, ultrametric) of a pair by one float triplet scan.
+
+    Every triplet gets both float signatures. The matched ones give the
+    (i, j, k, base_i, base_j, apex) rows; the ones not isosceles on both
+    sides are the skips. Every pair starts at the elementwise minimum,
+    each non-matched triplet lowers its three pairs to the least of the
+    six values it involves, and the result is the closure of that.
+    """
+    n = u1.n
+    # flat views: 1-D indices make np.minimum.at about 2.5 times faster
+    low = np.minimum(u1.values, u2.values).reshape(-1)
+    cand = low.copy()
+
+    def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
+        iso1, _, apex1 = signature_arrays(u1.values, ii, jj, kk, tie_tolerance)
+        iso2, _, apex2 = signature_arrays(u2.values, ii, jj, kk, tie_tolerance)
+        both_iso = iso1 & iso2
+        matched = both_iso & (apex1 == apex2)
+        mi, mj, mk, ma = ii[matched], jj[matched], kk[matched], apex1[matched]
+        base_lo = np.where(ma == mk, mi, np.where(ma == mj, mi, mj))
+        base_hi = np.where(ma == mk, mj, mk)
+        rows = np.column_stack([mi, mj, mk, base_lo, base_hi, ma])
+        ti, tj, tk = ii[~matched], jj[~matched], kk[~matched]
+        pairs = (ti * n + tj, ti * n + tk, tj * n + tk)
+        smallest = np.minimum(np.minimum(low[pairs[0]], low[pairs[1]]), low[pairs[2]])
+        return rows, int((~both_iso).sum()), pairs, smallest
+
+    blocks, skipped = [np.zeros((0, 6), dtype=np.int64)], 0
+    for rows, skips, pairs, smallest in iter_scan(n, kernel):
+        blocks.append(rows)
+        skipped += skips
+        for pair in pairs:
+            np.minimum.at(cand, pair, smallest)
+    cand = cand.reshape(n, n)
+    merged = DissimilarityMatrix(np.minimum(cand, cand.T), list(u1.labels))
+    return np.concatenate(blocks), skipped, minmax_path_closure(merged)
+
+
 def signature_arrays_argsort(
     values: np.ndarray,
     ii: np.ndarray,
@@ -92,7 +150,7 @@ def signature_arrays_argsort(
     kk: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """consensus._signature_arrays by a stable argsort of the stacked values.
+    """signature_arrays by a stable argsort of the stacked values.
 
     The apex id is the vertex opposite the smallest pair value; it is
     meaningful only where the isosceles mask holds.
@@ -322,7 +380,7 @@ def consensus_table_scan(ultrams: list[UltrametricMatrix], tie_tolerance: float)
     m = len(ultrams)
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-        sigs = [_signature_arrays(u.values, ii, jj, kk, tie_tolerance) for u in ultrams]
+        sigs = [signature_arrays(u.values, ii, jj, kk, tie_tolerance) for u in ultrams]
         chunk = np.zeros((m, m), dtype=np.int64)
         for p, (iso_p, _, apex_p) in enumerate(sigs):
             for q in range(p, m):

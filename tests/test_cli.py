@@ -568,22 +568,33 @@ def test_uca_writes_an_empty_profile_as_its_header(tmp_path):
 
 def test_consensus_failing_scan_leaves_no_matched_file(tmp_path, monkeypatch):
     values = np.rint(euclidean_distances(awkward_coords(n=12)).values)
-    matrixio.write_dissimilarity(tmp_path / "d.csv", DissimilarityMatrix(values))
-    original, windows = consensus._matched_rows, []
+    d = DissimilarityMatrix(values)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", d)
+    report = consensus_count(cophenetic(linkage(d, "ward")), cophenetic(linkage(d, "single")))
+    assert report.skipped_ties > 0
+    original, windows, seen = consensus._matched_rows, [], []
+    out = tmp_path / "out"
 
     def failing(*args):
         windows.append(args[-1].size)
+        seen.append(sorted(p.name for p in out.iterdir()))
         if len(windows) == 2:
             raise RuntimeError("second window fails")
         return original(*args)
 
-    monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 50)
-    monkeypatch.setattr(consensus, "_matched_rows", failing)
-    out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="second window fails"):
-        main(["consensus", "--input", str(tmp_path / "d.csv"), "--out", str(out)])
+    with monkeypatch.context() as mp:
+        mp.setattr(triplets, "DEFAULT_CHUNK", 50)
+        mp.setattr(consensus, "_matched_rows", failing)
+        with pytest.raises(RuntimeError, match="second window fails"):
+            main(["consensus", "--input", str(tmp_path / "d.csv"), "--out", str(out)])
     assert len(windows) == 2
+    # the rows go straight to the matched file, never to a .part file
+    assert seen == [["consensus_table.csv"], ["consensus_matched.csv", "consensus_table.csv"]]
     assert sorted(p.name for p in out.iterdir()) == ["consensus_table.csv"]
+    assert main(["consensus", "--input", str(tmp_path / "d.csv"), "--out", str(out)]) == 0
+    skip_lines = [h for h in header_lines_of(out / "consensus_matched.csv")
+                  if h.startswith("skipped_ties: ")]
+    assert skip_lines == [f"skipped_ties: {report.skipped_ties}"]
 
 
 def test_consensus_criteria_validation(tmp_path, capsys):
@@ -709,7 +720,12 @@ def test_ingest_quotes_a_dropped_document_id_with_a_comma(tmp_path):
     for doc_id, text in {"a,b": "12 34", "c": "", 'say "hi"': "--", "d": "the cat"}.items():
         (corpus_dir / f"{doc_id}.txt").write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["ingest", "--input", str(corpus_dir), "--top-k", "3", "--out", str(out)]) == 0
+    with pytest.warns(UserWarning) as caught:
+        assert main(["ingest", "--input", str(corpus_dir), "--top-k", "3", "--out", str(out)]) == 0
+    assert sorted(str(w.message) for w in caught) == [
+        "corpus has only 2 distinct terms, fewer than top_k=3; using all of them",
+        'dropped 3 all-zero documents: a,b, c, say "hi"',
+    ]
     line, = [h for h in header_lines_of(out / "termdoc.csv") if h.startswith("dropped_docs: ")]
     assert next(csv.reader([line[len("dropped_docs: "):]])) == ["a,b", "c", 'say "hi"']
 
@@ -882,3 +898,14 @@ def test_per_triplet_coeffs_do_not_load_numpy_ma(tmp_path):
     args = ["coeffs", "--coords", "c.csv", "--per-triplet", "--out", "out"]
     assert run_entry("'numpy.ma' in sys.modules", args, tmp_path) == "False"
     assert ",," in (tmp_path / "out" / "coeffs_triplets.csv").read_text(encoding="utf-8")
+
+
+def test_consensus_and_uca_do_not_load_numpy_ma(tmp_path):
+    """The pair's tie skips come off the trees without np.unique, which imports numpy.ma."""
+    coords = awkward_coords()
+    matrixio.write_coordinates(tmp_path / "c.csv", coords)
+    tied = DissimilarityMatrix(np.rint(euclidean_distances(coords).values), coords.point_labels)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", tied)
+    for args in (["consensus", "--input", "d.csv", "--criteria", "ward,single,average,complete"],
+                 ["uca", "--coords", "c.csv"]):
+        assert run_entry("'numpy.ma' in sys.modules", args + ["--out", "out"], tmp_path) == "False"

@@ -37,6 +37,7 @@ from .conftest import random_dissimilarity, random_ultrametric, row_tuples
 from .oracles import (
     brute_consensus,
     brute_signature,
+    consensus_scan_float,
     consensus_table_scan,
     consensus_ultrametric_two_branch,
 )
@@ -183,12 +184,23 @@ def test_consensus_scan_streams_the_matched_rows_in_windows(rng, monkeypatch):
     u2 = UltrametricMatrix(untied_cophenetic(rng, 12).values, list(u1.labels))
     report = consensus_count(u1, u2)
     monkeypatch.setattr(triplets, "DEFAULT_CHUNK", 9)
-    blocks = []
-    skipped, ultrametric = consensus.consensus_scan(u1, u2, blocks.append)
-    assert [b[0].shape[0] <= 9 for b in blocks] == [True] * -(-triplet_count(12) // 9)
-    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), report.matched_set)
+    original, windows = consensus._matched_rows, []
+
+    def counting(*args):
+        windows.append(args[-1].size)
+        return original(*args)
+
+    monkeypatch.setattr(consensus, "_matched_rows", counting)
+    skipped, ultrametric, rows = consensus.consensus_scan(u1, u2)
     assert skipped == report.skipped_ties
     assert ultrametric == report.ultrametric
+    assert windows == []  # the skips and the ultrametric come before any window
+    first = next(rows)
+    assert windows == [9]
+    blocks = [first, *rows]
+    assert [b.shape[0] <= 9 for b in blocks] == [True] * -(-triplet_count(12) // 9)
+    assert len(windows) == len(blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), report.matched_set)
 
 
 def test_results_with_array_fields_compare_by_value(rng):
@@ -235,12 +247,24 @@ def test_consensus_argument_validation(rng):
 
 
 def test_consensus_tiny_n():
-    u = UltrametricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    report = consensus_count(u, u)
-    assert report.total_triplets == 0
-    assert report.matched == 0
-    assert report.matched_set.shape == (0, 6)
-    assert report.matched_set.dtype == np.int64
+    for values in ([[0.0, 1.0], [1.0, 0.0]], [[0.0]]):
+        u = UltrametricMatrix(np.array(values))
+        report = consensus_count(u, u)
+        assert report.total_triplets == 0
+        assert report.matched == report.skipped_ties == 0
+        assert report.matched_set.shape == (0, 6)
+        assert report.matched_set.dtype == np.int64
+        assert report.ultrametric == u
+
+
+def test_consensus_rejects_a_non_ultrametric_input():
+    u = ultra3(1.0, 2.0, 2.0)
+    for bad in (ultra3(1.0, 2.0, 3.0), ultra3(1.0, 2.0, np.nextafter(2.0, 3.0))):
+        for args in ((bad, u), (u, bad)):
+            with pytest.raises(ValueError, match="^consensus input is not an ultrametric"):
+                consensus_count(*args)
+            with pytest.raises(ValueError, match="^consensus input is not an ultrametric"):
+                consensus.consensus_scan(*args)
 
 
 def test_consensus_table_shape_and_diagonal(rng):
@@ -415,23 +439,19 @@ def test_consensus_ultrametric_tiny_n():
 @given(
     n=st.integers(3, 30),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(("gaussian", "integer", "duplicates")),
+    kind=st.sampled_from(("gaussian", "integer", "duplicates", "multifurcating")),
     rounding=st.integers(1, 4),
+    tol=st.sampled_from((0.0, 1e-9, 0.1, 0.3)),
 )
-def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
-    gen = np.random.default_rng(seed)
-    pts = gen.normal(size=(n, 3))
-    if kind == "duplicates":
-        copied = gen.random(n) < 0.3
-        pts[copied] = pts[gen.integers(0, n, size=n)[copied]]
-    values = euclidean_distances(CoordinateMatrix(pts)).values
-    if kind != "gaussian":
-        values = np.rint(rounding * values)
-    d = DissimilarityMatrix(values)
+def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding, tol):
+    """The tree route gives the float scan's rows, skips and ultrametric, bit for bit."""
+    d = tied_distances(n, seed, kind, rounding)
     ultrams = [cophenetic(linkage(d, crit)) for crit in INVERSION_FREE_CRITERIA]
     pairs = [(u1, u2) for u1 in ultrams for u2 in ultrams]
-    wanted = [consensus_ultrametric_two_branch(u1, u2).values.tobytes() for u1, u2 in pairs]
-    # small windows, so that several windows lower the candidate matrix in turn
+    wanted = [consensus_scan_float(u1, u2, tol) for u1, u2 in pairs]
+    for (u1, u2), (_, _, ultrametric) in zip(pairs, wanted):
+        assert ultrametric == consensus_ultrametric_two_branch(u1, u2, tol)
+    # small windows, so that the matched rows come in several blocks
     original = triplets.triplet_windows
     built = []
 
@@ -447,12 +467,26 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(triplets, "DEFAULT_CHUNK", triplet_count(n) // 7 + 1)
         mp.setattr(triplets, "triplet_windows", counting)
-        for (u1, u2), want in zip(pairs, wanted):
+        for (u1, u2), (rows, skipped, ultrametric) in zip(pairs, wanted):
             built.clear()
-            got = consensus_count(u1, u2).ultrametric
-            assert got.values.tobytes() == want
-            assert got.labels == u1.labels
+            got = consensus_count(u1, u2, tol)
+            assert got.matched_set.tobytes() == rows.tobytes()
+            assert got.skipped_ties == skipped
+            assert got.ultrametric.values.tobytes() == ultrametric.values.tobytes()
+            assert got.ultrametric.labels == u1.labels
             assert len(built) >= 2 or triplet_count(n) < 2
+
+
+def test_consensus_ultrametric_joins_a_tied_chain_at_its_lowest_pair():
+    # at 0.3, 1.0 ties 1.3 but not 1.5 while 1.3 ties 1.5: the triplet abc is
+    # equilateral, so ac and bc are lowered to 1.0, though their top is the root
+    v = np.array([[0, 1.0, 1.3, 1.5], [1.0, 0, 1.3, 1.5], [1.3, 1.3, 0, 1.5], [1.5, 1.5, 1.5, 0]])
+    u = UltrametricMatrix(v, list("abcd"))
+    report = consensus_count(u, u, 0.3)
+    assert (report.matched, report.skipped_ties) == (1, 3)  # ab|d; abc, acd, bcd tie
+    np.testing.assert_array_equal(report.ultrametric.values[2], [1.0, 1.0, 0.0, 1.3])
+    rows, skipped, ultrametric = consensus_scan_float(u, u, 0.3)
+    assert report.ultrametric == ultrametric and report.skipped_ties == skipped
 
 
 def test_consensus_dendrogram_frozen_example():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umtk import rng, triplets
-from umtk.consensus import DEFAULT_TIE_TOLERANCE, _signature_arrays
+from umtk.consensus import DEFAULT_TIE_TOLERANCE, _matched_rows, _pair_nodes
+from umtk.hierarchy import cophenetic, linkage
+from umtk.matrices import DissimilarityMatrix
 from umtk.triplets import (
     DEFAULT_CHUNK,
     iter_scan,
@@ -274,11 +276,22 @@ def test_sort3_kernels_match_the_sort_oracles(seed, kind, n):
     for got, want in zip(sort3(*pairs), stable):
         _assert_same(got, want)
 
-    for got, want in zip(
-        _signature_arrays(values, ii, jj, kk, DEFAULT_TIE_TOLERANCE),
-        signature_arrays_argsort(values, ii, jj, kk, DEFAULT_TIE_TOLERANCE),
-    ):
-        assert np.array_equal(got, want)
+    # the node-id kernel on two trees of the tied values, against their cophenetic floats
+    upper = np.abs(np.triu(values, 1))
+    trees = [linkage(DissimilarityMatrix(upper + upper.T), crit) for crit in ("single", "complete")]
+    sides = [_pair_nodes(h, DEFAULT_TIE_TOLERANCE) for h in trees]
+    (iso1, _, apex1), (iso2, _, apex2) = (
+        signature_arrays_argsort(cophenetic(h).values, ii, jj, kk, DEFAULT_TIE_TOLERANCE)
+        for h in trees
+    )
+    matched = iso1 & iso2 & (apex1 == apex2)
+    rows = _matched_rows(sides, ii, jj, kk)
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows[:, :3], np.column_stack([ii, jj, kk])[matched])
+    np.testing.assert_array_equal(rows[:, 5], apex1[matched])
+    # the base is the other two ids, in ascending order
+    np.testing.assert_array_equal(np.sort(rows[:, 3:], axis=1), rows[:, :3])
+    assert (rows[:, 3] < rows[:, 4]).all()
 
     epsilon = 0.5
     verts = (ii, jj, kk)
