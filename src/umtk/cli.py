@@ -28,7 +28,6 @@ from .component import ultrametric_component
 from .consensus import (
     DEFAULT_TIE_TOLERANCE,
     consensus_dendrogram,
-    consensus_scan,
     consensus_table,
 )
 from .corpus import build_term_doc, random_mirror, read_corpus_dir, read_corpus_file
@@ -295,13 +294,14 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
                                   headers)
     crit_a, crit_b = args.criteria[0], args.criteria[1]
     pair_headers = headers + [f"pair_detail: {crit_a},{crit_b}"]
-    skipped, ultrametric, rows = consensus_scan(table.ultrametrics[0], table.ultrametrics[1])
+    skipped, ultrametric, rows = table.pair_scan()
     with matrixio.table_stream(_out_path(args, "consensus_matched.csv"),
                                ["i", "j", "k", "base_i", "base_j", "apex"],
                                pair_headers + [f"skipped_ties: {skipped}"]) as write:
         for block in rows:
             write([block])
             del block  # before the next window is built
+    del table, rows  # the criteria's trees and matrices, before the dendrogram's sort
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  ultrametric, pair_headers)
     tree = consensus_dendrogram(ultrametric)

@@ -24,7 +24,7 @@ pairs a < b. The rule is exact (no entry is scanned) because heights never
 fall up a chain, as linkage floors them, and _tied rounds monotonically in
 its upper level, so every node's untied ancestors form a suffix of its chain.
 
-consensus_scan reads a pair off the trees that realize its ultrametrics.
+consensus_scan reads a pair off any two trees that realize its ultrametrics.
 The tie skips are C(n, 3) less the table's count, less the triplets the
 trees resolve with bases xz and xy. Each is counted at the ordered pair
 (x, z): y is in C_q(w) but not in C_p(top_p(J_p(x, z))), w the highest
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .hierarchy import (
     INVERSION_FREE_CRITERIA,
     Dendrogram,
     _join_nodes,
+    cophenetic,
     linkage,
     minmax_path_closure,
 )
@@ -101,12 +102,20 @@ class ConsensusTable(_ArrayFieldsEq):
     """Pairwise matched-triplet counts for a list of linkage criteria.
 
     ultrametrics holds the cophenetic matrix of each criterion, in the
-    order of criteria.
+    order of criteria. pair keeps what pair_scan reads: the first two
+    criteria's trees as _pair_nodes, and their intersection table.
     """
 
     criteria: list[str]
     counts: np.ndarray
     ultrametrics: list[UltrametricMatrix] = field(default_factory=list)
+    pair: tuple = field(default=(), repr=False, compare=False)
+
+    def pair_scan(self) -> tuple[int, UltrametricMatrix, Iterator[np.ndarray]]:
+        """consensus_scan of the first two ultrametrics, off the trees this table built."""
+        if not self.pair:
+            raise ValueError("the pair scan needs two criteria")
+        return _pair_scan(*self.ultrametrics[:2], *self.pair)
 
 
 def _check_tie_tolerance(tol: float) -> None:
@@ -147,20 +156,33 @@ def triplet_signature(
     return TripletSignature((a, b, c), SHAPE_TIE_OTHER, None, None, base_value)
 
 
-def _pair_nodes(h: Dendrogram, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(joins, top): the node id at which each leaf pair joins, and every node's top."""
+class _Nodes(NamedTuple):
+    """A tree as the pair reads it: every node's height and top, and the int32
+    node id at which each leaf pair joins (leaf 0 on the diagonal)."""
+
+    tree: Dendrogram
+    heights: np.ndarray
+    joins: np.ndarray
+    top: np.ndarray
+
+
+def _pair_nodes(h: Dendrogram, tol: float) -> _Nodes:
     heights, joins = _join_nodes(h)
-    return joins, _tops(h, heights, tol)
+    return _Nodes(h, heights, joins, _tops(h, heights, tol))
 
 
 def _matched_rows(sides: list, ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
     """(i, j, k, base_i, base_j, apex) rows of a window's triplets that both
-    sides, each a _pair_nodes (joins, top), resolve with the same apex."""
+    sides, each a _pair_nodes, resolve with the same apex."""
+    n, flat, joins = sides[0].joins.shape[0], np.empty_like(ii), []
+    for a, b in ((ii, jj), (ii, kk), (jj, kk)):  # each flat index once, one buffer
+        np.multiply(a, n, out=flat)
+        flat += b
+        joins.append([side.joins.ravel().take(flat) for side in sides])
     codes = []  # the apex's position, 0, 1, 2 for i, j, k, or -1 if unresolved
-    for joins, top in sides:
-        ij, ik, jk = joins[ii, jj], joins[ii, kk], joins[jj, kk]  # two are one node, one below
+    for side, (ij, ik, jk) in zip(sides, zip(*joins)):  # two are one node, one below
         codes.append(np.where(ik == jk, 2, np.where(ij == jk, 1, 0)).astype(np.int8))
-        codes[-1][top[np.minimum(np.minimum(ij, ik), jk)] >= np.maximum(ik, jk)] = -1
+        codes[-1][side.top.take(np.minimum(np.minimum(ij, ik), jk)) >= np.maximum(ik, jk)] = -1
     matched = np.flatnonzero((codes[0] == codes[1]) & (codes[0] >= 0))  # one mask pass, not four
     codes, i, j, k = codes[0][matched], ii[matched], jj[matched], kk[matched]
     base_i, base_j = np.where(codes == 0, j, i), np.where(codes == 2, j, k)
@@ -173,11 +195,11 @@ def _common(hp: Dendrogram, hq: Dendrogram) -> np.ndarray:
     return _subtree_sums(hp, leaves_q.T)
 
 
-def _skipped_ties(trees: list[Dendrogram], sides: list) -> int:
-    """Triplets not resolved by both trees, by the rule in the module docstring."""
-    n = trees[0].n_leaves
-    (jp, top_p), (jq, top_q) = sides
-    common = _common(*trees)
+def _skipped_ties(sides: list, common: np.ndarray) -> int:
+    """Triplets not resolved by both sides, by the rule in the module docstring;
+    common is the _common of their trees."""
+    n = sides[0].tree.n_leaves
+    (_, _, jp, top_p), (_, _, jq, top_q) = sides
     twice = 0  # the triplets both trees resolve, each counted twice
     for x in range(n):
         tp, tq = top_p[jp[x]], top_q[jq[x]]
@@ -197,6 +219,8 @@ def consensus_scan(
 ) -> tuple[int, UltrametricMatrix, Iterator[np.ndarray]]:
     """consensus_count's parts: (skipped_ties, ultrametric, rows), read off the
     single-linkage trees of u1 and u2 (a ValueError unless each reproduces its input).
+    Any trees that realize u1 and u2 give the same parts, so umtk consensus reads
+    them off the trees consensus_table built (ConsensusTable.pair_scan).
     rows yields each window's (m, 6) int64 block of matched rows as the caller
     pulls it, so no more than one window of them need be held."""
     _check_tie_tolerance(tie_tolerance)
@@ -204,15 +228,23 @@ def consensus_scan(
         raise ValueError("ultrametrics must have matching dimensions")
     if u1.labels != u2.labels:
         raise ValueError("ultrametrics must have matching labels")
-    n, low = u1.n, np.minimum(u1.values, u2.values)
-    merged, trees, sides = np.full((n, n), np.inf), [], []
+    n, sides = u1.n, []
     for u in (u1, u2):
         d = DissimilarityMatrix(u.values, list(u.labels))
-        h = linkage(d, "single") if n > 1 else Dendrogram(n, [], d.labels)
-        heights, joins = _join_nodes(h)
-        if not np.array_equal(heights[joins], u.values):
+        side = _pair_nodes(linkage(d, "single") if n > 1 else Dendrogram(n, [], d.labels),
+                           tie_tolerance)
+        if not np.array_equal(side.heights[side.joins], u.values):
             raise ValueError("consensus input is not an ultrametric: no tree reproduces it")
-        top = _tops(h, heights, tie_tolerance)
+        sides.append(side)
+    return _pair_scan(u1, u2, sides, _common(sides[0].tree, sides[1].tree))
+
+
+def _pair_scan(u1: UltrametricMatrix, u2: UltrametricMatrix, sides: list, common: np.ndarray
+               ) -> tuple[int, UltrametricMatrix, Iterator[np.ndarray]]:
+    """consensus_scan's parts off sides, the _pair_nodes of trees realizing u1 and u2."""
+    n, low = u1.n, np.minimum(u1.values, u2.values)
+    merged = np.full((n, n), np.inf)
+    for h, _, joins, top in sides:
         # each pair's least low over the tops above its join; the diagonal
         # sets leaf 0, which no pair joins at, to 0
         least = np.full(2 * n - 1, np.inf)
@@ -221,11 +253,9 @@ def consensus_scan(
             m = h.merges[s]
             least[[m.left, m.right]] = np.minimum(least[[m.left, m.right]], least[n + s])
         np.minimum(merged, least[joins], out=merged)
-        trees.append(h)
-        sides.append((joins, top))
     ultrametric = minmax_path_closure(DissimilarityMatrix(merged, list(u1.labels)))
     del low, merged
-    skipped = _skipped_ties(trees, sides)
+    skipped = _skipped_ties(sides, common)
     return skipped, ultrametric, iter_scan(n, lambda *triples: _matched_rows(sides, *triples))
 
 
@@ -315,21 +345,27 @@ def consensus_table(
     n, m = d.n, len(criteria)
     trees = [linkage(d, crit) for crit in criteria]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    ultrams, tops = [], []
+    ultrams, tops, sides = [], [], []
     for h in trees:
-        heights, joins = _join_nodes(h)
-        ultrams.append(UltrametricMatrix(heights[joins], list(h.labels)))
-        tops.append(_tops(h, heights, tie_tolerance)[joins[upper]])  # each pair's top
-    counts = np.zeros((m, m), dtype=np.int64)
-    for p, q in itertools.combinations_with_replacement(range(m), 2):
+        side = _pair_nodes(h, tie_tolerance)
+        ultrams.append(UltrametricMatrix(side.heights[side.joins], list(h.labels)))
+        tops.append(side.top[side.joins[upper]])  # each pair's top
+        if len(sides) < 2:  # the pair's, kept for pair_scan
+            sides.append(side)
+    counts, pair = np.zeros((m, m), dtype=np.int64), ()
+    # (0, 1) last: its intersection table is kept for pair_scan, not held while others build
+    for p, q in sorted(itertools.combinations_with_replacement(range(m), 2),
+                       key=lambda pq: pq == (0, 1)):
         tp, tq = tops[p], tops[q]
         if p == q:
             count = (n - np.array([1] * n + [g.size for g in trees[p].merges])[tp]).sum()
         else:
             common = _common(trees[p], trees[q])
             count = (n - common[tp, -1] - common[-1, tq] + common[tp, tq]).sum(dtype=np.int64)
+            if (p, q) == (0, 1):
+                pair = (sides, common)
         counts[p, q] = counts[q, p] = count
-    return ConsensusTable(list(criteria), counts, ultrams)
+    return ConsensusTable(list(criteria), counts, ultrams, pair)
 
 
 def consensus_dendrogram(
@@ -337,19 +373,20 @@ def consensus_dendrogram(
 ) -> Dendrogram:
     """Single-linkage dendrogram realizing an ultrametric exactly.
 
-    The input is validated against the strong triangle inequality first
-    (tolerance defaults to 1e-9 times the largest level); single linkage
-    on a valid ultrametric reproduces its levels as merge heights, so
-    cophenetic(result) equals u.
+    The input is validated against the strong triangle inequality
+    (tolerance defaults to 1e-9 times the largest level) before the tree
+    is returned; single linkage on a valid ultrametric reproduces its
+    levels as merge heights, so cophenetic(result) equals u.
     """
     if tolerance is None:
         tolerance = 1e-9 * float(u.values.max()) if u.values.size else 0.0
     if not tolerance >= 0:
         raise ValueError("tolerance must be nonnegative")
     as_dissimilarity = DissimilarityMatrix(u.values, list(u.labels))
-    # closure(x, z) <= mid on a triple's largest pair (x, z), by the path
-    # through y, so u - closure bounds every slack: only a larger gap scans
-    gap = (u.values - minmax_path_closure(as_dissimilarity).values).max(initial=0.0)
+    tree = linkage(as_dissimilarity, "single")
+    # its cophenetic is the closure, and closure(x, z) <= mid on a triple's largest pair
+    # (x, z), by the path through y, so u - closure bounds every slack: only a larger gap scans
+    gap = (u.values - cophenetic(tree).values).max(initial=0.0)
     report = None if gap <= tolerance else check_ultrametric(as_dissimilarity, tolerance)
     if report:
         i, j, k = report.triples[0]
@@ -358,4 +395,4 @@ def consensus_dendrogram(
             f"triple ({i}, {j}, {k}) has slack {report.slack[0]:g} "
             f"({report.slack.size} violating triples in total)"
         )
-    return linkage(as_dissimilarity, "single")
+    return tree

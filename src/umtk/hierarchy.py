@@ -13,6 +13,12 @@ node id tied there, and a merge rescans only the rows that pointed at
 the merged pair, O(n^2) per run unless many do. Values and tie rule are
 those of the full-scan loop kept in tests/oracles.py.
 
+Single linkage is read off mst_kruskal's edges instead: its heights are
+their weights in order (Gower & Ross 1969). An untied edge joins the
+clusters of its ends; k edges tied at w make k merges, by the same rule,
+among the cluster pairs some leaf pair at exactly w joins, listed by one
+argsort of the upper triangle. A zero height takes its edge's d[i, j] sign.
+
 The subdominant (maximal lower) ultrametric has one route: the maximal
 edge weight on each minimum spanning tree path (Gower & Ross 1969), read
 off mst_kruskal's tree, which a dense Prim builds, with the block fill
@@ -116,7 +122,8 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     and distances to the remaining clusters are updated by the
     criterion's recurrence:
 
-    - single:    min(d_ac, d_bc)
+    - single:    min(d_ac, d_bc), whose merges are read off the Prim tree
+      under the same tie rule (see the module docstring)
     - complete:  max(d_ac, d_bc)
     - average:   (n_a d_ac + n_b d_bc) / (n_a + n_b)
     - mcquitty:  (d_ac + d_bc) / 2
@@ -136,6 +143,8 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     n = d.n
     if n < 2:
         raise ValueError("need at least two items to cluster")
+    if criterion == "single":
+        return Dendrogram(n, _single_merges(d.values), list(d.labels))
     squared = criterion in _SQUARED_CRITERIA
     with np.errstate(over="ignore"):
         work = d.values ** 2 if squared else d.values.copy()
@@ -167,9 +176,7 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
         row_b = work[b, :]
         # inactive slots may overflow harmlessly; a live one may not
         with np.errstate(over="ignore", invalid="ignore"):
-            if criterion == "single":
-                new_row = np.minimum(row_a, row_b)
-            elif criterion == "complete":
+            if criterion == "complete":
                 new_row = np.maximum(row_a, row_b)
             elif criterion == "average":
                 new_row = (na * row_a + nb * row_b) / (na + nb)
@@ -214,6 +221,65 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
         by_id = np.append(rest, a)
         best_val[stale], best_col[stale] = _row_minima(work, stale, by_id)
     return Dendrogram(n, merges, list(d.labels))
+
+
+def _single_merges(values: np.ndarray) -> list[Merge]:
+    """Single linkage's merges off the minimum spanning tree (see the module docstring)."""
+    n = values.shape[0]
+    lo, hi, weights = _mst(values)
+    node = np.arange(n)  # each leaf's cluster, by node id
+    members = {i: np.array([i]) for i in range(n)}
+    merges: list[Merge] = []
+    flat, ranked = values.ravel(), None  # leaf pairs i < j by value, at the first tied run
+    runs = np.flatnonzero(np.concatenate(([True], weights[1:] != weights[:-1], [True])))
+    for s, t in zip(runs[:-1].tolist(), runs[1:].tolist()):  # edges s..t-1 share a weight
+        if t == s + 1:
+            joins = [(node[lo[s]], node[hi[s]])]
+        else:
+            if ranked is None:
+                pairs = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))  # i * n + j
+                pairs = pairs[np.argsort(flat[pairs])]
+                ranked = flat[pairs]
+            tied = np.searchsorted(ranked, weights[s]), np.searchsorted(ranked, weights[s], "right")
+            ii, jj = np.divmod(pairs[tied[0]:tied[1]], n)
+            joins = _tied_joins(node[ii], node[jj], t - s, n + s)
+        for x, y in joins:
+            x, y = sorted((int(x), int(y)))
+            new = n + len(merges)
+            members[new] = leaves = np.concatenate((members.pop(x), members.pop(y)))
+            node[leaves] = new
+            merges.append(Merge(x, y, float(weights[new - n]), leaves.size))
+    return merges
+
+
+def _tied_joins(ca: np.ndarray, cb: np.ndarray, count: int, first: int) -> list[tuple[int, int]]:
+    """The count merges of a tied run whose leaf pairs join clusters ca and cb
+    (node ids below first, the next one). The least (lower id, higher id) pair
+    is the least cluster with a neighbour and its least neighbour, and new ids
+    only grow, so one pass over the clusters in id order makes the merges."""
+    apart = ca != cb
+    ca, cb = ca[apart], cb[apart]
+    seen = np.zeros(first, dtype=bool)
+    seen[ca] = seen[cb] = True
+    ids = np.flatnonzero(seen)  # each slot's node id, ascending
+    slot = np.cumsum(seen) - 1
+    a, b = slot[ca], slot[cb]
+    near = np.zeros((ids.size, ids.size), dtype=bool)
+    near[a, b] = near[b, a] = True
+    queue, out = list(range(ids.size)), []
+    for x in queue:  # a merge appends its slot, under its new id
+        if len(out) == count:
+            break
+        nbrs = np.flatnonzero(near[x])  # empty for a slot merged away
+        if nbrs.size:
+            y = nbrs[ids[nbrs].argmin()]
+            out.append((ids[x], ids[y]))
+            near[x] |= near[y]
+            near[y] = near[:, y] = near[x, x] = False
+            near[:, x] = near[x]
+            ids[x] = first + len(out) - 1
+            queue.append(x)
+    return out
 
 
 def _row_minima(
@@ -303,7 +369,14 @@ def mst_kruskal(d: DissimilarityMatrix) -> EdgeList:
     n = d.n
     if n < 2:
         raise ValueError("need at least two items")
-    values = d.values
+    lo, hi, weights = _mst(d.values)
+    edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
+    return EdgeList(edges, float(sum(w for _, _, w in edges)))
+
+
+def _mst(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mst_kruskal's edges as (lo, hi, weight) arrays, in (weight, i, j) order."""
+    n = values.shape[0]
     items = np.arange(n)
     outside = np.ones(n, dtype=bool)
     outside[0] = False
@@ -328,8 +401,7 @@ def mst_kruskal(d: DissimilarityMatrix) -> EdgeList:
     lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
     weights = values[lo, hi]
     order = np.lexsort((hi, lo, weights))
-    edges = list(zip(lo[order].tolist(), hi[order].tolist(), weights[order].tolist()))
-    return EdgeList(edges, float(sum(w for _, _, w in edges)))
+    return lo[order], hi[order], weights[order]
 
 
 def minmax_path_closure(d: DissimilarityMatrix) -> UltrametricMatrix:

@@ -29,12 +29,13 @@ def _default_labels(count: int, prefix: str = "x") -> list[str]:
 
 
 class _ArrayFieldsEq:
-    """Field-wise == for dataclasses (eq=False) whose fields hold arrays."""
+    """Field-wise == for dataclasses (eq=False) whose compared fields hold arrays."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self) if f.compare)
         return all(
             np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
             for a, b in pairs
@@ -175,9 +176,10 @@ def euclidean_distances(coords: CoordinateMatrix) -> DissimilarityMatrix:
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
         acc = np.zeros((r1 - r0, n - r0))
+        diff = np.empty_like(acc)  # one buffer per block, not two arrays per coordinate
         for c in columns:
-            diff = c[r0:r1, None] - c[None, r0:]
-            acc += diff * diff
+            np.subtract(c[r0:r1, None], c[None, r0:], out=diff)
+            acc += np.multiply(diff, diff, out=diff)
         np.sqrt(acc, out=acc)
         values[r0:r1, r0:] = acc
         values[r0:, r0:r1] = acc.T

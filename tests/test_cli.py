@@ -467,6 +467,22 @@ def test_consensus_outputs(tmp_path):
     assert [r[0] for r in table_rows[1:]] == ["ward", "single", "complete"]
 
 
+def test_consensus_builds_each_tree_once(tmp_path, monkeypatch):
+    """The pair reads the table's trees: one linkage per criterion, one for the dendrogram."""
+    src = tmp_path / "d.csv"
+    write_example_distances(src)
+    built = []
+
+    def counting(d, criterion):
+        built.append(criterion)
+        return linkage(d, criterion)
+
+    monkeypatch.setattr(consensus, "linkage", counting)
+    assert main(["consensus", "--input", str(src), "--criteria", "ward,single,complete",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert built == ["ward", "single", "complete", "single"]
+
+
 def test_consensus_rerun_is_byte_identical(tmp_path):
     src = tmp_path / "d.csv"
     write_example_distances(src)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from umtk import consensus, triplets
+from umtk import consensus, hierarchy, triplets
 
 from umtk.component import ultrametric_component
 from umtk.consensus import (
@@ -477,6 +477,33 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding, 
             assert len(built) >= 2 or triplet_count(n) < 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("gaussian", "duplicates", "integer", "multifurcating")),
+    criteria=st.permutations(INVERSION_FREE_CRITERIA).map(lambda c: list(c[:3])),
+    tol=st.sampled_from((0.0, 1e-9, 0.3)),
+)
+def test_pair_scan_on_the_tables_trees_matches_consensus_scan(n, seed, kind, criteria, tol):
+    """The criteria's own trees give the skips, ultrametric bytes and rows
+    that consensus_scan reads off single-linkage trees built from scratch."""
+    table = consensus_table(tied_distances(n, seed, kind), criteria, tol)
+    skipped, ultrametric, rows = table.pair_scan()
+    want_skipped, want_ultrametric, want_rows = consensus.consensus_scan(*table.ultrametrics[:2],
+                                                                           tol)
+    assert skipped == want_skipped
+    assert ultrametric.values.tobytes() == want_ultrametric.values.tobytes()
+    assert ultrametric.labels == want_ultrametric.labels
+    empty = np.zeros((0, 6), dtype=np.int64)
+    assert np.concatenate([empty, *rows]).tobytes() == np.concatenate([empty, *want_rows]).tobytes()
+
+
+def test_pair_scan_needs_two_criteria(rng):
+    with pytest.raises(ValueError, match="^the pair scan needs two criteria$"):
+        consensus_table(random_dissimilarity(rng, 5), ["ward"]).pair_scan()
+
+
 def test_consensus_ultrametric_joins_a_tied_chain_at_its_lowest_pair():
     # at 0.3, 1.0 ties 1.3 but not 1.5 while 1.3 ties 1.5: the triplet abc is
     # equilateral, so ac and bc are lowered to 1.0, though their top is the root
@@ -576,11 +603,11 @@ def test_consensus_dendrogram_accepts_and_rejects_as_the_scan_does(
     u = UltrametricMatrix(u)
     got = dendrogram_or_message(u, tolerance)
 
-    def never_closed(d):  # every gap infinite: the check always scans
-        return SimpleNamespace(values=np.full(d.values.shape, -np.inf))
+    def never_closed(h):  # every gap infinite: the check always scans
+        return SimpleNamespace(values=np.full((h.n_leaves, h.n_leaves), -np.inf))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(consensus, "minmax_path_closure", never_closed)
+        mp.setattr(consensus, "cophenetic", never_closed)
         assert got == dendrogram_or_message(u, tolerance)
 
 
@@ -599,6 +626,19 @@ def test_consensus_dendrogram_scans_only_a_gap_above_tolerance(monkeypatch):
     assert isinstance(dendrogram_or_message(u, 1.0), list)  # gap 2, every slack 1
     assert "slack 1 (4 violating triples" in dendrogram_or_message(u, 0.5)
     assert windows == [4, 4]
+
+
+def test_consensus_dendrogram_builds_one_spanning_tree(rng, monkeypatch):
+    u = minmax_path_closure(random_dissimilarity(rng, 12))
+    original, sizes = hierarchy._mst, []
+
+    def counting(values):
+        sizes.append(values.shape[0])
+        return original(values)
+
+    monkeypatch.setattr(hierarchy, "_mst", counting)
+    np.testing.assert_array_equal(cophenetic(consensus_dendrogram(u)).values, u.values)
+    assert sizes == [12]
 
 
 def test_consensus_dendrogram_rejects_nan_tolerance():

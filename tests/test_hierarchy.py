@@ -536,3 +536,49 @@ def test_linkage_matches_loop_on_decimal_grids(d):
 
 def test_linkage_matches_loop_on_clustered_n300():
     assert_linkage_matches_loop(clustered_n300(301))
+
+
+@st.composite
+def single_linkage_inputs(draw):
+    """Tie-heavy matrices, n = 2 and 3 included: integer distances, duplicate
+    points, all-equal values or the cophenetic matrix of a multifurcating
+    tree, sometimes with a -0.0 entry."""
+    n = draw(st.integers(2, 3) | st.integers(4, 45))
+    kind = draw(st.sampled_from(("integer", "duplicates", "all-equal", "multifurcating")))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "all-equal":
+        values = np.full((n, n), float(draw(st.integers(0, 3))))
+    elif kind == "duplicates":
+        points = gen.normal(size=(n, 3))
+        copied = gen.random(n) < 0.4
+        points[copied] = points[gen.integers(0, n, size=n)[copied]]
+        values = euclidean_distances(CoordinateMatrix(points)).values
+    else:
+        values = np.triu(gen.integers(0, draw(st.integers(1, 4)), size=(n, n)), 1).astype(float)
+        values += values.T
+        if kind == "multifurcating":  # integer levels tie, so nodes have many children
+            values = cophenetic(linkage(DissimilarityMatrix(values), "average")).values
+    np.fill_diagonal(values, 0.0)
+    if draw(st.booleans()):  # one pair at zero: -0.0 above the diagonal, and maybe below
+        i, j = sorted(gen.choice(n, size=2, replace=False).tolist())
+        values[i, j], values[j, i] = -0.0, draw(st.sampled_from((0.0, -0.0)))
+    return DissimilarityMatrix(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_linkage_inputs())
+def test_single_linkage_off_the_mst_matches_the_loop(d):
+    """The merges of the full-scan loop, and heights that are the tree's weights.
+
+    The loop's level is a numpy min over a matrix, which may return either
+    zero of a run holding both, so zero heights match it in value and the
+    edges' weights in bits."""
+    got = linkage(d, "single").merges
+    want = linkage_loop(d.values, "single")
+    assert [(m.left, m.right, m.size) for m in got] == [(m[0], m[1], m[3]) for m in want]
+    heights = np.array([m.height for m in got])
+    np.testing.assert_array_equal(heights, [m[2] for m in want])
+    weights = np.array([w for _, _, w in mst_kruskal(d).edges])
+    assert heights.tobytes() == weights.tobytes()
+    if not np.signbit(d.values).any():
+        assert heights.tobytes() == np.array([m[2] for m in want]).tobytes()
