@@ -487,7 +487,7 @@ def test_consensus_ultrametric_matches_two_branch_scan(n, seed, kind, rounding, 
 )
 def test_pair_scan_on_the_tables_trees_matches_consensus_scan(n, seed, kind, criteria, tol):
     """The criteria's own trees give the skips, ultrametric bytes and rows
-    that consensus_scan reads off single-linkage trees built from scratch."""
+    that consensus_scan reads off single-linkage trees it builds anew."""
     table = consensus_table(tied_distances(n, seed, kind), criteria, tol)
     skipped, ultrametric, rows = table.pair_scan()
     want_skipped, want_ultrametric, want_rows = consensus.consensus_scan(*table.ultrametrics[:2],
