@@ -43,6 +43,7 @@ from .hierarchy import (
     cophenetic_correlation,
     detect_inversions,
     export_newick,
+    join_nodes,
     linkage,
     minmax_path_closure,
     mst_kruskal,
@@ -95,7 +96,7 @@ __all__ = [
     "read_corpus_dir", "read_corpus_file", "tokenize",
     "INVERSION_FREE_CRITERIA", "LINKAGE_CRITERIA", "Dendrogram", "EdgeList",
     "Merge", "cophenetic", "cophenetic_correlation", "detect_inversions",
-    "export_newick", "linkage", "minmax_path_closure", "mst_kruskal",
+    "export_newick", "join_nodes", "linkage", "minmax_path_closure", "mst_kruskal",
     "CoordinateMatrix", "DissimilarityMatrix", "FrequencyMatrix",
     "UltrametricMatrix", "euclidean_distances",
     "CaResult", "MetricityReport", "SpectralResult",

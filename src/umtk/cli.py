@@ -35,8 +35,8 @@ from .hierarchy import (
     LINKAGE_CRITERIA,
     Dendrogram,
     Merge,
-    cophenetic,
     export_newick,
+    join_nodes,
     linkage,
 )
 from .matrices import euclidean_distances
@@ -221,8 +221,9 @@ def _cmd_hclust(args: argparse.Namespace) -> int:
     })
     stem = f"hclust_{args.criterion}"
     _write_dendrogram(args, h, stem, headers)
-    matrixio.write_dissimilarity(_out_path(args, f"{stem}_cophenetic.csv"),
-                                 cophenetic(h), headers)
+    heights, joins = join_nodes(h)
+    matrixio.write_level_matrix(_out_path(args, f"{stem}_cophenetic.csv"),
+                                joins, heights, h.labels, headers)
     return 0
 
 
@@ -302,6 +303,7 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
             write([block])
             del block  # before the next window is built
     del table, rows  # the criteria's trees and matrices, before the dendrogram's sort
+    # the float route: with -0.0 in the input, the tree's cophenetic can flip a zero's sign
     matrixio.write_dissimilarity(_out_path(args, "consensus_ultrametric.csv"),
                                  ultrametric, pair_headers)
     tree = consensus_dendrogram(ultrametric)

@@ -46,8 +46,8 @@ import numpy as np
 from .hierarchy import (
     INVERSION_FREE_CRITERIA,
     Dendrogram,
-    _join_nodes,
     cophenetic,
+    join_nodes,
     linkage,
     minmax_path_closure,
 )
@@ -167,7 +167,7 @@ class _Nodes(NamedTuple):
 
 
 def _pair_nodes(h: Dendrogram, tol: float) -> _Nodes:
-    heights, joins = _join_nodes(h)
+    heights, joins = join_nodes(h)
     return _Nodes(h, heights, joins, _tops(h, heights, tol))
 
 

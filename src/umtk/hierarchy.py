@@ -16,8 +16,9 @@ those of the full-scan loop kept in tests/oracles.py.
 Single linkage is read off mst_kruskal's edges instead: its heights are
 their weights in order (Gower & Ross 1969). An untied edge joins the
 clusters of its ends; k edges tied at w make k merges, by the same rule,
-among the cluster pairs some leaf pair at exactly w joins, listed by one
-argsort of the upper triangle. A zero height takes its edge's d[i, j] sign.
+among the cluster pairs some leaf pair at exactly w joins, found by one
+searchsorted of the upper triangle against the tied weights and sorted.
+A zero height takes its edge's d[i, j] sign.
 
 The subdominant (maximal lower) ultrametric has one route: the maximal
 edge weight on each minimum spanning tree path (Gower & Ross 1969), read
@@ -230,16 +231,19 @@ def _single_merges(values: np.ndarray) -> list[Merge]:
     node = np.arange(n)  # each leaf's cluster, by node id
     members = {i: np.array([i]) for i in range(n)}
     merges: list[Merge] = []
-    flat, ranked = values.ravel(), None  # leaf pairs i < j by value, at the first tied run
     runs = np.flatnonzero(np.concatenate(([True], weights[1:] != weights[:-1], [True])))
+    tied_weights = weights[runs[:-1][np.diff(runs) > 1]]
+    if tied_weights.size:  # the leaf pairs i < j at a tied weight, by value
+        flat, low, high = values.ravel(), tied_weights[0], tied_weights[-1]
+        pairs = np.flatnonzero(np.triu((values >= low) & (values <= high), 1))  # i * n + j
+        near = flat[pairs]
+        pairs = pairs[tied_weights.take(np.searchsorted(tied_weights, near), mode="clip") == near]
+        pairs = pairs[np.argsort(flat[pairs])]
+        ranked = flat[pairs]
     for s, t in zip(runs[:-1].tolist(), runs[1:].tolist()):  # edges s..t-1 share a weight
         if t == s + 1:
             joins = [(node[lo[s]], node[hi[s]])]
         else:
-            if ranked is None:
-                pairs = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))  # i * n + j
-                pairs = pairs[np.argsort(flat[pairs])]
-                ranked = flat[pairs]
             tied = np.searchsorted(ranked, weights[s]), np.searchsorted(ranked, weights[s], "right")
             ii, jj = np.divmod(pairs[tied[0]:tied[1]], n)
             joins = _tied_joins(node[ii], node[jj], t - s, n + s)
@@ -295,24 +299,37 @@ def _join_levels(n: int, joins: Iterable[tuple[int, int, float]], dtype=float) -
     """Level at which each leaf pair is first joined, zero diagonal.
 
     joins yields (i, j, level) in merge order; each unites the clusters
-    holding leaves i and j, which must still be apart.
+    holding leaves i and j, which must still be apart. In a leaf order where
+    the second cluster of each merge follows the first, every cluster is a
+    run, so a merge's block is two rectangles; the matrix is filled in that
+    order, root first, and permuted back.
     """
+    root, size, blocks = list(range(n)), [1] * n, []
+    for a, b, level in joins:
+        while root[a] != a:  # each cluster's root leaf, halving the paths
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        blocks.append((a, b, size[a], size[b], level))
+        size[a] += size[b]
+        root[b] = a
+    at, end = [0] * n, 0  # where each cluster's run starts
+    for r in range(n):
+        if root[r] == r:
+            at[r], end = end, end + size[r]
     out = np.zeros((n, n), dtype)
-    owner = np.arange(n)
-    members = {i: np.array([i]) for i in range(n)}
-    for i, j, level in joins:
-        a, b = int(owner[i]), int(owner[j])
-        left, right = members[a], members.pop(b)
-        out[np.ix_(left, right)] = level
-        out[np.ix_(right, left)] = level
-        owner[right] = a
-        members[a] = np.concatenate((left, right))
-    return out
+    for a, b, na, nb, level in reversed(blocks):
+        lo, mid, hi = at[a], at[a] + na, at[a] + na + nb
+        at[b] = mid
+        out[lo:mid, mid:hi] = level
+        out[mid:hi, lo:mid] = level
+    return out.take(at, axis=0).take(at, axis=1)
 
 
-def _join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
+def join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
     """(heights, joins): each node's height (0 at the leaves) and the int32
-    node id at which each leaf pair first joins (leaf 0 on the diagonal)."""
+    node id at which each leaf pair first joins (leaf 0 on the diagonal), so
+    heights[joins] is the cophenetic matrix."""
     n = h.n_leaves
     leaf = list(range(n))  # one leaf under each node id
     for m in h.merges:
@@ -324,7 +341,7 @@ def _join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
 
 def cophenetic(h: Dendrogram) -> UltrametricMatrix:
     """Matrix of merge heights at which each leaf pair first joins."""
-    heights, joins = _join_nodes(h)
+    heights, joins = join_nodes(h)
     return UltrametricMatrix(heights[joins], list(h.labels))
 
 

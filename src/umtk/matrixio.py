@@ -31,7 +31,10 @@ for byte as format_value and then _quote_cell write each value:
 - strings as they are, but quoted with their quotes doubled if they hold
   ',', '"', CR or LF (CR too: the reader takes it as a line end);
 - masked entries as empty cells: a column with a mask (a numpy masked
-  array, or any object with .data and .mask) is blank where it is true.
+  array, or any object with .data and .mask) is blank where it is true;
+- Levels(codes, levels) as the float column levels[codes]: each level is
+  encoded once and a chunk's slots are taken from those by code, so
+  write_level_matrix writes a tree's cophenetic matrix off join_nodes.
 
 The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
 of same-dtype columns becomes one uint8 array of fixed-width cell slots,
@@ -56,7 +59,7 @@ import functools
 import itertools
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -343,47 +346,75 @@ _ENCODERS = {"i": _int_cells, "u": _int_cells, "f": _float_cells, "b": _bool_cel
              "U": _text_cells, "O": _text_cells}
 
 
-def _encode_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
-    """CSV bytes of rows given as (values, blank) blocks of shape (rows, k).
+def _level_cells(levels: np.ndarray) -> np.ndarray:
+    """Byte slots of the %.17g cells of levels, each right-aligned in the
+    narrowest FILL-padded slot, so that its ',' stays last: a stable sort of
+    a slot by whether it writes each byte puts FILL first."""
+    cells = _float_cells(levels, np.zeros(levels.shape, dtype=bool))
+    writes = cells != FILL
+    width = int(writes.sum(axis=1).max(initial=1))
+    return np.take_along_axis(cells, np.argsort(writes, axis=1, kind="stable")[:, -width:], 1)
 
-    Each block's encoder returns a fixed-width byte slot array per cell,
-    ending in a ',' separator, with FILL in every byte the cell does not
-    write; the rows are the joined slots, with '\n' in the last one, less
-    their FILL bytes.
+
+def _encode_rows(parts: list[np.ndarray]) -> bytes:
+    """CSV bytes of rows given as byte slot arrays of shape (rows, k, width).
+
+    Each cell's slot ends in a ',' separator, with FILL in every byte the
+    cell does not write; the rows are the joined slots, with '\n' in the
+    last one, less their FILL bytes.
     """
-    rows = blocks[0][0].shape[0]
-    parts = [_ENCODERS[values.dtype.kind](values, blank).reshape(rows, -1)
-             for values, blank in blocks]
+    rows, cells = parts[0].shape[0], sum(p.shape[1] for p in parts)
+    parts = [p.reshape(rows, -1) for p in parts]
     buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # no copy of one
     buf[:, -1] = ord("\n")
-    if sum(values.shape[1] for values, _ in blocks) == 1:
+    if cells == 1:
         # a row whose only cell is empty is written "", not as an empty line
         empty = (buf[:, :-1] == FILL).all(axis=1)
         buf[empty, :2] = ord('"')
     return buf.tobytes().translate(None, _FILL_BYTE)
 
 
-def _data_and_blank(column) -> tuple[np.ndarray, np.ndarray | None]:
-    """The data of a column and its mask, None if no entry is masked.
+class Levels(NamedTuple):
+    """A column (1-D codes) or columns (2-D) written as the float column
+    levels[codes] would be, byte for byte, with each level encoded once."""
+
+    codes: np.ndarray
+    levels: np.ndarray
+
+
+def _column(column) -> tuple[np.ndarray, np.ndarray | None, Callable]:
+    """(data, mask, encoder) of a column, the mask None if no entry is masked.
 
     A column is masked if it has a .mask, so a (data, mask) pair is
     written as the masked array would be. numpy loads numpy.ma only on
     first use, and neither plain arrays nor such pairs import it here.
+    A Levels column's encoder takes each code's slot from its levels' cells.
     """
-    mask = getattr(column, "mask", None)
-    if mask is None:
-        return np.asarray(column), None
-    return np.asarray(column.data), np.asarray(mask) if np.any(mask) else None
+    if isinstance(column, Levels):
+        data, mask, levels = np.asarray(column.codes), None, np.asarray(column.levels, np.float64)
+        if levels.ndim != 1:
+            raise ValueError("the levels of a Levels column must be a 1-D array")
+        cells = _level_cells(levels)
+        encode = None if data.dtype.kind not in "iu" else lambda v, _: cells.take(v, axis=0)
+    else:
+        mask = getattr(column, "mask", None)
+        data = np.asarray(column if mask is None else column.data)
+        mask = None if mask is None or not np.any(mask) else np.asarray(mask)
+        encode = _ENCODERS.get(data.dtype.kind)
+    if encode is None:
+        raise TypeError(f"cannot write a column of dtype {data.dtype}")
+    return data, mask, encode
 
 
-def _block_rows(block: list[tuple[np.ndarray, np.ndarray | None]], lo: int, hi: int,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, blank) of rows lo..hi of a block of (data, mask) columns, each (rows, k)."""
-    values = np.column_stack([v[lo:hi] for v, _ in block])
-    if all(m is None for _, m in block):
-        return values, np.broadcast_to(False, values.shape)
-    return values, np.column_stack([np.zeros(v[lo:hi].shape, dtype=bool) if m is None
-                                    else m[lo:hi] for v, m in block])
+def _block_cells(block: list[tuple[np.ndarray, np.ndarray | None, Callable]], lo: int, hi: int,
+                 ) -> np.ndarray:
+    """Byte slots, (rows, k, width), of rows lo..hi of a block of columns
+    that share an encoder."""
+    values = np.column_stack([v[lo:hi] for v, _, _ in block])
+    if all(m is None for _, m, _ in block):
+        return block[0][2](values, np.broadcast_to(False, values.shape))
+    return block[0][2](values, np.column_stack([np.zeros(v[lo:hi].shape, dtype=bool) if m is None
+                                               else m[lo:hi] for v, m, _ in block]))
 
 
 @contextlib.contextmanager
@@ -391,12 +422,12 @@ def table_stream(
     path: str | Path,
     header: Sequence[str],
     header_lines: Sequence[str] = (),
-) -> Iterator[Callable[[Sequence[np.ndarray]], None]]:
+) -> Iterator[Callable[[Sequence[np.ndarray | Levels]], None]]:
     """Open a CSV table whose rows come in blocks; yields write(columns).
 
     write(columns) appends one block: equal-length arrays, each one column
-    (1-D) or several of one dtype (2-D), written as the module docstring
-    says. The bytes do not depend on how the rows are split into blocks.
+    (1-D) or several of one dtype (2-D), or Levels, written as the module
+    docstring says. The bytes do not depend on how the rows are split into blocks.
     The file is opened at the first block (or on exit, for a table of no
     rows), so a body that raises before then leaves the path untouched;
     one that raises later has the file closed and removed.
@@ -408,24 +439,23 @@ def table_stream(
     head = np.array(header, dtype=object)[None, :]
     fh = None
 
-    def write(columns: Sequence[np.ndarray]) -> None:
+    def write(columns: Sequence[np.ndarray | Levels]) -> None:
         nonlocal fh
-        columns = [_data_and_blank(c) for c in columns]
-        widths = [v.shape[1] if v.ndim == 2 else 1 for v, _ in columns]
+        columns = [_column(c) for c in columns]
+        data = [v for v, _, _ in columns]
+        widths = [v.shape[1] if v.ndim == 2 else 1 for v in data]
         if sum(widths) != len(header):
             raise ValueError(f"{len(header)} header cells for {sum(widths)} columns")
-        if any(v.ndim not in (1, 2) for v, _ in columns) or len({len(v) for v, _ in columns}) != 1:
+        if any(v.ndim not in (1, 2) for v in data) or len({len(v) for v in data}) != 1:
             raise ValueError("table columns must be 1-D arrays of equal length")
-        blocks = [list(run) for _, run in itertools.groupby(columns, key=lambda c: c[0].dtype)]
-        for block in blocks:
-            if block[0][0].dtype.kind not in _ENCODERS:
-                raise TypeError(f"cannot write a column of dtype {block[0][0].dtype}")
+        # a Levels column's encoder is its own, so it forms a block alone
+        blocks = [list(run) for _, run in itertools.groupby(columns, lambda c: (c[0].dtype, c[2]))]
         if fh is None:
             fh = open(path, "wb")
             fh.write(_comment_block(header_lines))
-            fh.write(_encode_rows([(head, np.zeros(head.shape, dtype=bool))]))
-        for lo in range(0, len(columns[0][0]), step):
-            fh.write(_encode_rows([_block_rows(b, lo, lo + step) for b in blocks]))
+            fh.write(_encode_rows([_text_cells(head, np.zeros(head.shape, dtype=bool))]))
+        for lo in range(0, len(data[0]), step):
+            fh.write(_encode_rows([_block_cells(b, lo, lo + step) for b in blocks]))
 
     try:
         yield write
@@ -464,6 +494,23 @@ def write_labeled_matrix(
         raise ValueError(f"{len(col_labels)} column labels for {matrix.shape[1]} columns")
     with table_stream(path, ["", *col_labels], header_lines) as write:
         write([labels, matrix])
+
+
+def write_level_matrix(
+    path: str | Path,
+    codes: np.ndarray,
+    levels: np.ndarray,
+    labels: Sequence[str],
+    header_lines: Sequence[str] = (),
+) -> None:
+    """Write levels[codes], an n x n matrix, as write_dissimilarity writes it,
+    byte for byte, with each level encoded once: join_nodes' (heights, joins)
+    of a tree as its cophenetic matrix, without that float matrix."""
+    labels = np.asarray(labels, dtype=object)
+    if np.shape(codes) != labels.shape * 2:
+        raise ValueError("a level matrix needs an n x n code matrix and n labels")
+    with table_stream(path, ["", *labels], header_lines) as write:
+        write([labels, Levels(codes, levels)])
 
 
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:

@@ -5,11 +5,11 @@ vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
 routine replaced (Floyd-Warshall closure, the two-branch consensus
 scan, the float signatures and lowering scan of a consensus pair, the
-consensus table's triplet scan, the power repair's full
-bisection, the additive repair's full scans, the csv matrix reader, the
-np.sort and argsort orderings of a triplet's three values, the buffered
-per-row enumeration of triplet chunks), kept so the replacement can be
-checked bit for bit.
+consensus table's triplet scan, the np.ix_ fill of join levels, the
+power repair's full bisection, the additive repair's full scans, the csv
+matrix reader, the np.sort and argsort orderings of a triplet's three
+values, the buffered per-row enumeration of triplet chunks), kept so the
+replacement can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -549,6 +549,22 @@ def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, flo
         node_id[a] = n + step
         size[a] = na + nb
     return merges
+
+
+def join_levels_ix(n: int, joins, dtype=float) -> np.ndarray:
+    """hierarchy._join_levels by two np.ix_ block assignments per join, in
+    leaf index order: each (i, j, level) unites the clusters of i and j."""
+    out = np.zeros((n, n), dtype)
+    owner = np.arange(n)
+    members = {i: np.array([i]) for i in range(n)}
+    for i, j, level in joins:
+        a, b = int(owner[i]), int(owner[j])
+        left, right = members[a], members.pop(b)
+        out[np.ix_(left, right)] = level
+        out[np.ix_(right, left)] = level
+        owner[right] = a
+        members[a] = np.concatenate((left, right))
+    return out
 
 
 def parse_newick(text: str):

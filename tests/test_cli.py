@@ -1,5 +1,6 @@
 import csv
 import gc
+import itertools
 import os
 import re
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 
 from umtk import __version__, cli, consensus, matrixio, triplets
 from umtk.cli import main
-from umtk.consensus import consensus_count
+from umtk.consensus import consensus_count, consensus_table
 from umtk.corpus import random_mirror
-from umtk.hierarchy import cophenetic, export_newick, linkage
+from umtk.hierarchy import LINKAGE_CRITERIA, cophenetic, export_newick, linkage
 from umtk.matrices import CoordinateMatrix, DissimilarityMatrix, euclidean_distances
 from umtk.triplets import triplet_count
 from umtk.ultrametricity import (
@@ -179,6 +180,35 @@ def test_hclust_header_lines_stay_one_line_each(tmp_path, labels):
     assert (tmp_path / "hclust_ward.nwk").read_bytes().decode("utf-8") == "".join(
         f"{line}\n" for line in headers + [export_newick(linkage(d, "ward"))])
     assert matrixio.read_dissimilarity(tmp_path / "hclust_ward_cophenetic.csv").labels == labels
+
+
+@pytest.mark.filterwarnings("ignore:dendrogram has inversions")  # centroid and median
+def test_hclust_and_consensus_matrices_are_write_dissimilaritys_bytes(tmp_path):
+    """*_cophenetic.csv, written from each tree's levels, and consensus_ultrametric.csv
+    hold the bytes write_dissimilarity writes of their float matrices, on a
+    tie-heavy input (zeros included) whose labels need quoting."""
+    gen = np.random.default_rng(4)
+    values = np.triu(gen.integers(0, 3, size=(11, 11)), 1).astype(float)
+    labels = ["a,b", 'say "hi"', "x\ry", "e\nf", "Smith, J.", *"pqrstu"]
+    d = DissimilarityMatrix(values + values.T, labels)
+    matrixio.write_dissimilarity(tmp_path / "d.csv", d)
+
+    def assert_float_bytes(path, matrix):
+        header = [unescape_header(line[2:]) for line in
+                  itertools.takewhile(lambda ln: ln.startswith("# "), read_lines(path))]
+        matrixio.write_dissimilarity(tmp_path / "want.csv", matrix, header)
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    for criterion in LINKAGE_CRITERIA:
+        assert main(["hclust", "--input", str(tmp_path / "d.csv"), "--criterion", criterion,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert_float_bytes(tmp_path / "out" / f"hclust_{criterion}_cophenetic.csv",
+                           cophenetic(linkage(d, criterion)))
+    criteria = ["ward", "single", "average", "complete"]
+    assert main(["consensus", "--input", str(tmp_path / "d.csv"),
+                 "--criteria", ",".join(criteria), "--out", str(tmp_path / "out")]) == 0
+    assert_float_bytes(tmp_path / "out" / "consensus_ultrametric.csv",
+                       consensus_table(d, criteria).pair_scan()[1])
 
 
 def test_hclust_and_consensus_on_a_decimal_grid(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 import scipy.cluster.hierarchy as sch
 from hypothesis import given, settings, strategies as st
 
+from umtk import hierarchy
 from umtk.hierarchy import (
     INVERSION_FREE_CRITERIA,
     LINKAGE_CRITERIA,
@@ -23,6 +24,7 @@ from .conftest import decimal_grid, random_dissimilarity, random_ultrametric
 from .oracles import (
     closure_bruteforce,
     closure_floyd_warshall,
+    join_levels_ix,
     linkage_loop,
     mst_kruskal_loop,
     mst_total_bruteforce,
@@ -542,16 +544,22 @@ def test_linkage_matches_loop_on_clustered_n300():
 def single_linkage_inputs(draw):
     """Tie-heavy matrices, n = 2 and 3 included: integer distances, duplicate
     points, all-equal values or the cophenetic matrix of a multifurcating
-    tree, sometimes with a -0.0 entry."""
+    tree, sometimes with a -0.0 entry; and untied clouds but for one or two
+    duplicated points, whose only tied run is at zero."""
     n = draw(st.integers(2, 3) | st.integers(4, 45))
-    kind = draw(st.sampled_from(("integer", "duplicates", "all-equal", "multifurcating")))
+    kind = draw(st.sampled_from(("integer", "duplicates", "all-equal", "multifurcating",
+                                 "duplicated pair")))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "all-equal":
         values = np.full((n, n), float(draw(st.integers(0, 3))))
-    elif kind == "duplicates":
+    elif kind in ("duplicates", "duplicated pair"):
         points = gen.normal(size=(n, 3))
-        copied = gen.random(n) < 0.4
-        points[copied] = points[gen.integers(0, n, size=n)[copied]]
+        if kind == "duplicates":
+            copied = gen.random(n) < 0.4
+            points[copied] = points[gen.integers(0, n, size=n)[copied]]
+        else:  # point 0 copied to 1, and point 2 or 0 copied to 3 when there is one
+            points[1] = points[0]
+            points[3:4] = points[min(draw(st.sampled_from((0, 2))), n - 1)]
         values = euclidean_distances(CoordinateMatrix(points)).values
     else:
         values = np.triu(gen.integers(0, draw(st.integers(1, 4)), size=(n, n)), 1).astype(float)
@@ -582,3 +590,23 @@ def test_single_linkage_off_the_mst_matches_the_loop(d):
     assert heights.tobytes() == weights.tobytes()
     if not np.signbit(d.values).any():
         assert heights.tobytes() == np.array([m[2] for m in want]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_join_levels_fills_as_the_ix_oracle(n, seed, as_float, forest):
+    """The leaf-order block fill equals np.ix_ assignments in leaf order, on
+    random merge orders (of every cluster, or of a forest), for int32 node
+    ids and for float levels, -0.0 among them."""
+    gen = np.random.default_rng(seed)
+    owner, joins = np.arange(n), []
+    for s in range(int(gen.integers(0, n)) if forest else n - 1):
+        a, b = gen.choice(np.unique(owner), size=2, replace=False)
+        i, j = gen.choice(np.flatnonzero(owner == a)), gen.choice(np.flatnonzero(owner == b))
+        level = float(gen.choice([-0.0, 0.0, gen.normal()])) if as_float else n + s
+        joins.append((int(i), int(j), level))
+        owner[owner == b] = a
+    dtype = float if as_float else np.int32
+    got = hierarchy._join_levels(n, iter(joins), dtype)
+    want = join_levels_ix(n, joins, dtype)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from umtk import matrices
+from umtk.hierarchy import LINKAGE_CRITERIA, Dendrogram, cophenetic, join_nodes, linkage
 from umtk.matrices import (
     CoordinateMatrix,
     DissimilarityMatrix,
@@ -707,3 +708,73 @@ def test_write_labeled_matrix_rejects_mismatched_labels(tmp_path):
         matrixio.write_labeled_matrix(path, np.zeros((2, 3)), ["a"], ["x", "y", "z"])
     with pytest.raises(ValueError, match="2-D"):
         matrixio.write_labeled_matrix(path, np.zeros(3), ["a", "b", "c"], ["x"])
+
+
+@st.composite
+def _level_trees(draw):
+    """(distances, labels) whose trees' levels take every cell route: tie-heavy
+    integers, duplicate points (zero levels), integer-valued Gaussian distances,
+    multiples of 5e-324 and Gaussian distances above 1e280, whose squares
+    overflow. n = 1, 2 and 3 included; labels hold ',', '"', CR and LF."""
+    n = draw(st.integers(1, 3) | st.integers(4, 40))
+    labels = [draw(_TEXT) + str(i) for i in range(n)]  # distinct
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("tied", "duplicates", "integer", "subnormal", "huge")))
+    points = gen.normal(size=(n, 3))
+    if kind == "duplicates":
+        points[gen.random(n) < 0.4] = points[0]
+    values = euclidean_distances(CoordinateMatrix(points)).values
+    if kind in ("tied", "subnormal"):
+        values = np.triu(gen.integers(0, 3, size=(n, n)), 1).astype(float)
+        values = (values + values.T) * (5e-324 if kind == "subnormal" else 1.0)
+    elif kind == "integer":
+        values = np.rint(10 * values)
+    elif kind == "huge":
+        values *= 1e285
+    return DissimilarityMatrix(values, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_level_trees(), st.sampled_from([matrixio.CHUNK_CELLS, 1, 5, 12, 30]), _LABELS)
+def test_level_matrix_writes_the_cophenetic_bytes(tmp_path_factory, d, chunk, header_lines):
+    """write_level_matrix of join_nodes(h) writes write_dissimilarity(cophenetic(h))'s
+    bytes for every criterion, inversions (centroid, median) included, with
+    chunks that split the rows anywhere."""
+    out = tmp_path_factory.mktemp("levels")
+    for criterion in LINKAGE_CRITERIA:
+        if d.n == 1:
+            h = Dendrogram(1, [], d.labels)
+        else:
+            try:
+                h = linkage(d, criterion)
+            except ValueError as exc:  # squares above 1e154 overflow
+                assert criterion in ("ward", "centroid", "median") and "square" in str(exc)
+                continue
+        with mock.patch.object(matrixio, "CHUNK_CELLS", chunk):
+            matrixio.write_dissimilarity(out / "float.csv", cophenetic(h), header_lines)
+            heights, joins = join_nodes(h)
+            matrixio.write_level_matrix(out / "levels.csv", joins, heights, h.labels,
+                                        header_lines)
+        assert (out / "levels.csv").read_bytes() == (out / "float.csv").read_bytes()
+
+
+def test_levels_columns_write_as_their_float_columns(tmp_path):
+    """Levels beside other columns, 1-D and 2-D codes, levels on the %.17g fallback."""
+    levels = np.array([0.0, -0.0, 5e-324, 1.5, 1e290, np.nan, -np.inf, 0.1])
+    codes = np.random.default_rng(0).integers(0, levels.size, size=(37, 4)).astype(np.int32)
+    header = list("abcdef")
+    with mock.patch.object(matrixio, "CHUNK_CELLS", 20):
+        matrixio.write_table(tmp_path / "levels.csv", header, [
+            np.arange(37), matrixio.Levels(codes[:, :3], levels),
+            matrixio.Levels(codes[:, 3], levels[::-1]), levels[codes[:, 0]]])
+        matrixio.write_table(tmp_path / "float.csv", header, [
+            np.arange(37), levels[codes[:, :3]], levels[::-1][codes[:, 3]],
+            levels[codes[:, 0]]])
+    assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+    with pytest.raises(TypeError, match="float64"):
+        matrixio.write_table(tmp_path / "bad.csv", ["a"], [matrixio.Levels(levels, levels)])
+    with pytest.raises(ValueError, match="1-D"):
+        matrixio.write_table(tmp_path / "bad.csv", ["a"], [matrixio.Levels(codes[:, 0], codes)])
+    with pytest.raises(ValueError, match="n x n"):
+        matrixio.write_level_matrix(tmp_path / "bad.csv", codes[:5], levels, list("abcd"))
+    assert not (tmp_path / "bad.csv").exists()
