@@ -376,7 +376,8 @@ def consensus_dendrogram(
     The input is validated against the strong triangle inequality
     (tolerance defaults to 1e-9 times the largest level) before the tree
     is returned; single linkage on a valid ultrametric reproduces its
-    levels as merge heights, so cophenetic(result) equals u.
+    levels as merge heights, so cophenetic(result) equals u in value (where
+    u holds -0.0, a zero level's sign may differ).
     """
     if tolerance is None:
         tolerance = 1e-9 * float(u.values.max()) if u.values.size else 0.0

@@ -20,12 +20,12 @@ among the cluster pairs some leaf pair at exactly w joins, found by one
 searchsorted of the upper triangle against the tied weights and sorted.
 A zero height takes its edge's d[i, j] sign.
 
-The subdominant (maximal lower) ultrametric has one route: the maximal
-edge weight on each minimum spanning tree path (Gower & Ross 1969), read
-off mst_kruskal's tree, which a dense Prim builds, with the block fill
-that cophenetic uses. The Floyd-Warshall and path-enumeration closures
-in tests/oracles.py check it exactly, as none of the routes does
-arithmetic on the input values.
+The subdominant (maximal lower) ultrametric is single linkage's
+cophenetic matrix: the maximal edge weight on each minimum spanning tree
+path (Gower & Ross 1969). join_nodes is the one fill from a tree to its
+matrix. The Floyd-Warshall and path-enumeration closures in
+tests/oracles.py check the closure exactly, as no route does arithmetic
+on the input values.
 
 Criteria
 --------
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -295,48 +295,28 @@ def _row_minima(
     return low, cols[(block == low[:, None]).argmax(axis=1)]
 
 
-def _join_levels(n: int, joins: Iterable[tuple[int, int, float]], dtype=float) -> np.ndarray:
-    """Level at which each leaf pair is first joined, zero diagonal.
-
-    joins yields (i, j, level) in merge order; each unites the clusters
-    holding leaves i and j, which must still be apart. In a leaf order where
-    the second cluster of each merge follows the first, every cluster is a
-    run, so a merge's block is two rectangles; the matrix is filled in that
-    order, root first, and permuted back.
-    """
-    root, size, blocks = list(range(n)), [1] * n, []
-    for a, b, level in joins:
-        while root[a] != a:  # each cluster's root leaf, halving the paths
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        blocks.append((a, b, size[a], size[b], level))
-        size[a] += size[b]
-        root[b] = a
-    at, end = [0] * n, 0  # where each cluster's run starts
-    for r in range(n):
-        if root[r] == r:
-            at[r], end = end, end + size[r]
-    out = np.zeros((n, n), dtype)
-    for a, b, na, nb, level in reversed(blocks):
-        lo, mid, hi = at[a], at[a] + na, at[a] + na + nb
-        at[b] = mid
-        out[lo:mid, mid:hi] = level
-        out[mid:hi, lo:mid] = level
-    return out.take(at, axis=0).take(at, axis=1)
-
-
 def join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
     """(heights, joins): each node's height (0 at the leaves) and the int32
     node id at which each leaf pair first joins (leaf 0 on the diagonal), so
-    heights[joins] is the cophenetic matrix."""
+    heights[joins] is the cophenetic matrix.
+
+    In the leaf order where each merge's right child follows its left, every
+    node's leaves are a run, so a merge's block is two rectangles; the matrix
+    is filled in that order, root first, and permuted back.
+    """
     n = h.n_leaves
-    leaf = list(range(n))  # one leaf under each node id
-    for m in h.merges:
-        leaf.append(leaf[m.left])
-    joins = ((leaf[m.left], leaf[m.right], n + s) for s, m in enumerate(h.merges))
+    size = [1] * n + [m.size for m in h.merges]
+    at = [0] * (2 * n - 1)  # where each node's run starts
+    out = np.zeros((n, n), np.int32)
+    for s in range(n - 2, -1, -1):
+        m = h.merges[s]
+        lo = at[m.left] = at[n + s]
+        mid = at[m.right] = lo + size[m.left]
+        hi = lo + m.size
+        out[lo:mid, mid:hi] = n + s
+        out[mid:hi, lo:mid] = n + s
     heights = np.array([0.0] * n + [m.height for m in h.merges])
-    return heights, _join_levels(n, joins, np.int32)
+    return heights, out.take(at[:n], axis=0).take(at[:n], axis=1)
 
 
 def cophenetic(h: Dendrogram) -> UltrametricMatrix:
@@ -425,12 +405,14 @@ def minmax_path_closure(d: DissimilarityMatrix) -> UltrametricMatrix:
     """Subdominant ultrametric: minimize over paths the maximal step.
 
     The minimax path between two items runs along the minimum spanning
-    tree, so each entry is the largest edge weight on the tree path.
-    The result is the largest ultrametric lying at or below d
-    entrywise; d is unchanged exactly when it already is an ultrametric.
+    tree, so each entry is the largest edge weight on the tree path: the
+    height at which single linkage first joins the pair. The result is the
+    largest ultrametric lying at or below d entrywise; d is unchanged, in
+    value, exactly when it already is an ultrametric.
     """
-    edges = mst_kruskal(d).edges if d.n > 1 else []
-    return UltrametricMatrix(_join_levels(d.n, edges), list(d.labels))
+    if d.n < 2:
+        return UltrametricMatrix(np.zeros((d.n, d.n)), list(d.labels))
+    return cophenetic(linkage(d, "single"))
 
 
 def cophenetic_correlation(d: DissimilarityMatrix, u: _SymmetricMatrix) -> float:

@@ -552,8 +552,9 @@ def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, flo
 
 
 def join_levels_ix(n: int, joins, dtype=float) -> np.ndarray:
-    """hierarchy._join_levels by two np.ix_ block assignments per join, in
-    leaf index order: each (i, j, level) unites the clusters of i and j."""
+    """The join table hierarchy.join_nodes fills, by two np.ix_ block
+    assignments per join in leaf index order: each (i, j, level) unites the
+    clusters of i and j."""
     out = np.zeros((n, n), dtype)
     owner = np.arange(n)
     members = {i: np.array([i]) for i in range(n)}

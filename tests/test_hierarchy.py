@@ -3,7 +3,6 @@ import pytest
 import scipy.cluster.hierarchy as sch
 from hypothesis import given, settings, strategies as st
 
-from umtk import hierarchy
 from umtk.hierarchy import (
     INVERSION_FREE_CRITERIA,
     LINKAGE_CRITERIA,
@@ -13,6 +12,7 @@ from umtk.hierarchy import (
     cophenetic_correlation,
     detect_inversions,
     export_newick,
+    join_nodes,
     linkage,
     minmax_path_closure,
     mst_kruskal,
@@ -592,21 +592,64 @@ def test_single_linkage_off_the_mst_matches_the_loop(d):
         assert heights.tobytes() == np.array([m[2] for m in want]).tobytes()
 
 
+@st.composite
+def trees(draw):
+    """Random valid merge orders over 1 to 40 leaves, heights -0.0, 0.0 or
+    positive; or the trees of every criterion on a single_linkage_inputs()
+    matrix, centroid and median with their inversions."""
+    if draw(st.booleans()):
+        d = draw(single_linkage_inputs())
+        return [linkage(d, criterion) for criterion in LINKAGE_CRITERIA]
+    n = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active, size, merges = list(range(n)), [1] * n, []
+    for s in range(n - 1):
+        a, b = sorted(gen.choice(active, size=2, replace=False).tolist())
+        active = [x for x in active if x not in (a, b)] + [n + s]
+        size.append(size[a] + size[b])
+        merges.append(Merge(a, b, float(gen.choice([-0.0, 0.0, gen.exponential()])), size[-1]))
+    return [Dendrogram(n, merges, [str(i) for i in range(n)])]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_join_levels_fills_as_the_ix_oracle(n, seed, as_float, forest):
-    """The leaf-order block fill equals np.ix_ assignments in leaf order, on
-    random merge orders (of every cluster, or of a forest), for int32 node
-    ids and for float levels, -0.0 among them."""
-    gen = np.random.default_rng(seed)
-    owner, joins = np.arange(n), []
-    for s in range(int(gen.integers(0, n)) if forest else n - 1):
-        a, b = gen.choice(np.unique(owner), size=2, replace=False)
-        i, j = gen.choice(np.flatnonzero(owner == a)), gen.choice(np.flatnonzero(owner == b))
-        level = float(gen.choice([-0.0, 0.0, gen.normal()])) if as_float else n + s
-        joins.append((int(i), int(j), level))
-        owner[owner == b] = a
-    dtype = float if as_float else np.int32
-    got = hierarchy._join_levels(n, iter(joins), dtype)
-    want = join_levels_ix(n, joins, dtype)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+@given(trees())
+def test_join_nodes_fills_as_the_ix_oracle(hs):
+    """The leaf-order fill writes the int32 node ids of np.ix_ assignments fed
+    each merge's lowest leaves, and the heights are the merges' in bits."""
+    for h in hs:
+        n = h.n_leaves
+        lowest = list(range(n))  # each node's lowest leaf
+        for m in h.merges:
+            lowest.append(min(lowest[m.left], lowest[m.right]))
+        heights, got = join_nodes(h)
+        want = join_levels_ix(
+            n, [(lowest[m.left], lowest[m.right], n + s) for s, m in enumerate(h.merges)], np.int32
+        )
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert heights.tobytes() == np.array([0.0] * n + [m.height for m in h.merges]).tobytes()
+
+
+def test_closure_of_fewer_than_three_items():
+    for n in (0, 1):
+        u = minmax_path_closure(DissimilarityMatrix(np.zeros((n, n)), list("ab"[:n])))
+        assert u.values.dtype == np.float64 and u.values.tobytes() == np.zeros((n, n)).tobytes()
+        assert u.labels == list("ab"[:n])
+    for w in (3.0, -0.0):
+        u = minmax_path_closure(DissimilarityMatrix(np.array([[0.0, w], [w, 0.0]]), ["a", "b"]))
+        assert u.values.tobytes() == np.array([[0.0, w], [w, 0.0]]).tobytes()
+        assert u.labels == ["a", "b"]
+
+
+def test_closure_zero_signs_are_single_linkages():
+    """Zero ties mixing -0.0 and 0.0: the Prim tree's edges (0, 1), (0, 2), (2, 3)
+    at -0.0, 0.0, -0.0 make the merges {0, 1}, {2, 3} and the root, and merge s
+    takes edge s's weight, so only the pair (2, 3) joins at 0.0."""
+    d = np.array([[0.0, -0.0, 0.0, 1.0],
+                  [-0.0, 0.0, 1.0, 1.0],
+                  [0.0, 1.0, 0.0, -0.0],
+                  [1.0, 1.0, -0.0, 0.0]])
+    want = np.array([[0.0, -0.0, -0.0, -0.0],
+                     [-0.0, 0.0, -0.0, -0.0],
+                     [-0.0, -0.0, 0.0, 0.0],
+                     [-0.0, -0.0, 0.0, 0.0]])
+    assert minmax_path_closure(DissimilarityMatrix(d)).values.tobytes() == want.tobytes()
