@@ -228,8 +228,9 @@ def _single_merges(values: np.ndarray) -> list[Merge]:
     """Single linkage's merges off the minimum spanning tree (see the module docstring)."""
     n = values.shape[0]
     lo, hi, weights = _mst(values)
-    node = np.arange(n)  # each leaf's cluster, by node id
-    members = {i: np.array([i]) for i in range(n)}
+    # a root leaf stands for each cluster: root[leaf], node[root] (its id), owner[id]
+    root, node, owner = list(range(n)), list(range(n)), list(range(n))
+    leaves = [[i] for i in range(n)]  # each root's leaves
     merges: list[Merge] = []
     runs = np.flatnonzero(np.concatenate(([True], weights[1:] != weights[:-1], [True])))
     tied_weights = weights[runs[:-1][np.diff(runs) > 1]]
@@ -240,19 +241,24 @@ def _single_merges(values: np.ndarray) -> list[Merge]:
         pairs = pairs[tied_weights.take(np.searchsorted(tied_weights, near), mode="clip") == near]
         pairs = pairs[np.argsort(flat[pairs])]
         ranked = flat[pairs]
+    lo, hi, heights = lo.tolist(), hi.tolist(), weights.tolist()
     for s, t in zip(runs[:-1].tolist(), runs[1:].tolist()):  # edges s..t-1 share a weight
         if t == s + 1:
-            joins = [(node[lo[s]], node[hi[s]])]
+            joins = [(node[root[lo[s]]], node[root[hi[s]]])]
         else:
             tied = np.searchsorted(ranked, weights[s]), np.searchsorted(ranked, weights[s], "right")
             ii, jj = np.divmod(pairs[tied[0]:tied[1]], n)
-            joins = _tied_joins(node[ii], node[jj], t - s, n + s)
+            cluster = np.take(node, root)
+            joins = _tied_joins(cluster[ii], cluster[jj], t - s, n + s)
         for x, y in joins:
-            x, y = sorted((int(x), int(y)))
-            new = n + len(merges)
-            members[new] = leaves = np.concatenate((members.pop(x), members.pop(y)))
-            node[leaves] = new
-            merges.append(Merge(x, y, float(weights[new - n]), leaves.size))
+            x, y = min(x, y), max(x, y)
+            small, big = sorted((owner[x], owner[y]), key=lambda r: len(leaves[r]))
+            for leaf in leaves[small]:  # only the smaller cluster's leaves move
+                root[leaf] = big
+            leaves[big] += leaves[small]
+            node[big] = len(owner)
+            owner.append(big)
+            merges.append(Merge(x, y, heights[len(merges)], len(leaves[big])))
     return merges
 
 
@@ -277,7 +283,7 @@ def _tied_joins(ca: np.ndarray, cb: np.ndarray, count: int, first: int) -> list[
         nbrs = np.flatnonzero(near[x])  # empty for a slot merged away
         if nbrs.size:
             y = nbrs[ids[nbrs].argmin()]
-            out.append((ids[x], ids[y]))
+            out.append((int(ids[x]), int(ids[y])))
             near[x] |= near[y]
             near[y] = near[:, y] = near[x, x] = False
             near[:, x] = near[x]

@@ -9,13 +9,13 @@ header line and key-value line stays on its one line: backslashes, CRs
 and LFs in it are escaped as \\\\, \\r and \\n.
 
 read_labeled_matrix skips a byte order mark, the leading '#' block and
-empty lines, and checks each row's width against the header's before it
-parses a value. A file with no '"' loses its CR/LF line endings, is
-split at ',' and np.loadtxt parses its value columns; csv.reader splits
-a quoted file. Values are exactly float()'s: a quoted file, a file that
-holds ASCII 0x1c-0x1f (numpy's parser strips them as whitespace, float()
-does not) and a file loadtxt rejects (it rejects '1_0' and non-ASCII
-digits) are converted by float() cell by cell, errors included.
+empty lines. It reads rows in blocks of CHUNK_CELLS cells: a row's label is
+its first cell (quoted ones, and a header with a '"', as csv.reader reads
+them), its width is checked, and np.loadtxt parses the block's values. The
+first block with a '"' elsewhere, ASCII 0x1c-0x1f (numpy's parser strips
+them as whitespace, float() does not), a ragged row or a cell loadtxt
+rejects ('1_0', non-ASCII digits) sends the whole file to csv.reader and
+float(), the one route that raises errors; so values are float()'s.
 
 Every table goes through one writer, table_stream: it writes the header
 with the first block of rows and then appends blocks, each given as
@@ -57,6 +57,7 @@ import contextlib
 import csv
 import functools
 import itertools
+import re
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -94,8 +95,11 @@ _FILL_BYTE = bytes([FILL])
 
 #: Header and key-value lines escape these so that each stays on one line.
 _HEADER_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
-#: numpy's float parser strips these as whitespace, float() does not.
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+#: Value cells np.loadtxt does not read as float() does: '"' needs csv.reader,
+#: and numpy's parser strips the others as whitespace where float() rejects them.
+_NOT_LOADTXT = '"\x1c\x1d\x1e\x1f'
+#: A row's first cell, quoted (group 1, its quotes doubled) or plain (group 2).
+_FIRST_CELL = re.compile(r'"((?:[^"]|"")*)"(?=,|\Z)|([^",]*)(?=,|\Z)')
 
 # Float cells |x| in [_EASY_MIN, _EASY_MAX] take the numpy route; the
 # decimal exponent e of such a cell lies in [_E_MIN, _E_MAX].
@@ -516,34 +520,50 @@ def write_level_matrix(
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
     """(values, row labels, column labels) of a labeled matrix file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = list(itertools.dropwhile(lambda ln: ln.startswith("#"), fh))
-    if any('"' in ln for ln in lines):
-        rows = [r for r in csv.reader(lines) if r]
-        labels, widths, body = [r[0] for r in rows], [len(r) for r in rows], None
-        cells = iter([r[1:] for r in rows])
-    else:
-        lines = [s for s in (ln.rstrip("\r\n") for ln in lines) if s]
-        labels = [ln.partition(",")[0] for ln in lines]
-        widths = [ln.count(",") + 1 for ln in lines]
-        cells, body = (ln.split(",")[1:] for ln in lines), lines[1:]
-    if not widths:
+        read = _read_blocks(fh)
+        if read is not None:
+            return read
+        fh.seek(0)  # the whole file by csv.reader and float(): the route that raises errors
+        rows = [r for r in csv.reader(itertools.dropwhile(lambda ln: ln.startswith("#"), fh)) if r]
+    if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    if any(w != widths[0] for w in widths):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: ragged matrix rows")
-    header, labels, width = next(cells), labels[1:], widths[0]
-    if not labels or width == 1:
-        return np.empty((len(labels), width - 1)), labels, header
-    if body and not any(c in ln for ln in body for c in _NOT_FLOAT_SPACE):
-        try:
-            return np.loadtxt(body, delimiter=",", comments=None,
-                              usecols=range(1, width), ndmin=2), labels, header
-        except ValueError:
-            pass
     try:
-        values = np.array([[float(v) for v in c] for c in cells], dtype=np.float64)
+        values = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric matrix entry ({exc})") from None
-    return values, labels, header
+    return values.reshape(len(rows) - 1, len(rows[0]) - 1), [r[0] for r in rows[1:]], rows[0][1:]
+
+
+def _read_blocks(fh) -> tuple[np.ndarray, list[str], list[str]] | None:
+    """The matrix read in blocks of about CHUNK_CELLS cells, np.loadtxt taking
+    each block's value cells; None at the first row that needs the csv route."""
+    lines = itertools.dropwhile(lambda ln: ln.startswith("#"), fh)
+    head = next((ln for ln in lines if ln.rstrip("\r\n")), None)
+    if head is None:
+        return None
+    # a quoted header cell may hold a line end, so csv.reader reads on to the record's end
+    header = (next(csv.reader(itertools.chain([head], lines))) if '"' in head
+              else head.rstrip("\r\n").split(","))
+    width, labels, blocks = len(header), [], []
+    rows = (s for s in (ln.rstrip("\r\n") for ln in lines) if s)
+    for chunk in iter(lambda: list(itertools.islice(rows, max(1, CHUNK_CELLS // width))), []):
+        cells = []
+        for row in chunk:
+            first = _FIRST_CELL.match(row)
+            tail = row[first.end():] if first else '"'
+            # (loadtxt would skip the empty line of a lone empty value cell)
+            if tail.count(",") != width - 1 or tail == "," or any(c in tail for c in _NOT_LOADTXT):
+                return None
+            labels.append(first[2] if first[1] is None else first[1].replace('""', '"'))
+            cells.append(tail[1:])
+        try:
+            blocks.append(np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
+                          if width > 1 else np.empty((len(cells), 0)))
+        except ValueError:
+            return None
+    return np.concatenate(blocks or [np.empty((0, width - 1))]), labels, header[1:]
 
 
 def read_dissimilarity(path: str | Path) -> DissimilarityMatrix:

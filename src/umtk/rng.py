@@ -29,10 +29,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-        return z ^ (z >> np.uint64(31))
+    """mix64 of each entry of the uint64 array z, in place (array products wrap silently)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MULT1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MULT2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -42,9 +45,9 @@ def stream(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    positions = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        states = positions * np.uint64(_GAMMA) + np.uint64(seed & _MASK)
+    states = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    states *= np.uint64(_GAMMA)
+    states += np.uint64(seed & _MASK)
     return _mix64_array(states)
 
 
@@ -54,5 +57,5 @@ def value_at(seed: int, position: int) -> int:
 
 
 def uniform01(values: np.ndarray) -> np.ndarray:
-    """Map uint64 stream values to floats in [0, 1) using the top 53 bits."""
-    return (values >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+    """Floats in [0, 1) from the top 53 bits of uint64 stream values, shifted in place."""
+    return np.right_shift(values, np.uint64(11), out=values) * _U01_SCALE

@@ -185,13 +185,16 @@ def correspondence_analysis(
     for idx in np.nonzero(col_sums == 0.0)[0]:
         raise ValueError(f"zero column in frequency table: {f.col_labels[idx]!r}")
     total = values.sum()
-    p = values / total
-    r = p.sum(axis=1)
-    c = p.sum(axis=0)
+    s = values / total  # P, then S in its place: inv_sqrt_r * (P - r c^T) * inv_sqrt_c, in order
+    r = s.sum(axis=1)
+    c = s.sum(axis=0)
     inv_sqrt_r = 1.0 / np.sqrt(r)
     inv_sqrt_c = 1.0 / np.sqrt(c)
-    s = inv_sqrt_r[:, None] * (p - np.outer(r, c)) * inv_sqrt_c[None, :]
+    s -= np.outer(r, c)
+    s *= inv_sqrt_r[:, None]
+    s *= inv_sqrt_c[None, :]
     u, sigma, vt = np.linalg.svd(s, full_matrices=False)
+    del s
     max_axes = min(values.shape) - 1
     if sigma.size and sigma[0] > 0.0:
         keep = int(np.count_nonzero(sigma > tolerance * sigma[0]))
@@ -202,12 +205,14 @@ def correspondence_analysis(
     signs = _signs(u[:, :keep])
     u = u[:, :keep] * signs
     v = vt[:keep, :].T * signs
+    del vt
     sigma = sigma[:keep]
     row_coords = inv_sqrt_r[:, None] * u * sigma[None, :]
-    col_coords = inv_sqrt_c[:, None] * v * sigma[None, :]
+    v *= inv_sqrt_c[:, None]
+    v *= sigma[None, :]
     return CaResult(
         CoordinateMatrix(row_coords, list(f.row_labels)),
-        CoordinateMatrix(col_coords, list(f.col_labels)),
+        CoordinateMatrix(v, list(f.col_labels)),
         r,
         c,
         sigma,

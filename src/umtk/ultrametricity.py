@@ -207,9 +207,9 @@ def coefficient_scan(
     if epsilon is not None and not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if lerman:
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major, as d.condensed()
         ranks = np.zeros((n, n))
-        ranks[np.triu_indices(n, k=1)] = _average_ranks(d.condensed())
-        ranks = ranks + ranks.T
+        ranks[upper] = ranks.T[upper] = _average_ranks(values[upper])
 
     def kernel(ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> tuple:
         ij, ik, jk = values[ii, jj], values[ii, kk], values[jj, kk]
@@ -299,19 +299,25 @@ def rammal_index(d: DissimilarityMatrix) -> float:
     when d already satisfies the strong triangle inequality; invariant
     under scaling of d.
     """
-    upper = np.triu_indices(d.n, k=1)
+    upper = np.triu(np.ones((d.n, d.n), dtype=bool), 1)
     values = d.values[upper]
     total = float(values.sum())
     if total <= 0.0:
         raise ValueError("all dissimilarities are zero")
-    return float((values - minmax_path_closure(d).values[upper]).sum()) / total
+    values -= minmax_path_closure(d).values[upper]
+    return float(values.sum()) / total
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their mean rank (scipy's rankdata formula)."""
-    _, dense, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.r_[0, np.cumsum(counts)]
-    return 0.5 * (ends[dense] + ends[dense + 1] + 1)
+    order = np.argsort(values)
+    ranks = values[order]  # sorted, until each tie run's mean rank is scattered over it
+    first = np.r_[True, ranks[1:] != ranks[:-1]][:values.size]  # where each run starts
+    ends = np.r_[np.flatnonzero(first), values.size]
+    means = 0.5 * (ends[:-1] + ends[1:] + 1)
+    del ends
+    ranks[order] = means[np.cumsum(first) - 1]
+    return ranks
 
 
 def lerman_h(

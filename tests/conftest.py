@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,13 @@ def row_tuples(*columns: np.ndarray) -> list[tuple]:
 def retained_triplets(retained: np.ndarray) -> set[tuple[int, int, int]]:
     """(i, j, k) of every row of an ultrametric_component result."""
     return set(row_tuples(retained["i"], retained["j"], retained["k"]))
+
+
+def traced_peak(run):
+    """(run(), the peak of the memory tracemalloc traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

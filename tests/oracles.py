@@ -8,8 +8,9 @@ scan, the float signatures and lowering scan of a consensus pair, the
 consensus table's triplet scan, the np.ix_ fill of join levels, the
 power repair's full bisection, the additive repair's full scans, the csv
 matrix reader, the np.sort and argsort orderings of a triplet's three
-values, the buffered per-row enumeration of triplet chunks), kept so the
-replacement can be checked bit for bit.
+values, the buffered per-row enumeration of triplet chunks, the np.unique
+average ranks, the one-expression residuals of correspondence analysis),
+kept so the replacement can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -739,3 +740,28 @@ def power_shrink_full_bisection(
         else:
             hi = mid
     return DissimilarityMatrix(candidate(lo), list(d.labels)), lo
+
+
+def average_ranks_unique(values: np.ndarray) -> np.ndarray:
+    """Lerman's average ranks as the library took them from np.unique."""
+    _, dense, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.r_[0, np.cumsum(counts)]
+    return 0.5 * (ends[dense] + ends[dense + 1] + 1)
+
+
+def ca_one_expression(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row coordinates, column coordinates, singular values) of
+    correspondence_analysis as it was, the standardized residuals built in one
+    expression, before they were built in place."""
+    from umtk.spectral import _signs
+
+    p = values / values.sum()
+    r, c = p.sum(axis=1), p.sum(axis=0)
+    inv_sqrt_r, inv_sqrt_c = 1.0 / np.sqrt(r), 1.0 / np.sqrt(c)
+    s = inv_sqrt_r[:, None] * (p - np.outer(r, c)) * inv_sqrt_c[None, :]
+    u, sigma, vt = np.linalg.svd(s, full_matrices=False)
+    keep = min(int(np.count_nonzero(sigma > 1e-10 * sigma[0])), min(values.shape) - 1)
+    signs = _signs(u[:, :keep])
+    sigma = sigma[:keep]
+    return (inv_sqrt_r[:, None] * (u[:, :keep] * signs) * sigma[None, :],
+            inv_sqrt_c[:, None] * (vt[:keep, :].T * signs) * sigma[None, :], sigma)

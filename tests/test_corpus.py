@@ -13,6 +13,8 @@ from umtk.corpus import (
     tokenize,
 )
 
+from .conftest import traced_peak
+
 
 def test_tokenize_frozen_examples():
     assert tokenize("Tyler's car, ROAD!") == ["tyler's", "car", "road"]
@@ -159,6 +161,12 @@ def test_random_mirror_matches_stream():
     table = random_mirror(3, 4, seed=9)
     expected = rng.uniform01(rng.stream(9, 0, 12)).reshape(3, 4)
     np.testing.assert_array_equal(table.values, expected)
+
+
+def test_random_mirror_peak_is_within_two_and_a_half_tables():
+    # the stream is mixed and scaled in place: the table plus one temporary
+    table, peak = traced_peak(lambda: random_mirror(139, 2000, seed=1))
+    assert peak <= 2.5 * table.values.nbytes
 
 
 def test_random_mirror_deterministic():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from umtk.corpus import random_mirror
 from umtk.matrices import (
     CoordinateMatrix,
     DissimilarityMatrix,
@@ -18,8 +19,8 @@ from umtk.spectral import (
 )
 from umtk.transforms import cailliez_additive
 
-from .conftest import random_dissimilarity
-from .oracles import brute_gram, chi2_profile_distances
+from .conftest import random_dissimilarity, traced_peak
+from .oracles import brute_gram, ca_one_expression, chi2_profile_distances
 
 COLLINEAR = DissimilarityMatrix(
     np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -202,6 +203,24 @@ def test_ca_deterministic_across_calls():
     b = correspondence_analysis(small_table())
     np.testing.assert_array_equal(a.row_coords.coords, b.row_coords.coords)
     np.testing.assert_array_equal(a.col_coords.coords, b.col_coords.coords)
+
+
+def test_ca_bits_match_the_one_expression_form(rng):
+    # S is built in place in the expression's order, so every bit is the same
+    tables = [rng.integers(0, 20, size=shape) + rng.random(shape)
+              for shape in [(6, 9), (20, 7), (40, 300)]]
+    for vals in tables + [random_mirror(139, 2000, seed=2).values]:
+        ca = correspondence_analysis(FrequencyMatrix(vals))
+        rows, cols, sigma = ca_one_expression(vals)
+        assert ca.row_coords.coords.tobytes() == rows.tobytes()
+        assert ca.col_coords.coords.tobytes() == cols.tobytes()
+        assert ca.singular_values.tobytes() == sigma.tobytes()
+
+
+def test_ca_peak_is_within_four_tables():
+    table = random_mirror(139, 2000, seed=1)
+    _, peak = traced_peak(lambda: correspondence_analysis(table))
+    assert peak <= 4 * table.values.nbytes
 
 
 def test_select_columns_order_duplicates_unknown():

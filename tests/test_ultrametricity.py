@@ -25,7 +25,7 @@ from umtk.ultrametricity import (
 )
 
 from .conftest import random_dissimilarity, random_ultrametric
-from .oracles import brute_alpha, brute_classify
+from .oracles import average_ranks_unique, brute_alpha, brute_classify
 
 EQUILATERAL = CoordinateMatrix(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -438,6 +438,20 @@ def test_average_ranks_bits_match_scipy(values):
     got = _average_ranks(values)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), max_size=200),
+    st.lists(st.integers(-3, 3).map(float), max_size=300),
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -np.inf, np.inf]),
+             max_size=60),
+    st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]), max_size=200),
+))
+def test_average_ranks_bits_match_the_unique_form(values):
+    # one argsort, with -0.0 and 0.0 in one tie run as np.unique puts them
+    values = np.array(values, dtype=np.float64)
+    assert _average_ranks(values).tobytes() == average_ranks_unique(values).tobytes()
 
 
 def test_lerman_needs_three_items():
