@@ -552,7 +552,7 @@ def _read_blocks(fh) -> tuple[np.ndarray, list[str], list[str]] | None:
         cells = []
         for row in chunk:
             first = _FIRST_CELL.match(row)
-            tail = row[first.end():] if first else '"'
+            tail = row[first.end():] if first else '"'  # '"' sends it to the csv route
             # (loadtxt would skip the empty line of a lone empty value cell)
             if tail.count(",") != width - 1 or tail == "," or any(c in tail for c in _NOT_LOADTXT):
                 return None

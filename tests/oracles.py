@@ -26,6 +26,7 @@ import numpy as np
 from umtk.consensus import _tied
 from umtk.hierarchy import minmax_path_closure
 from umtk.matrices import DissimilarityMatrix, UltrametricMatrix
+from umtk.spectral import _signs
 from umtk.transforms import REPAIR_TOLERANCE_FACTOR
 from umtk import triplets
 from umtk.triplets import first_smallest, iter_scan, sort3
@@ -753,8 +754,6 @@ def ca_one_expression(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """(row coordinates, column coordinates, singular values) of
     correspondence_analysis as it was, the standardized residuals built in one
     expression, before they were built in place."""
-    from umtk.spectral import _signs
-
     p = values / values.sum()
     r, c = p.sum(axis=1), p.sum(axis=0)
     inv_sqrt_r, inv_sqrt_c = 1.0 / np.sqrt(r), 1.0 / np.sqrt(c)
