@@ -7,7 +7,7 @@ geometry, and extracts the subset of triplets on which independent
 clusterings and raw geometry agree: the data's ultrametric component.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .component import (
     RETAINED_DTYPE,

@@ -222,8 +222,8 @@ def _cmd_hclust(args: argparse.Namespace) -> int:
     stem = f"hclust_{args.criterion}"
     _write_dendrogram(args, h, stem, headers)
     heights, joins = join_nodes(h)
-    matrixio.write_level_matrix(_out_path(args, f"{stem}_cophenetic.csv"),
-                                joins, heights, h.labels, headers)
+    matrixio.write_labeled_matrix(_out_path(args, f"{stem}_cophenetic.csv"),
+                                  matrixio.Levels(joins, heights), h.labels, h.labels, headers)
     return 0
 
 

@@ -32,23 +32,24 @@ for byte as format_value and then _quote_cell write each value:
   ',', '"', CR or LF (CR too: the reader takes it as a line end);
 - masked entries as empty cells: a column with a mask (a numpy masked
   array, or any object with .data and .mask) is blank where it is true;
-- Levels(codes, levels) as the float column levels[codes]: each level is
-  encoded once and a chunk's slots are taken from those by code, so
-  write_level_matrix writes a tree's cophenetic matrix off join_nodes.
+- Levels(codes, levels) as the column levels[codes], so that
+  write_labeled_matrix of Levels(joins, heights) writes a tree's
+  cophenetic matrix off join_nodes.
 
 The writer is columnar. It encodes CHUNK_CELLS cells at a time: each run
-of same-dtype columns becomes one uint8 array of fixed-width cell slots,
-and every slot byte a cell does not write holds FILL (0xFF, a byte that
-never occurs in UTF-8, so no text cell holds it). A chunk's CSV bytes
-are its joined slots with one bytes.translate that deletes FILL.
-Integers and booleans are encoded by numpy alone. A float x is scaled to
-the 17-digit integer D with an error-free double-double product (Dekker
-1971); its digits, point and exponent come from lookup tables and are
-ORed into a word of FILL bytes that leaves open only the bytes the cell
-writes. A cell whose D could be off by one (within 1e-9 of a rounding
-tie, or at a power of ten), and every |x| outside [1e-280, 1e280] (also
-0, nan and inf), falls back to '%.17g' % x, one cell at a time. Text is
-quoted and encoded once per distinct value in a chunk.
+of same-dtype numeric columns, and each coded column, becomes one uint8
+array of fixed-width cell slots, and every slot byte a cell does not
+write holds FILL (0xFF, a byte that never occurs in UTF-8, so no text
+cell holds it). A chunk's CSV bytes are its joined slots with one
+bytes.translate that deletes FILL. Integers are encoded by numpy alone.
+A float x is scaled to the 17-digit integer D with an error-free
+double-double product (Dekker 1971); its digits, point and exponent come
+from lookup tables and are ORed into a word of FILL bytes that leaves
+open only the bytes the cell writes. A cell whose D could be off by one
+(within 1e-9 of a rounding tie, or at a power of ten), and every |x|
+outside [1e-280, 1e280] (also 0, nan and inf), falls back to '%.17g' % x,
+one cell at a time. Text and booleans are coded as Levels are: each
+distinct value is encoded once per write, and chunks take slots by code.
 """
 
 from __future__ import annotations
@@ -307,38 +308,6 @@ def _int_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)
 
 
-_BOOL_CELLS = np.frombuffer(b"false,true\xff,", np.uint8).reshape(2, 6)
-
-
-def _bool_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
-    """Byte slots of the true/false cells of a bool array."""
-    buf = _BOOL_CELLS[v.astype(np.intp)]
-    buf[blank, :-1] = FILL
-    return buf
-
-
-def _text_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
-    """Byte slots of text cells, each as _quote_cell writes it.
-
-    Each distinct text is quoted and encoded once; code len(distinct)
-    is the blank cell.
-    """
-    texts = v[~blank].tolist()
-    codes = dict.fromkeys(texts)
-    for code, text in enumerate(codes):
-        codes[text] = code
-    cells = [_quote_cell(s).encode("utf-8") for s in codes]
-    width = max(map(len, cells), default=0)
-    table = np.full((len(cells) + 1, max(width, 2) + 1), FILL, dtype=np.uint8)
-    table[:, -1] = ord(",")
-    if cells:
-        _put_bytes(table[:-1], np.ones(len(cells), dtype=bool), cells)
-    index = np.full(v.shape, len(cells))
-    index[~blank] = np.fromiter(map(codes.__getitem__, texts), dtype=np.intp,
-                                count=len(texts))
-    return table.take(index, axis=0)
-
-
 def _put_bytes(buf: np.ndarray, where: np.ndarray, cells: list[bytes]) -> None:
     """Write cells (one per True entry of where) into their slots, FILL-padded."""
     width = buf.shape[-1] - 1
@@ -346,14 +315,21 @@ def _put_bytes(buf: np.ndarray, where: np.ndarray, cells: list[bytes]) -> None:
     buf[where, :-1] = np.frombuffer(padded, np.uint8).reshape(-1, width)
 
 
-_ENCODERS = {"i": _int_cells, "u": _int_cells, "f": _float_cells, "b": _bool_cells,
-             "U": _text_cells, "O": _text_cells}
+_ENCODERS = {"i": _int_cells, "u": _int_cells, "f": _float_cells}
 
 
 def _level_cells(levels: np.ndarray) -> np.ndarray:
-    """Byte slots of the %.17g cells of levels, each right-aligned in the
-    narrowest FILL-padded slot, so that its ',' stays last: a stable sort of
-    a slot by whether it writes each byte puts FILL first."""
+    """Byte slots of the cells of levels, one per level. A text level is
+    _quote_cell's UTF-8, FILL-padded to a width of at least 2 (the one-cell
+    '""' rule of _encode_rows writes two bytes). A float level is its %.17g
+    cell right-aligned in the narrowest FILL-padded slot, so that its ','
+    stays last: a stable sort of a slot by whether it writes each byte puts
+    FILL first."""
+    if levels.dtype.kind in "UO":
+        cells = [_quote_cell(text).encode("utf-8") for text in levels.tolist()]
+        width = max([2, *map(len, cells)])
+        return np.frombuffer(b"".join(cell.ljust(width, _FILL_BYTE) + b"," for cell in cells),
+                             np.uint8).reshape(-1, width + 1)
     cells = _float_cells(levels, np.zeros(levels.shape, dtype=bool))
     writes = cells != FILL
     width = int(writes.sum(axis=1).max(initial=1))
@@ -379,11 +355,16 @@ def _encode_rows(parts: list[np.ndarray]) -> bytes:
 
 
 class Levels(NamedTuple):
-    """A column (1-D codes) or columns (2-D) written as the float column
-    levels[codes] would be, byte for byte, with each level encoded once."""
+    """A column (1-D codes) or columns (2-D) written as the column
+    levels[codes] would be, byte for byte, with each level encoded once.
+    The levels are floats, or text (a str array drops trailing NULs, an
+    object array keeps them). As an array it is levels[codes]."""
 
     codes: np.ndarray
     levels: np.ndarray
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.levels, dtype)[self.codes]
 
 
 def _column(column) -> tuple[np.ndarray, np.ndarray | None, Callable]:
@@ -392,22 +373,35 @@ def _column(column) -> tuple[np.ndarray, np.ndarray | None, Callable]:
     A column is masked if it has a .mask, so a (data, mask) pair is
     written as the masked array would be. numpy loads numpy.ma only on
     first use, and neither plain arrays nor such pairs import it here.
-    A Levels column's encoder takes each code's slot from its levels' cells.
+    A text column is coded as Levels of its texts in order of first use,
+    and a bool column as Levels of false and true; the blank cell is one
+    more level, "". A Levels column's encoder takes each code's slot from
+    its level cells, each encoded once per write.
     """
-    if isinstance(column, Levels):
-        data, mask, levels = np.asarray(column.codes), None, np.asarray(column.levels, np.float64)
-        if levels.ndim != 1:
-            raise ValueError("the levels of a Levels column must be a 1-D array")
-        cells = _level_cells(levels)
-        encode = None if data.dtype.kind not in "iu" else lambda v, _: cells.take(v, axis=0)
-    else:
+    if not isinstance(column, Levels):
         mask = getattr(column, "mask", None)
         data = np.asarray(column if mask is None else column.data)
         mask = None if mask is None or not np.any(mask) else np.asarray(mask)
-        encode = _ENCODERS.get(data.dtype.kind)
-    if encode is None:
-        raise TypeError(f"cannot write a column of dtype {data.dtype}")
-    return data, mask, encode
+        if data.dtype.kind in _ENCODERS:
+            return data, mask, _ENCODERS[data.dtype.kind]
+        if data.dtype.kind not in "bUO":
+            raise TypeError(f"cannot write a column of dtype {data.dtype}")
+        keep = np.ones(data.shape, dtype=bool) if mask is None else ~mask
+        if data.dtype.kind == "b":
+            column = Levels(np.where(keep, data, 2), ["false", "true", ""])
+        else:
+            texts = data[keep].tolist()
+            index = {text: code for code, text in enumerate(dict.fromkeys(texts))}
+            codes = np.full(data.shape, len(index), dtype=np.min_scalar_type(len(index)))
+            codes[keep] = np.fromiter(map(index.__getitem__, texts), codes.dtype, len(texts))
+            column = Levels(codes, np.array([*index, ""], dtype=object))
+    codes, levels = np.asarray(column.codes), np.asarray(column.levels)
+    if levels.ndim != 1:
+        raise ValueError("the levels of a Levels column must be a 1-D array")
+    if codes.dtype.kind not in "iu":
+        raise TypeError(f"cannot write Levels codes of dtype {codes.dtype}")
+    cells = _level_cells(levels)
+    return codes, None, lambda v, _: cells.take(v, axis=0)
 
 
 def _block_cells(block: list[tuple[np.ndarray, np.ndarray | None, Callable]], lo: int, hi: int,
@@ -440,7 +434,7 @@ def table_stream(
     if not header:
         raise ValueError("a table needs at least one column")
     step = max(1, CHUNK_CELLS // len(header))
-    head = np.array(header, dtype=object)[None, :]
+    head = _column(np.array(header, dtype=object)[None, :])
     fh = None
 
     def write(columns: Sequence[np.ndarray | Levels]) -> None:
@@ -452,12 +446,12 @@ def table_stream(
             raise ValueError(f"{len(header)} header cells for {sum(widths)} columns")
         if any(v.ndim not in (1, 2) for v in data) or len({len(v) for v in data}) != 1:
             raise ValueError("table columns must be 1-D arrays of equal length")
-        # a Levels column's encoder is its own, so it forms a block alone
+        # a coded column's encoder is its own, so it forms a block alone
         blocks = [list(run) for _, run in itertools.groupby(columns, lambda c: (c[0].dtype, c[2]))]
         if fh is None:
             fh = open(path, "wb")
             fh.write(_comment_block(header_lines))
-            fh.write(_encode_rows([_text_cells(head, np.zeros(head.shape, dtype=bool))]))
+            fh.write(_encode_rows([_block_cells([head], 0, 1)]))
         for lo in range(0, len(data[0]), step):
             fh.write(_encode_rows([_block_cells(b, lo, lo + step) for b in blocks]))
 
@@ -485,36 +479,22 @@ def write_table(
 
 def write_labeled_matrix(
     path: str | Path,
-    values: np.ndarray,
+    values: np.ndarray | Levels,
     row_labels: Sequence[str],
     col_labels: Sequence[str],
     header_lines: Sequence[str] = (),
 ) -> None:
-    matrix = np.asarray(values, dtype=np.float64)
+    """Write a float matrix, or Levels of a 2-D code matrix, with row and column labels."""
+    if not isinstance(values, Levels):
+        values = np.asarray(values, dtype=np.float64)
+    shape = np.shape(values.codes if isinstance(values, Levels) else values)
     labels = np.asarray(row_labels, dtype=object)
-    if matrix.ndim != 2 or labels.shape != matrix.shape[:1]:
+    if len(shape) != 2 or labels.shape != shape[:1]:
         raise ValueError("a labeled matrix needs a 2-D matrix and one label per row")
-    if len(col_labels) != matrix.shape[1]:
-        raise ValueError(f"{len(col_labels)} column labels for {matrix.shape[1]} columns")
+    if len(col_labels) != shape[1]:
+        raise ValueError(f"{len(col_labels)} column labels for {shape[1]} columns")
     with table_stream(path, ["", *col_labels], header_lines) as write:
-        write([labels, matrix])
-
-
-def write_level_matrix(
-    path: str | Path,
-    codes: np.ndarray,
-    levels: np.ndarray,
-    labels: Sequence[str],
-    header_lines: Sequence[str] = (),
-) -> None:
-    """Write levels[codes], an n x n matrix, as write_dissimilarity writes it,
-    byte for byte, with each level encoded once: join_nodes' (heights, joins)
-    of a tree as its cophenetic matrix, without that float matrix."""
-    labels = np.asarray(labels, dtype=object)
-    if np.shape(codes) != labels.shape * 2:
-        raise ValueError("a level matrix needs an n x n code matrix and n labels")
-    with table_stream(path, ["", *labels], header_lines) as write:
-        write([labels, Levels(codes, levels)])
+        write([labels, values])
 
 
 def read_labeled_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:

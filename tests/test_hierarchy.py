@@ -216,6 +216,11 @@ def test_mst_frozen_example():
     assert tree.total_weight == 3.0
 
 
+def test_mst_needs_two_items():
+    with pytest.raises(ValueError, match="at least two items"):
+        mst_kruskal(DissimilarityMatrix(np.zeros((1, 1)), ["a"]))
+
+
 def test_mst_tie_break_lexicographic():
     vals = np.full((4, 4), 1.0)
     np.fill_diagonal(vals, 0.0)
@@ -312,6 +317,11 @@ def test_newick_two_leaves():
     assert export_newick(linkage(d, "single")) == "(a:2.5,b:2.5);"
 
 
+def test_newick_one_leaf():
+    assert export_newick(Dendrogram(1, [], ["a"])) == "a;"
+    assert export_newick(Dendrogram(1, [], ["a,b"])) == "'a,b';"
+
+
 def test_newick_round_trip(rng):
     d = random_dissimilarity(rng, 11)
     h = linkage(d, "complete")
@@ -350,6 +360,13 @@ def test_newick_topology_only_on_inversion():
 
 
 def test_dendrogram_validation():
+    with pytest.raises(ValueError, match="at least one leaf"):
+        Dendrogram(0, [], [])
+    with pytest.raises(ValueError, match="label count"):
+        Dendrogram(2, [Merge(0, 1, 1.0, 2)], ["a"])
+    for child in (-1, 5):
+        with pytest.raises(ValueError, match=f"merge 0 references invalid node {child}"):
+            Dendrogram(3, [Merge(0, child, 1.0, 2), Merge(2, 3, 2.0, 3)], ["a", "b", "c"])
     with pytest.raises(ValueError, match="n-1 merges"):
         Dendrogram(3, [Merge(0, 1, 1.0, 2)], ["a", "b", "c"])
     with pytest.raises(ValueError, match="merged twice"):

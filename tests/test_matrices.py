@@ -263,6 +263,15 @@ def test_read_matrix_error_messages(tmp_path, body, message):
         matrixio.read_labeled_matrix(path)
 
 
+@pytest.mark.parametrize("text", ["", "# tool: x\n# note: y\n", "\ufeff\n\n"],
+                         ids=["empty", "comments-only", "blank-lines"])
+def test_read_empty_matrix_file(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="empty matrix file"):
+        matrixio.read_labeled_matrix(path)
+
+
 @pytest.mark.parametrize("head", ["# tool: x\n# note: y\n", ""], ids=["comments", "header"])
 def test_read_matrix_skips_byte_order_mark(tmp_path, head):
     path = tmp_path / "d.csv"
@@ -532,6 +541,10 @@ def test_write_table_rejects_malformed_columns(tmp_path):
         matrixio.write_table(path, ["a"], [np.arange(3), np.arange(3)])
     with pytest.raises(ValueError, match="at least one column"):
         matrixio.write_table(path, [], [])
+    with pytest.raises(ValueError, match="at least one column"):
+        with matrixio.table_stream(path, []):
+            pass
+    assert not path.exists()
     with pytest.raises(TypeError, match="complex"):
         matrixio.write_table(path, ["z"], [np.zeros(2, dtype=complex)])
 
@@ -678,10 +691,43 @@ def test_text_cells_keep_every_byte_next_to_the_filler(tmp_path):
                         for row in zip(*(c.tolist() for c in columns))]
     assert (tmp_path / "t.csv").read_bytes() == b"".join(
         ",".join(map(matrixio._quote_cell, line)).encode("utf-8") + b"\n" for line in lines)
+    # Levels of text levels write as their text columns
+    levels = np.array(texts, dtype=object)
+    matrixio.write_table(tmp_path / "levels.csv", header, [
+        matrixio.Levels(r % 10, levels), r - 3, matrixio.Levels((r + 3) % 10, levels),
+        matrixio.Levels((r + 7) % 10, np.array(texts, dtype=str))])
+    assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
     # a single-column row is '""' only when its cell writes no byte
     matrixio.write_table(tmp_path / "one.csv", ["\x00"], [np.array(texts, dtype=object)])
     assert (tmp_path / "one.csv").read_bytes() == b"".join(
         (matrixio._quote_cell(t) or '""').encode("utf-8") + b"\n" for t in ["\x00", *texts])
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 8192])
+def test_text_cells_are_quoted_once_per_write(tmp_path, chunk):
+    """Each column quotes each of its distinct texts, and its blank "", once per
+    write, however many chunks the rows take; the header is quoted once."""
+    r = np.arange(40)
+    texts = np.array(["a,b", "c", 'say "x"', "d"], dtype=object)
+    columns = [texts[r % 3], r, np.ma.array(texts[r % 4], mask=r % 5 == 0)]
+    quote = mock.Mock(wraps=matrixio._quote_cell)
+    with mock.patch.object(matrixio, "CHUNK_CELLS", chunk), \
+            mock.patch.object(matrixio, "_quote_cell", quote):
+        with matrixio.table_stream(tmp_path / "t.csv", ["x", "n", "x"]) as write:
+            write(columns)
+            write([c[:7] for c in columns])
+    per_write = [*texts[:3], "", *texts[[1, 2, 3, 0]], ""]
+    assert [c.args[0] for c in quote.call_args_list] == ["x", "n", ""] + per_write * 2
+
+
+def test_masked_bool_and_text_cells_are_blank(tmp_path):
+    """A masked cell is blank whatever its data; alone in its row it is written ""."""
+    flags = np.ma.array([True, False, True, False], mask=[False, True, False, True])
+    texts = np.ma.array(np.array(["x", None, 3, 'q"'], dtype=object), mask=[0, 1, 1, 0])
+    matrixio.write_table(tmp_path / "t.csv", ["f", "t"], [flags, texts])
+    assert (tmp_path / "t.csv").read_text() == 'f,t\ntrue,x\n,\ntrue,\n,"q"""\n'
+    assert _single_column_lines(tmp_path / "f.csv", flags) == ["true", '""', "true", '""']
+    assert _single_column_lines(tmp_path / "x.csv", texts) == ["x", '""', '""', '"q"""']
 
 
 def test_int_chunks_with_and_without_a_negative(tmp_path, rng):
@@ -759,9 +805,9 @@ def _level_trees(draw):
 @settings(max_examples=80, deadline=None)
 @given(_level_trees(), st.sampled_from([matrixio.CHUNK_CELLS, 1, 5, 12, 30]), _LABELS)
 def test_level_matrix_writes_the_cophenetic_bytes(tmp_path_factory, d, chunk, header_lines):
-    """write_level_matrix of join_nodes(h) writes write_dissimilarity(cophenetic(h))'s
-    bytes for every criterion, inversions (centroid, median) included, with
-    chunks that split the rows anywhere."""
+    """write_labeled_matrix of Levels(joins, heights) from join_nodes(h) writes
+    write_dissimilarity(cophenetic(h))'s bytes for every criterion, inversions
+    (centroid, median) included, with chunks that split the rows anywhere."""
     out = tmp_path_factory.mktemp("levels")
     for criterion in LINKAGE_CRITERIA:
         if d.n == 1:
@@ -775,8 +821,8 @@ def test_level_matrix_writes_the_cophenetic_bytes(tmp_path_factory, d, chunk, he
         with mock.patch.object(matrixio, "CHUNK_CELLS", chunk):
             matrixio.write_dissimilarity(out / "float.csv", cophenetic(h), header_lines)
             heights, joins = join_nodes(h)
-            matrixio.write_level_matrix(out / "levels.csv", joins, heights, h.labels,
-                                        header_lines)
+            matrixio.write_labeled_matrix(out / "levels.csv", matrixio.Levels(joins, heights),
+                                          h.labels, h.labels, header_lines)
         assert (out / "levels.csv").read_bytes() == (out / "float.csv").read_bytes()
 
 
@@ -793,10 +839,14 @@ def test_levels_columns_write_as_their_float_columns(tmp_path):
             np.arange(37), levels[codes[:, :3]], levels[::-1][codes[:, 3]],
             levels[codes[:, 0]]])
     assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+    # as an array, as np.size and np.asarray see it, a Levels column is levels[codes]
+    assert np.size(matrixio.Levels(codes, levels)) == codes.size
+    assert np.array_equal(np.asarray(matrixio.Levels(codes, levels)), levels[codes], equal_nan=True)
     with pytest.raises(TypeError, match="float64"):
         matrixio.write_table(tmp_path / "bad.csv", ["a"], [matrixio.Levels(levels, levels)])
     with pytest.raises(ValueError, match="1-D"):
         matrixio.write_table(tmp_path / "bad.csv", ["a"], [matrixio.Levels(codes[:, 0], codes)])
-    with pytest.raises(ValueError, match="n x n"):
-        matrixio.write_level_matrix(tmp_path / "bad.csv", codes[:5], levels, list("abcd"))
+    with pytest.raises(ValueError, match="one label per row"):
+        matrixio.write_labeled_matrix(tmp_path / "bad.csv", matrixio.Levels(codes[:5], levels),
+                                      list("abcd"), list("abcd"))
     assert not (tmp_path / "bad.csv").exists()
