@@ -358,13 +358,14 @@ class Levels(NamedTuple):
     """A column (1-D codes) or columns (2-D) written as the column
     levels[codes] would be, byte for byte, with each level encoded once.
     The levels are floats, or text (a str array drops trailing NULs, an
-    object array keeps them). As an array it is levels[codes]."""
+    object array keeps them)."""
 
     codes: np.ndarray
     levels: np.ndarray
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.levels, dtype)[self.codes]
+    @property
+    def size(self) -> int:  # what np.size reads, so it never builds levels[codes]
+        return int(np.size(self.codes))
 
 
 def _column(column) -> tuple[np.ndarray, np.ndarray | None, Callable]:
@@ -485,8 +486,7 @@ def write_labeled_matrix(
     header_lines: Sequence[str] = (),
 ) -> None:
     """Write a float matrix, or Levels of a 2-D code matrix, with row and column labels."""
-    if not isinstance(values, Levels):
-        values = np.asarray(values, dtype=np.float64)
+    values = values if isinstance(values, Levels) else np.asarray(values, dtype=np.float64)
     shape = np.shape(values.codes if isinstance(values, Levels) else values)
     labels = np.asarray(row_labels, dtype=object)
     if len(shape) != 2 or labels.shape != shape[:1]:

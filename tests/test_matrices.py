@@ -839,9 +839,7 @@ def test_levels_columns_write_as_their_float_columns(tmp_path):
             np.arange(37), levels[codes[:, :3]], levels[::-1][codes[:, 3]],
             levels[codes[:, 0]]])
     assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
-    # as an array, as np.size and np.asarray see it, a Levels column is levels[codes]
-    assert np.size(matrixio.Levels(codes, levels)) == codes.size
-    assert np.array_equal(np.asarray(matrixio.Levels(codes, levels)), levels[codes], equal_nan=True)
+    assert np.size(matrixio.Levels(codes, levels)) == codes.size  # as the tracer counts cells
     with pytest.raises(TypeError, match="float64"):
         matrixio.write_table(tmp_path / "bad.csv", ["a"], [matrixio.Levels(levels, levels)])
     with pytest.raises(ValueError, match="1-D"):
