@@ -7,7 +7,7 @@ geometry, and extracts the subset of triplets on which independent
 clusterings and raw geometry agree: the data's ultrametric component.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .component import (
     RETAINED_DTYPE,
@@ -36,9 +36,9 @@ from .corpus import (
 from .hierarchy import (
     INVERSION_FREE_CRITERIA,
     LINKAGE_CRITERIA,
+    MERGE_DTYPE,
     Dendrogram,
     EdgeList,
-    Merge,
     cophenetic,
     cophenetic_correlation,
     detect_inversions,
@@ -94,8 +94,8 @@ __all__ = [
     "triplet_signature",
     "Corpus", "TermDocMatrix", "build_term_doc", "random_mirror",
     "read_corpus_dir", "read_corpus_file", "tokenize",
-    "INVERSION_FREE_CRITERIA", "LINKAGE_CRITERIA", "Dendrogram", "EdgeList",
-    "Merge", "cophenetic", "cophenetic_correlation", "detect_inversions",
+    "INVERSION_FREE_CRITERIA", "LINKAGE_CRITERIA", "MERGE_DTYPE", "Dendrogram",
+    "EdgeList", "cophenetic", "cophenetic_correlation", "detect_inversions",
     "export_newick", "join_nodes", "linkage", "minmax_path_closure", "mst_kruskal",
     "CoordinateMatrix", "DissimilarityMatrix", "FrequencyMatrix",
     "UltrametricMatrix", "euclidean_distances",

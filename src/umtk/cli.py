@@ -33,8 +33,8 @@ from .consensus import (
 from .corpus import build_term_doc, random_mirror, read_corpus_dir, read_corpus_file
 from .hierarchy import (
     LINKAGE_CRITERIA,
+    MERGE_DTYPE,
     Dendrogram,
-    Merge,
     export_newick,
     join_nodes,
     linkage,
@@ -154,8 +154,8 @@ def _write_dendrogram(
     args: argparse.Namespace, h: Dendrogram, stem: str, headers: list[str]
 ) -> None:
     label_line = "labels: " + ",".join(map(matrixio._quote_cell, h.labels))
-    matrixio.write_table(_out_path(args, f"{stem}_merges.csv"), Merge._fields,
-                         [np.array(c) for c in zip(*h.merges)], headers + [label_line])
+    matrixio.write_table(_out_path(args, f"{stem}_merges.csv"), MERGE_DTYPE.names,
+                         [h.merges[f] for f in MERGE_DTYPE.names], headers + [label_line])
     matrixio.write_lines(_out_path(args, f"{stem}.nwk"), [export_newick(h)], headers)
 
 

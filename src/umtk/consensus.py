@@ -249,9 +249,10 @@ def _pair_scan(u1: UltrametricMatrix, u2: UltrametricMatrix, sides: list, common
         # sets leaf 0, which no pair joins at, to 0
         least = np.full(2 * n - 1, np.inf)
         np.minimum.at(least, top[joins].ravel(), low.ravel())
+        left, right = h.merges["left"].tolist(), h.merges["right"].tolist()
         for s in range(n - 2, -1, -1):  # parents first: each node takes its ancestors' least
-            m = h.merges[s]
-            least[[m.left, m.right]] = np.minimum(least[[m.left, m.right]], least[n + s])
+            kids = [left[s], right[s]]
+            least[kids] = np.minimum(least[kids], least[n + s])
         np.minimum(merged, least[joins], out=merged)
     ultrametric = minmax_path_closure(DissimilarityMatrix(merged, list(u1.labels)))
     del low, merged
@@ -297,8 +298,7 @@ def _tops(h: Dendrogram, heights: np.ndarray, tol: float) -> np.ndarray:
     """top(v) of every node v: its highest ancestor whose level ties h(v)."""
     n = h.n_leaves
     parent = np.full(2 * n - 1, -1)
-    for s, m in enumerate(h.merges):
-        parent[[m.left, m.right]] = n + s
+    parent[np.stack((h.merges["left"], h.merges["right"]))] = np.arange(n, 2 * n - 1)
     top = np.arange(2 * n - 1, dtype=np.int32)
     node = np.arange(n, 2 * n - 2)  # every node a pair can join at, but the root
     up = parent[node]
@@ -319,8 +319,8 @@ def _subtree_sums(h: Dendrogram, leaf_rows: np.ndarray) -> np.ndarray:
     n = h.n_leaves
     rows = np.empty((2 * n - 1, leaf_rows.shape[1]), dtype=np.int32)
     rows[:n] = leaf_rows
-    for s, m in enumerate(h.merges):
-        np.add(rows[m.left], rows[m.right], out=rows[n + s])
+    for node, (left, right) in enumerate(h.merges[["left", "right"]].tolist(), n):
+        np.add(rows[left], rows[right], out=rows[node])
     return rows
 
 
@@ -358,7 +358,8 @@ def consensus_table(
                        key=lambda pq: pq == (0, 1)):
         tp, tq = tops[p], tops[q]
         if p == q:
-            count = (n - np.array([1] * n + [g.size for g in trees[p].merges])[tp]).sum()
+            sizes = np.concatenate((np.ones(n, np.int64), trees[p].merges["size"]))
+            count = (n - sizes[tp]).sum()
         else:
             common = _common(trees[p], trees[q])
             count = (n - common[tp, -1] - common[-1, tq] + common[tp, tq]).sum(dtype=np.int64)

@@ -20,6 +20,9 @@ among the cluster pairs some leaf pair at exactly w joins, found by one
 searchsorted of the upper triangle against the tied weights and sorted.
 A zero height takes its edge's d[i, j] sign.
 
+A tree's merges are one MERGE_DTYPE array, checked and read by columns;
+tests/oracles.py keeps the merge-by-merge check it replaced.
+
 The subdominant (maximal lower) ultrametric is single linkage's
 cophenetic matrix: the maximal edge weight on each minimum spanning tree
 path (Gower & Ross 1969). join_nodes is the one fill from a tree to its
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import DissimilarityMatrix, UltrametricMatrix, _SymmetricMatrix
+from .matrices import DissimilarityMatrix, UltrametricMatrix, _ArrayFieldsEq, _SymmetricMatrix
 
 LINKAGE_CRITERIA = ("single", "complete", "average", "mcquitty", "ward",
                     "centroid", "median")
@@ -60,24 +63,23 @@ _SQUARED_CRITERIA = frozenset({"ward", "centroid", "median"})
 _SQUARABLE = 1.3407807929942596e154
 
 
-class Merge(NamedTuple):
-    left: int
-    right: int
-    height: float
-    size: int
+#: A tree's merges (see Dendrogram), and the columns of the CLI's merge table.
+MERGE_DTYPE = np.dtype([("left", np.int64), ("right", np.int64),
+                        ("height", np.float64), ("size", np.int64)])
 
 
-@dataclass
-class Dendrogram:
+@dataclass(eq=False)
+class Dendrogram(_ArrayFieldsEq):
     """Binary merge tree over n labeled leaves.
 
-    merges[m] created node id n_leaves + m by joining node ids left and
-    right (left < right); height is the merge level and size the number
-    of leaves under the new node.
+    merges is a MERGE_DTYPE array, converted once from a list of (left,
+    right, height, size) tuples: merges[m] created node n_leaves + m by
+    joining node ids left < right at height, with size leaves under it.
+    A column reads as h.merges["height"].
     """
 
     n_leaves: int
-    merges: list[Merge]
+    merges: np.ndarray
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -86,29 +88,32 @@ class Dendrogram:
             raise ValueError("dendrogram needs at least one leaf")
         if len(self.labels) != n:
             raise ValueError("label count must equal n_leaves")
-        if len(self.merges) != n - 1:
-            raise ValueError("a binary dendrogram over n leaves has n-1 merges")
-        self.merges = [Merge(int(m[0]), int(m[1]), float(m[2]), int(m[3]))
-                       for m in self.merges]
-        used = set()
-        sizes = {i: 1 for i in range(n)}
-        for step, m in enumerate(self.merges):
-            new_id = n + step
-            for child in (m.left, m.right):
-                if not (0 <= child < new_id):
-                    raise ValueError(f"merge {step} references invalid node {child}")
-                if child in used:
-                    raise ValueError(f"node {child} merged twice")
-                used.add(child)
-            if m.left >= m.right:
-                raise ValueError(f"merge {step} children must satisfy left < right")
-            if not np.isfinite(m.height):
-                raise ValueError(f"merge {step} has non-finite height {m.height!r}")
-            if m.height < 0:
-                raise ValueError(f"merge {step} has negative height")
-            sizes[new_id] = sizes[m.left] + sizes[m.right]
-            if m.size != sizes[new_id]:
-                raise ValueError(f"merge {step} size field inconsistent")
+        m = self.merges = np.array(self.merges, dtype=MERGE_DTYPE)
+        if m.shape != (n - 1,):
+            raise ValueError("a binary dendrogram over n leaves has n-1 merges, "
+                             "each (left, right, height, size)")
+        left, right, height, size = (m[f] for f in MERGE_DTYPE.names)
+        # each defect of merge s, in the order a merge-by-merge check meets them; with
+        # merges 0..s-1 sound, sizes[child] is the size a recurrence over them gives
+        child = np.column_stack((left, right)).ravel()
+        invalid = (child < 0) | (child >= np.repeat(np.arange(n, 2 * n - 1), 2))
+        again = np.ones(child.size, dtype=bool)  # met at an earlier merge, or as left
+        again[np.unique(child, return_index=True)[1]] = False
+        sizes = np.concatenate((np.ones(n, np.int64), size))
+        bad = np.column_stack((
+            (invalid | again).reshape(-1, 2), left >= right, ~np.isfinite(height), height < 0,
+            size != sizes.take(left, mode="clip") + sizes.take(right, mode="clip"),
+        ))
+        if not bad.any():
+            return
+        s, k = divmod(int(bad.argmax()), bad.shape[1])
+        if k < 2:
+            node = int(child[2 * s + k])
+            raise ValueError(f"merge {s} references invalid node {node}" if invalid[2 * s + k]
+                             else f"node {node} merged twice")
+        raise ValueError(f"merge {s} " + ("children must satisfy left < right",
+                                          f"has non-finite height {float(height[s])!r}",
+                                          "has negative height", "size field inconsistent")[k - 2])
 
     @property
     def n_nodes(self) -> int:
@@ -160,7 +165,7 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     # each active row's minimum and the smallest node id tied at it
     best_val = work.min(axis=1)
     best_col = (work == best_val[:, None]).argmax(axis=1)  # columns in id order
-    merges: list[Merge] = []
+    merges = []
     for step in range(n - 1):
         vals = best_val[by_id]
         level = float(vals.min())
@@ -201,7 +206,7 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
             # above the level (and -0.0 at level 0) keep the recurrence's bits
             new_row = np.maximum(level, new_row)
         height = float(np.sqrt(max(level, 0.0))) if squared else level
-        merges.append(Merge(best_key[0], best_key[1], height, na + nb))
+        merges.append((best_key[0], best_key[1], height, na + nb))
         new_row = np.where(active, new_row, np.inf)
         new_row[a] = np.inf
         work[a, :] = new_row
@@ -224,14 +229,14 @@ def linkage(d: DissimilarityMatrix, criterion: str) -> Dendrogram:
     return Dendrogram(n, merges, list(d.labels))
 
 
-def _single_merges(values: np.ndarray) -> list[Merge]:
+def _single_merges(values: np.ndarray) -> list[tuple[int, int, float, int]]:
     """Single linkage's merges off the minimum spanning tree (see the module docstring)."""
     n = values.shape[0]
     lo, hi, weights = _mst(values)
     # a root leaf stands for each cluster: root[leaf], node[root] (its id), owner[id]
     root, node, owner = list(range(n)), list(range(n)), list(range(n))
     leaves = [[i] for i in range(n)]  # each root's leaves
-    merges: list[Merge] = []
+    merges = []
     runs = np.flatnonzero(np.concatenate(([True], weights[1:] != weights[:-1], [True])))
     tied_weights = weights[runs[:-1][np.diff(runs) > 1]]
     if tied_weights.size:  # the leaf pairs i < j at a tied weight, by value
@@ -258,7 +263,7 @@ def _single_merges(values: np.ndarray) -> list[Merge]:
             leaves[big] += leaves[small]
             node[big] = len(owner)
             owner.append(big)
-            merges.append(Merge(x, y, heights[len(merges)], len(leaves[big])))
+            merges.append((x, y, heights[len(merges)], len(leaves[big])))
     return merges
 
 
@@ -311,17 +316,17 @@ def join_nodes(h: Dendrogram) -> tuple[np.ndarray, np.ndarray]:
     is filled in that order, root first, and permuted back.
     """
     n = h.n_leaves
-    size = [1] * n + [m.size for m in h.merges]
+    size = [1] * n + h.merges["size"].tolist()
+    left, right = h.merges["left"].tolist(), h.merges["right"].tolist()
     at = [0] * (2 * n - 1)  # where each node's run starts
     out = np.zeros((n, n), np.int32)
     for s in range(n - 2, -1, -1):
-        m = h.merges[s]
-        lo = at[m.left] = at[n + s]
-        mid = at[m.right] = lo + size[m.left]
-        hi = lo + m.size
+        lo = at[left[s]] = at[n + s]
+        mid = at[right[s]] = lo + size[left[s]]
+        hi = lo + size[n + s]
         out[lo:mid, mid:hi] = n + s
         out[mid:hi, lo:mid] = n + s
-    heights = np.array([0.0] * n + [m.height for m in h.merges])
+    heights = np.concatenate((np.zeros(n), h.merges["height"]))
     return heights, out.take(at[:n], axis=0).take(at[:n], axis=1)
 
 
@@ -338,19 +343,12 @@ def detect_inversions(h: Dendrogram) -> list[tuple[int, float]]:
     largest excess of a child merge's height over this merge's height.
     Empty for any monotone dendrogram.
     """
-    n = h.n_leaves
-    heights = [m.height for m in h.merges]
-    out: list[tuple[int, float]] = []
-    for idx, m in enumerate(h.merges):
-        drop = 0.0
-        for child in (m.left, m.right):
-            if child >= n:
-                child_h = heights[child - n]
-                if child_h > m.height:
-                    drop = max(drop, child_h - m.height)
-        if drop > 0.0:
-            out.append((idx, drop))
-    return out
+    m = h.merges
+    heights = np.concatenate((np.zeros(h.n_leaves), m["height"]))
+    # rounding is monotone, so this is the largest child's excess in bits
+    drop = np.maximum(heights[m["left"]], heights[m["right"]]) - m["height"]
+    idx = np.flatnonzero(drop > 0)
+    return list(zip(idx.tolist(), drop[idx].tolist()))
 
 
 class EdgeList(NamedTuple):
@@ -467,18 +465,17 @@ def export_newick(h: Dendrogram) -> str:
         text[i] = _quote_label(h.labels[i])
         height[i] = 0.0
         min_leaf[i] = i
-    for step, m in enumerate(h.merges):
-        node = n + step
-        children = sorted((m.left, m.right), key=lambda c: min_leaf[c])
+    for node, (left, right, level, _) in enumerate(h.merges.tolist(), n):
+        children = sorted((left, right), key=lambda c: min_leaf[c])
         parts = []
         for child in children:
             if with_lengths:
-                length = m.height - height[child]
+                length = level - height[child]
                 parts.append(f"{text[child]}:{format(length, '.17g')}")
             else:
                 parts.append(text[child])
             text.pop(child)
         text[node] = "(" + ",".join(parts) + ")"
-        height[node] = m.height
-        min_leaf[node] = min(min_leaf[m.left], min_leaf[m.right])
+        height[node] = level
+        min_leaf[node] = min(min_leaf[left], min_leaf[right])
     return text[2 * n - 2] + ";"

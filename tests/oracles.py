@@ -3,14 +3,15 @@
 Most of these are written with plain loops and scalar math so that the
 vectorized library code is checked against a second, structurally
 different computation. The others are the routes a faster library
-routine replaced (Floyd-Warshall closure, the two-branch consensus
-scan, the float signatures and lowering scan of a consensus pair, the
+routine replaced (Floyd-Warshall closure, the two-branch consensus scan,
+the float signatures and lowering scan of a consensus pair, the
 consensus table's triplet scan, the np.ix_ fill of join levels, the
-power repair's full bisection, the additive repair's full scans, the csv
-matrix reader, the np.sort and argsort orderings of a triplet's three
-values, the buffered per-row enumeration of triplet chunks, the np.unique
-average ranks, the one-expression residuals of correspondence analysis),
-kept so the replacement can be checked bit for bit.
+merge-by-merge check of a dendrogram, the power repair's full bisection,
+the additive repair's full scans, the csv matrix reader, the np.sort and
+argsort orderings of a triplet's three values, the buffered per-row
+enumeration of triplet chunks, the np.unique average ranks, the
+one-expression residuals of correspondence analysis), kept so the
+replacement can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -551,6 +552,32 @@ def linkage_loop(values: np.ndarray, criterion: str) -> list[tuple[int, int, flo
         node_id[a] = n + step
         size[a] = na + nb
     return merges
+
+
+def dendrogram_defect_loop(n: int, merges) -> str | None:
+    """The first defect of n leaves' merges (left, right, height, size), in the
+    words of hierarchy.Dendrogram's ValueError, or None for a sound tree: a
+    merge-by-merge check that builds each node's size by the recurrence."""
+    used = set()
+    sizes = {i: 1 for i in range(n)}
+    for step, (left, right, height, size) in enumerate(merges):
+        new_id = n + step
+        for child in (left, right):
+            if not (0 <= child < new_id):
+                return f"merge {step} references invalid node {child}"
+            if child in used:
+                return f"node {child} merged twice"
+            used.add(child)
+        if left >= right:
+            return f"merge {step} children must satisfy left < right"
+        if not math.isfinite(height):
+            return f"merge {step} has non-finite height {height!r}"
+        if height < 0:
+            return f"merge {step} has negative height"
+        sizes[new_id] = sizes[left] + sizes[right]
+        if size != sizes[new_id]:
+            return f"merge {step} size field inconsistent"
+    return None
 
 
 def join_levels_ix(n: int, joins, dtype=float) -> np.ndarray:

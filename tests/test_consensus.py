@@ -519,7 +519,7 @@ def test_consensus_ultrametric_joins_a_tied_chain_at_its_lowest_pair():
 def test_consensus_dendrogram_frozen_example():
     u = ultra3(0.5, 2.0, 2.0)
     h = consensus_dendrogram(u)
-    assert [(m.left, m.right, m.height, m.size) for m in h.merges] == [
+    assert h.merges.tolist() == [
         (0, 1, 0.5, 2),
         (2, 3, 2.0, 3),
     ]
@@ -536,7 +536,7 @@ def test_consensus_dendrogram_round_trip(rng):
 def test_consensus_dendrogram_two_leaves():
     u = UltrametricMatrix(np.array([[0.0, 1.25], [1.25, 0.0]]), ["a", "b"])
     h = consensus_dendrogram(u)
-    assert [(m.left, m.right, m.height) for m in h.merges] == [(0, 1, 1.25)]
+    assert h.merges[["left", "right", "height"]].tolist() == [(0, 1, 1.25)]
 
 
 def test_consensus_dendrogram_rejects_non_ultrametric():
@@ -568,7 +568,7 @@ def dendrogram_or_message(u, tolerance):
         h = consensus_dendrogram(u, tolerance)
     except ValueError as exc:
         return str(exc)
-    return [tuple(m) for m in h.merges]
+    return h.merges.tolist()
 
 
 # a chain of triples each tied within 1 (slack 1), its ends 2 above their closure

@@ -7,7 +7,6 @@ from umtk.hierarchy import (
     INVERSION_FREE_CRITERIA,
     LINKAGE_CRITERIA,
     Dendrogram,
-    Merge,
     cophenetic,
     cophenetic_correlation,
     detect_inversions,
@@ -24,6 +23,7 @@ from .conftest import decimal_grid, random_dissimilarity, random_ultrametric
 from .oracles import (
     closure_bruteforce,
     closure_floyd_warshall,
+    dendrogram_defect_loop,
     join_levels_ix,
     linkage_loop,
     mst_kruskal_loop,
@@ -39,7 +39,7 @@ THREE = DissimilarityMatrix(
 
 
 def merge_tuples(h):
-    return [(m.left, m.right, m.height, m.size) for m in h.merges]
+    return h.merges.tolist()
 
 
 def test_single_link_frozen_example():
@@ -126,8 +126,7 @@ def test_tie_break_is_lexicographic():
         ]
     )
     h = linkage(DissimilarityMatrix(vals), "single")
-    assert h.merges[0].left == 0 and h.merges[0].right == 1
-    assert h.merges[1].left == 2 and h.merges[1].right == 3
+    assert h.merges[["left", "right"]][:2].tolist() == [(0, 1), (2, 3)]
 
 
 def test_all_criteria_match_scipy_on_untied_inputs(rng):
@@ -147,7 +146,7 @@ def assert_monotone_heights(d):
     for crit in INVERSION_FREE_CRITERIA:
         h = linkage(d, crit)
         assert detect_inversions(h) == [], crit
-        heights = [m.height for m in h.merges]
+        heights = h.merges["height"].tolist()
         assert heights == sorted(heights), crit
 
 
@@ -177,8 +176,8 @@ def test_centroid_inversion_on_equilateral():
     vals = np.full((3, 3), 2.0)
     np.fill_diagonal(vals, 0.0)
     h = linkage(DissimilarityMatrix(vals), "centroid")
-    assert h.merges[0].height == 2.0
-    np.testing.assert_allclose(h.merges[1].height, np.sqrt(3.0), rtol=1e-12)
+    assert h.merges["height"][0] == 2.0
+    np.testing.assert_allclose(h.merges["height"][1], np.sqrt(3.0), rtol=1e-12)
     inversions = detect_inversions(h)
     assert len(inversions) == 1
     idx, drop = inversions[0]
@@ -330,10 +329,10 @@ def test_newick_round_trip(rng):
     members: dict[int, frozenset] = {
         i: frozenset([h.labels[i]]) for i in range(h.n_leaves)
     }
-    for step, m in enumerate(h.merges):
-        group = members[m.left] | members[m.right]
+    for step, (left, right, height, _) in enumerate(h.merges.tolist()):
+        group = members[left] | members[right]
         members[h.n_leaves + step] = group
-        assert records[group] == pytest.approx(m.height, rel=1e-9)
+        assert records[group] == pytest.approx(height, rel=1e-9)
 
 
 def test_newick_quotes_awkward_labels():
@@ -363,39 +362,39 @@ def test_dendrogram_validation():
     with pytest.raises(ValueError, match="at least one leaf"):
         Dendrogram(0, [], [])
     with pytest.raises(ValueError, match="label count"):
-        Dendrogram(2, [Merge(0, 1, 1.0, 2)], ["a"])
+        Dendrogram(2, [(0, 1, 1.0, 2)], ["a"])
     for child in (-1, 5):
         with pytest.raises(ValueError, match=f"merge 0 references invalid node {child}"):
-            Dendrogram(3, [Merge(0, child, 1.0, 2), Merge(2, 3, 2.0, 3)], ["a", "b", "c"])
+            Dendrogram(3, [(0, child, 1.0, 2), (2, 3, 2.0, 3)], ["a", "b", "c"])
     with pytest.raises(ValueError, match="n-1 merges"):
-        Dendrogram(3, [Merge(0, 1, 1.0, 2)], ["a", "b", "c"])
+        Dendrogram(3, [(0, 1, 1.0, 2)], ["a", "b", "c"])
     with pytest.raises(ValueError, match="merged twice"):
         Dendrogram(
             3,
-            [Merge(0, 1, 1.0, 2), Merge(1, 3, 2.0, 3)],
+            [(0, 1, 1.0, 2), (1, 3, 2.0, 3)],
             ["a", "b", "c"],
         )
     with pytest.raises(ValueError, match="left < right"):
         Dendrogram(
             3,
-            [Merge(1, 0, 1.0, 2), Merge(2, 3, 2.0, 3)],
+            [(1, 0, 1.0, 2), (2, 3, 2.0, 3)],
             ["a", "b", "c"],
         )
     with pytest.raises(ValueError, match="negative height"):
         Dendrogram(
             3,
-            [Merge(0, 1, -1.0, 2), Merge(2, 3, 2.0, 3)],
+            [(0, 1, -1.0, 2), (2, 3, 2.0, 3)],
             ["a", "b", "c"],
         )
     for step, bad in [(0, np.nan), (1, np.inf), (0, -np.inf)]:
-        merges = [Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 3)]
-        merges[step] = merges[step]._replace(height=bad)
+        merges = [(0, 1, 1.0, 2), (2, 3, 2.0, 3)]
+        merges[step] = (*merges[step][:2], bad, merges[step][3])
         with pytest.raises(ValueError, match=f"^merge {step} has non-finite height {bad!r}$"):
             Dendrogram(3, merges, ["a", "b", "c"])
     with pytest.raises(ValueError, match="size"):
         Dendrogram(
             3,
-            [Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 2)],
+            [(0, 1, 1.0, 2), (2, 3, 2.0, 2)],
             ["a", "b", "c"],
         )
 
@@ -515,10 +514,10 @@ def assert_linkage_matches_loop(d):
     for criterion in LINKAGE_CRITERIA:
         got = linkage(d, criterion).merges
         want = linkage_loop(d.values, criterion)
-        assert [(m.left, m.right, m.size) for m in got] == [
+        assert got[["left", "right", "size"]].tolist() == [
             (m[0], m[1], m[3]) for m in want
         ], criterion
-        got_heights = np.array([m.height for m in got])
+        got_heights = got["height"]
         want_heights = np.array([m[2] for m in want])
         assert got_heights.tobytes() == want_heights.tobytes(), criterion
 
@@ -600,8 +599,8 @@ def test_single_linkage_off_the_mst_matches_the_loop(d):
     edges' weights in bits."""
     got = linkage(d, "single").merges
     want = linkage_loop(d.values, "single")
-    assert [(m.left, m.right, m.size) for m in got] == [(m[0], m[1], m[3]) for m in want]
-    heights = np.array([m.height for m in got])
+    assert got[["left", "right", "size"]].tolist() == [(m[0], m[1], m[3]) for m in want]
+    heights = got["height"]
     np.testing.assert_array_equal(heights, [m[2] for m in want])
     weights = np.array([w for _, _, w in mst_kruskal(d).edges])
     assert heights.tobytes() == weights.tobytes()
@@ -610,13 +609,9 @@ def test_single_linkage_off_the_mst_matches_the_loop(d):
 
 
 @st.composite
-def trees(draw):
-    """Random valid merge orders over 1 to 40 leaves, heights -0.0, 0.0 or
-    positive; or the trees of every criterion on a single_linkage_inputs()
-    matrix, centroid and median with their inversions."""
-    if draw(st.booleans()):
-        d = draw(single_linkage_inputs())
-        return [linkage(d, criterion) for criterion in LINKAGE_CRITERIA]
+def merge_orders(draw):
+    """(n, merges): a random valid merge order over 1 to 40 leaves, as
+    (left, right, height, size) tuples with heights -0.0, 0.0 or positive."""
     n = draw(st.integers(1, 40))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active, size, merges = list(range(n)), [1] * n, []
@@ -624,7 +619,18 @@ def trees(draw):
         a, b = sorted(gen.choice(active, size=2, replace=False).tolist())
         active = [x for x in active if x not in (a, b)] + [n + s]
         size.append(size[a] + size[b])
-        merges.append(Merge(a, b, float(gen.choice([-0.0, 0.0, gen.exponential()])), size[-1]))
+        merges.append((a, b, float(gen.choice([-0.0, 0.0, gen.exponential()])), size[-1]))
+    return n, merges
+
+
+@st.composite
+def trees(draw):
+    """The trees of merge_orders(); or the trees of every criterion on a
+    single_linkage_inputs() matrix, centroid and median with their inversions."""
+    if draw(st.booleans()):
+        d = draw(single_linkage_inputs())
+        return [linkage(d, criterion) for criterion in LINKAGE_CRITERIA]
+    n, merges = draw(merge_orders())
     return [Dendrogram(n, merges, [str(i) for i in range(n)])]
 
 
@@ -636,14 +642,74 @@ def test_join_nodes_fills_as_the_ix_oracle(hs):
     for h in hs:
         n = h.n_leaves
         lowest = list(range(n))  # each node's lowest leaf
-        for m in h.merges:
-            lowest.append(min(lowest[m.left], lowest[m.right]))
+        merges = h.merges.tolist()
+        for left, right, _, _ in merges:
+            lowest.append(min(lowest[left], lowest[right]))
         heights, got = join_nodes(h)
         want = join_levels_ix(
-            n, [(lowest[m.left], lowest[m.right], n + s) for s, m in enumerate(h.merges)], np.int32
+            n, [(lowest[m[0]], lowest[m[1]], n + s) for s, m in enumerate(merges)], np.int32
         )
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert heights.tobytes() == np.array([0.0] * n + [m.height for m in h.merges]).tobytes()
+        assert heights.tobytes() == np.array([0.0] * n + [m[2] for m in merges]).tobytes()
+
+
+DEFECTS = ("child -1", "child past own id", "merged twice", "left >= right", "nan", "inf",
+           "-inf", "negative height", "size - 1", "size + 1")
+
+
+@st.composite
+def defective_merge_orders(draw):
+    """merge_orders() with 0 to 3 merges corrupted, one field each, by DEFECTS."""
+    n, merges = draw(merge_orders())
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        s = draw(st.integers(0, n - 2))
+        kind = draw(st.sampled_from(DEFECTS))
+        left, right, height, size = merges[s]
+        side = draw(st.integers(0, 1))
+        if kind == "child -1":
+            left, right = (-1, right) if side == 0 else (left, -1)
+        elif kind == "child past own id":
+            bad = n + s + draw(st.integers(0, 2))
+            left, right = (bad, right) if side == 0 else (left, bad)
+        elif kind == "merged twice":  # a child of an earlier merge, or right = left
+            bad = draw(st.sampled_from([left] + [c for m in merges[:s] for c in m[:2]]))
+            left, right = (bad, right) if side == 0 and bad != left else (left, bad)
+        elif kind == "left >= right":
+            left, right = right, left
+        elif kind == "negative height":
+            height = -draw(st.sampled_from((5e-324, 1.0, 1e300)))
+        elif kind.startswith("size"):
+            size += 1 if kind == "size + 1" else -1
+        else:
+            height = float(kind)
+        merges[s] = (left, right, height, size)
+    return n, merges
+
+
+@settings(max_examples=400, deadline=None)
+@given(defective_merge_orders())
+def test_dendrogram_check_rejects_as_the_merge_loop(order):
+    """The array check accepts what the merge-by-merge loop accepts, and
+    rejects the rest with the loop's message for the first defect."""
+    n, merges = order
+    want = dendrogram_defect_loop(n, merges)
+    if want is None:
+        assert Dendrogram(n, merges, [str(i) for i in range(n)]).merges.tolist() == merges
+    else:
+        with pytest.raises(ValueError) as err:
+            Dendrogram(n, merges, [str(i) for i in range(n)])
+        assert str(err.value) == want
+
+
+def test_dendrograms_compare_by_their_merges(rng):
+    d = random_dissimilarity(rng, 12)
+    for criterion in LINKAGE_CRITERIA:
+        assert linkage(d, criterion) == linkage(d, criterion), criterion
+    h = linkage(d, "average")
+    merges = h.merges.copy()
+    merges["height"][-1] = np.nextafter(merges["height"][-1], np.inf)
+    assert Dendrogram(h.n_leaves, merges, h.labels) != h
+    assert Dendrogram(h.n_leaves, h.merges, h.labels) == h
 
 
 def test_closure_of_fewer_than_three_items():
